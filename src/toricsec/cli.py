@@ -18,11 +18,10 @@ from .cohomology import (
     has_higher_cohomology,
     strong_exceptional_check,
 )
-from .diagonal import diagonal_resolution_verdict
+from .diagonal import diagonal_resolution_verdict, serialize_complex
 from .fans import validate_fan
-from .frobenius import frobenius_gen_set, frobenius_split_classes
+from .frobenius import frobenius_gen_set, frobenius_gen_support, frobenius_split_classes
 from .method1 import GenerationCertificate, generation_closure
-from .frobenius import frobenius_gen_support
 from .pipelines import (
     helix_twist,
     propagate_collection,
@@ -75,9 +74,8 @@ def _collection(ws, label):
 @click.option("--seed", default=0, show_default=True)
 @click.option("--trials", default=32, show_default=True)
 @click.option("--prime", default=2147483647, show_default=True)
-@click.option("--jobs", default=1, show_default=True)
 @click.pass_context
-def main(ctx, data_dir, out, seed, trials, prime, jobs):
+def main(ctx, data_dir, out, seed, trials, prime):
     """Verify strong exceptional collections on smooth toric Fano varieties."""
     ctx.ensure_object(dict)
     ctx.obj["ws"] = load_workspace(data_dir)
@@ -85,7 +83,6 @@ def main(ctx, data_dir, out, seed, trials, prime, jobs):
     ctx.obj["seed"] = seed
     ctx.obj["trials"] = trials
     ctx.obj["prime"] = prime
-    ctx.obj["jobs"] = jobs
 
 
 @main.command()
@@ -139,10 +136,17 @@ def cohomology(ctx, label, cls):
     ws = ctx.obj["ws"]
     rep = Report(ctx.obj["out"])
     fan, pic = ws.fan(label), ws.pic(label)
-    vec = tuple(int(x) for x in cls.split(","))
+    rep.add("label", label)
+    try:
+        vec = tuple(int(x) for x in cls.split(","))
+        pic.lift(vec)
+    except ValueError as exc:
+        rep.add("class", cls)
+        rep.add("error", f"bad class: {exc}")
+        rep.set_status("fail")
+        rep.finish()
     bad, witness = has_higher_cohomology(fan, pic, vec)
     dims = cohomology_dims(fan, pic, vec)
-    rep.add("label", label)
     rep.add("class", _fmt_vec(vec))
     rep.add("higher_cohomology", bad)
     rep.add("dims", _fmt_vec(dims))
@@ -273,14 +277,12 @@ def method2(ctx, label, dump_path):
     rep = Report(ctx.obj["out"])
     fan, pic = ws.fan(label), ws.pic(label)
     bundles, theta, _ = _collection(ws, label)
-    if dump_path:
-        from .diagonal import build_signed_complex, serialize_complex
-        Path(dump_path).write_text(serialize_complex(
-            build_signed_complex(fan, pic, bundles)))
-        rep.add("complex_file", dump_path)
     verdict = diagonal_resolution_verdict(
         fan, pic, bundles, theta=theta, trials=ctx.obj["trials"],
-        seed=ctx.obj["seed"], prime=ctx.obj["prime"], jobs=ctx.obj["jobs"])
+        seed=ctx.obj["seed"], prime=ctx.obj["prime"])
+    if dump_path and verdict.signed_complex is not None:
+        Path(dump_path).write_text(serialize_complex(verdict.signed_complex))
+        rep.add("complex_file", dump_path)
     rep.add("label", label)
     rep.add("ranks", _fmt_vec(verdict.ranks))
     rep.add("stage", verdict.stage)

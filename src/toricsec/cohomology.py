@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .fans import Fan, PicBasis, ContractionStep, cartier_data
-from .intlin import kernel_basis, mat, mat_vec, rank
+from .intlin import mat, mat_vec, rank
 from .polyhedra import (
     ParametricIntegerFeasibility,
     RationalPolyhedron,
@@ -128,35 +128,36 @@ def deg_fiber(pic: PicBasis, cls, negative_rays) -> RationalPolyhedron:
 
 
 @lru_cache(maxsize=None)
-def _fiber_solver(pic: PicBasis, neg: frozenset):
-    """Parametric feasibility of {x : deg x = c, sign pattern neg} in the
-    kernel coordinates x = lift(c) + K t; rows are class-independent."""
-    kernel = kernel_basis(pic.deg)
-    d = pic.n_rays
+def fiber_tower(pic: PicBasis, neg: frozenset) -> ParametricIntegerFeasibility:
+    """The lattice-point engine of the deg-fibers with negative support neg.
+
+    Its variables are the exponents of the free rays, pic.free_indices.
+    A class fixes the basis exponents through them (PicBasis.lift), so
+    the rows x_rho >= 0 off neg and -x_rho >= 1 on neg depend on the class
+    only through their right-hand sides, fiber_rhs.
+    """
+    free = pic.free_indices
     rows = []
-    kinds = []  # (rho, sign) to rebuild the rhs per class
-    for ρ in range(d):
-        coeff = tuple(kv[ρ] for kv in kernel)
-        if ρ in neg:
-            rows.append(tuple(-x for x in coeff))
-            kinds.append((ρ, -1))
+    for ρ in range(pic.n_rays):
+        if ρ in free:
+            row = tuple(1 if f == ρ else 0 for f in free)
         else:
-            rows.append(coeff)
-            kinds.append((ρ, 1))
-    return ParametricIntegerFeasibility(rows, len(kernel)), kinds
+            deg_row = pic.deg[pic.basis_indices.index(ρ)]
+            row = tuple(-deg_row[f] for f in free)
+        rows.append(tuple(-x for x in row) if ρ in neg else row)
+    return ParametricIntegerFeasibility(rows, len(free))
+
+
+def fiber_rhs(pic: PicBasis, cls, neg) -> list[int]:
+    """Right-hand sides of fiber_tower(pic, neg) for the class cls."""
+    a = pic.lift(cls)
+    return [1 + a[ρ] if ρ in neg else -a[ρ] for ρ in range(pic.n_rays)]
 
 
 def fiber_feasible(pic: PicBasis, cls, neg) -> bool:
     """Integer point in the deg-fiber with the given negative-support set."""
-    solver, kinds = _fiber_solver(pic, frozenset(neg))
-    lifted = pic.lift(cls)
-    rhs = []
-    for ρ, sign in kinds:
-        if sign < 0:
-            rhs.append(1 + lifted[ρ])   # x_rho <= -1
-        else:
-            rhs.append(-lifted[ρ])      # x_rho >= 0
-    return solver.query(rhs)
+    neg = frozenset(neg)
+    return fiber_tower(pic, neg).query(fiber_rhs(pic, cls, neg))
 
 
 def has_higher_cohomology(fan: Fan, pic: PicBasis, cls) -> tuple[bool, ForbiddenSet | None]:

@@ -10,7 +10,8 @@ exactness is certified fiberwise over a large prime field.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import comb
 
 from .fans import Fan, PicBasis
 from .intlin import IntVector
@@ -477,15 +478,13 @@ def _rank_profile(complex_: GradedChainComplex, xs, ws, p):
 
 def fiber_exactness_check(complex_: GradedChainComplex, n: int,
                           trials: int = 32, diagonal_trials: int = 8,
-                          seed: int = 0, prime: int = 2147483647,
-                          jobs: int = 1) -> FiberReport:
+                          seed: int = 0, prime: int = 2147483647) -> FiberReport:
     """Random-point exactness over F_prime.
 
     Off the diagonal the complex must be exact with zero cokernel in the
     last position; on the diagonal the homology must be the rank-n Koszul
     profile.  Any rank deviation rejects with the offending point.  The
-    trial points are drawn up front from the seed, so the report does not
-    depend on the worker count.
+    trial points are drawn up front from the seed.
     """
     rng = random.Random(seed)
     d = complex_.n_variables
@@ -501,18 +500,8 @@ def fiber_exactness_check(complex_: GradedChainComplex, n: int,
     diag_points = [[rng.randrange(1, prime) for _ in range(d)]
                    for _ in range(diagonal_trials)]
 
-    def profile_of(point):
-        xs, ws = point
-        return _rank_profile(complex_, xs, ws, prime)
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            off_profiles = list(pool.map(profile_of, off_points))
-            diag_profiles = list(pool.map(profile_of, [(p, p) for p in diag_points]))
-    else:
-        off_profiles = [profile_of(p) for p in off_points]
-        diag_profiles = [profile_of((p, p)) for p in diag_points]
+    off_profiles = [_rank_profile(complex_, xs, ws, prime) for xs, ws in off_points]
+    diag_profiles = [_rank_profile(complex_, p, p, prime) for p in diag_points]
 
     off_ranks = None
     for t, profile in enumerate(off_profiles):
@@ -521,7 +510,7 @@ def fiber_exactness_check(complex_: GradedChainComplex, n: int,
                                f"off-diagonal rank deviation at trial {t}: "
                                f"{profile} != {expected}")
         off_ranks = profile
-    want_diag = [_binomial(n, k) for k in range(n + 1)]
+    want_diag = [comb(n, k) for k in range(n + 1)]
     diag_hom = None
     for t, profile in enumerate(diag_profiles):
         hom = []
@@ -537,11 +526,6 @@ def fiber_exactness_check(complex_: GradedChainComplex, n: int,
     return FiberReport(True, tuple(off_ranks or ()), tuple(diag_hom or ()))
 
 
-def _binomial(n, k):
-    from math import comb
-    return comb(n, k)
-
-
 @dataclass(frozen=True)
 class ResolutionVerdict:
     status: str                 # "full" or "inconclusive"
@@ -549,6 +533,7 @@ class ResolutionVerdict:
     ranks: tuple[int, ...] = ()
     fiber: FiberReport | None = None
     embedding: object = None
+    signed_complex: GradedChainComplex | None = None   # once signs are solved
 
     @property
     def full(self) -> bool:
@@ -557,14 +542,14 @@ class ResolutionVerdict:
 
 def diagonal_resolution_verdict(fan: Fan, pic: PicBasis, bundles, theta=None,
                                 trials: int = 32, diagonal_trials: int = 8,
-                                seed: int = 0, prime: int = 2147483647,
-                                jobs: int = 1) -> ResolutionVerdict:
+                                seed: int = 0, prime: int = 2147483647) -> ResolutionVerdict:
     """Assemble and certify the Method-2 chain for one collection.
 
     "full" needs the signed complex with squared differential zero, the
     fiberwise exactness profile, and an embedding certificate: the nef
     Minkowski route when every bundle is nef, otherwise the Y_theta route
-    with the supplied weight.
+    with the supplied weight.  Every verdict past sign solving carries the
+    signed complex.
     """
     from .fans import nef_ample_test as _nef
     from .quiver import (build_quiver_of_sections, covering_quiver_on_y,
@@ -583,35 +568,33 @@ def diagonal_resolution_verdict(fan: Fan, pic: PicBasis, bundles, theta=None,
     signed = sign_solve(cx)
     if signed is None:
         return ResolutionVerdict("inconclusive", "no sign assignment", cx.ranks)
+
+    def verdict(stage, fiber=None, emb=None, status="inconclusive"):
+        return ResolutionVerdict(status, stage, cx.ranks, fiber, emb, signed)
+
     if not check_dd_zero(signed):
-        return ResolutionVerdict("inconclusive", "squared differential nonzero", cx.ranks)
+        return verdict("squared differential nonzero")
     fiber = fiber_exactness_check(signed, n, trials=trials,
                                   diagonal_trials=diagonal_trials,
-                                  seed=seed, prime=prime, jobs=jobs)
+                                  seed=seed, prime=prime)
     if not fiber.ok:
-        return ResolutionVerdict("inconclusive", "fiber exactness", cx.ranks, fiber)
+        return verdict("fiber exactness", fiber)
     all_nef = all(_nef(fan, pic, b)[0] for b in bundles)
     if all_nef:
         emb = minkowski_embedding_check(fan, pic, bundles)
         if not emb.ok:
-            return ResolutionVerdict("inconclusive", f"nef embedding: {emb.detail}",
-                                     cx.ranks, fiber, emb)
+            return verdict(f"nef embedding: {emb.detail}", fiber, emb)
     else:
         if theta is None:
-            return ResolutionVerdict("inconclusive",
-                                     "non-nef collection without a theta weight",
-                                     cx.ranks, fiber)
+            return verdict("non-nef collection without a theta weight", fiber)
         qx = build_quiver_of_sections(fan, pic, bundles)
         stability = check_theta_generic(qx, fan, theta)
         if not stability.generic:
-            return ResolutionVerdict("inconclusive",
-                                     f"theta not generic: {stability.failures[:1]}",
-                                     cx.ranks, fiber)
+            return verdict(f"theta not generic: {stability.failures[:1]}", fiber)
         emb = theta_fiber_surjectivity_check(qx, fan, pic, theta)
         if not emb.ok:
-            return ResolutionVerdict("inconclusive", f"theta embedding: {emb.detail}",
-                                     cx.ranks, fiber, emb)
-    return ResolutionVerdict("full", "complete", cx.ranks, fiber, emb)
+            return verdict(f"theta embedding: {emb.detail}", fiber, emb)
+    return verdict("complete", fiber, emb, status="full")
 
 
 def serialize_complex(complex_: GradedChainComplex) -> str:
@@ -634,19 +617,6 @@ def serialize_complex(complex_: GradedChainComplex) -> str:
                               f"{','.join(str(x) for x in beta)}")
             lines.append(f"entry {row} {col} {' '.join(blocks)}")
     return "\n".join(lines) + "\n"
-
-
-def build_signed_complex(fan: Fan, pic: PicBasis, bundles):
-    """Covering quiver -> cells -> restricted signed complex, or raise."""
-    from .quiver import covering_quiver_on_y
-    qy = covering_quiver_on_y(fan, pic, bundles)
-    data = cell_sets(qy, fan.dim)
-    rest = restrict_cells(data, rho_tot=pic.n_rays)
-    cx = derivative_complex(rest, qy, pic.n_rays, bundles)
-    signed = sign_solve(cx)
-    if signed is None:
-        raise DiagonalError("no sign assignment exists for this collection")
-    return signed
 
 
 def torus_rescale(xs, ws, fan: Fan, exponents, prime: int):

@@ -30,6 +30,10 @@ class FanError(ValueError):
     pass
 
 
+class PicRankError(ValueError):
+    """A divisor class whose length is not the rank of Pic."""
+
+
 @dataclass(frozen=True)
 class Fan:
     dim: int
@@ -190,13 +194,31 @@ class PicBasis:
     def n_rays(self) -> int:
         return len(self.deg[0]) if self.deg else 0
 
+    @property
+    def free_indices(self) -> tuple[int, ...]:
+        """The rays off the basis, in index order."""
+        return tuple(ρ for ρ in range(self.n_rays) if ρ not in self.basis_indices)
+
     def deg_of(self, divisor) -> IntVector:
         return mat_vec(self.deg, divisor)
 
-    def lift(self, cls) -> IntVector:
+    def lift(self, cls, free=None) -> IntVector:
+        """The divisor of class cls with exponents `free` on the free rays.
+
+        deg is the identity on the basis columns, so the free exponents
+        (zero by default) fix the basis ones: x_b = cls_b - sum_f deg[b][f] x_f.
+        """
+        if len(cls) != self.rank:
+            raise PicRankError(f"class {tuple(cls)} has {len(cls)} entries, "
+                               f"Pic has rank {self.rank}")
         x = [0] * self.n_rays
         for b, v in zip(self.basis_indices, cls):
             x[b] = v
+        if free is not None:
+            for f, t in zip(self.free_indices, free):
+                x[f] = t
+                for row, b in zip(self.deg, self.basis_indices):
+                    x[b] -= row[f] * t
         return tuple(x)
 
     def ray_class(self, ray_index: int) -> IntVector:
@@ -304,9 +326,6 @@ class ContractionStep:
     gamma: IntMatrix  # Pic(source) -> Pic(target)
     source_pic: PicBasis
     target_pic: PicBasis
-
-    def push_class(self, cls) -> IntVector:
-        return mat_vec(self.gamma, cls)
 
 
 def _subdivide(fan: Fan, σ: tuple[int, ...]) -> Fan:

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 
 from .fans import Fan, PicBasis, ContractionStep, nef_ample_test
-from .intlin import IntVector, invert_unimodular, mat, mat_vec
+from .intlin import IntVector, invert_unimodular, mat_mul, mat_vec
 
 
 @dataclass(frozen=True)
@@ -43,14 +43,12 @@ def frobenius_summands(fan: Fan, pic: PicBasis, m: int, w, sigma=None) -> SplitS
     a_sigma = fan.cone_matrix(sigma)
     a_sigma_inv = invert_unimodular(a_sigma)  # smooth chart: integer inverse
     w_sigma = tuple(w[i] for i in sigma)
+    # t = A A_sigma^{-1} (v - w_sigma) + w = B v + c, then q = floor(t / m)
+    b = mat_mul(fan.rays, a_sigma_inv)
+    c = tuple(wr - br for wr, br in zip(w, mat_vec(b, w_sigma)))
     mult: dict[IntVector, int] = {}
     for v in itertools.product(range(m), repeat=fan.dim):
-        # t = A A_sigma^{-1} (v - w_sigma) + w, then q = floor(t / m)
-        s = mat_vec(a_sigma_inv, tuple(vi - wi for vi, wi in zip(v, w_sigma)))
-        q = []
-        for ρ in range(fan.n_rays):
-            t = sum(fan.rays[ρ][j] * s[j] for j in range(fan.dim)) + w[ρ]
-            q.append(t // m)
+        q = [(sum(x * y for x, y in zip(row, v)) + cr) // m for row, cr in zip(b, c)]
         cls = pic.deg_of(q)
         mult[cls] = mult.get(cls, 0) + 1
     return SplitSet(m, w, mult)

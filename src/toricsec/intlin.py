@@ -28,10 +28,6 @@ def identity(n: int) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def zeros(r: int, c: int) -> IntMatrix:
-    return tuple((0,) * c for _ in range(r))
-
-
 def transpose(a: IntMatrix) -> IntMatrix:
     return tuple(zip(*a)) if a else ()
 
@@ -43,18 +39,6 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 def mat_vec(a: IntMatrix, v) -> IntVector:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
-def vec_add(u, v) -> IntVector:
-    return tuple(x + y for x, y in zip(u, v))
-
-
-def vec_sub(u, v) -> IntVector:
-    return tuple(x - y for x, y in zip(u, v))
-
-
-def vec_scale(c: int, v) -> IntVector:
-    return tuple(c * x for x in v)
 
 
 def vec_gcd(v) -> int:

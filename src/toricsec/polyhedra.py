@@ -1,9 +1,10 @@
 """Rational polyhedra with exact lattice-point machinery.
 
 A polyhedron is a system of inequalities a.x >= b (integer a, rational b),
-optionally together with integer equalities.  Enumeration works by
-Fourier-Motzkin projection followed by a project-and-lift scan, so every
-bound is exact; no floating point anywhere.
+optionally together with integer equalities.  Every lattice-point search
+runs on one engine, ParametricIntegerFeasibility: an integer
+Fourier-Motzkin tower followed by a project-and-lift scan, so every bound
+is exact; no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import ceil, gcd
 
 from .intlin import (
     kernel_basis,
@@ -69,120 +70,8 @@ def fm_eliminate_last(ineqs: list[Ineq], nvars: int) -> list[Ineq]:
     return _dedupe(out)
 
 
-def _interval_1d(ineqs: list[Ineq]):
-    """Bounds (lo, hi) for a single variable; None means unbounded on that side."""
-    lo, hi = None, None
-    for (c,), rhs in ineqs:
-        if c == 0:
-            if rhs > 0:
-                return Fraction(1), Fraction(0)  # empty
-            continue
-        bound = Fraction(rhs, c)
-        if c > 0:
-            lo = bound if lo is None or bound > lo else lo
-        else:
-            hi = bound if hi is None or bound < hi else hi
-    return lo, hi
-
-
 def _feasible_0d(ineqs: list[Ineq]) -> bool:
     return all(rhs <= 0 for _, rhs in ineqs)
-
-
-class _Projections:
-    """FM projection tower: level k constrains variables x_0..x_{k-1}."""
-
-    def __init__(self, ineqs: list[Ineq], nvars: int):
-        self.nvars = nvars
-        levels = [None] * (nvars + 1)
-        levels[nvars] = _dedupe([_norm_ineq(c, r) for c, r in ineqs])
-        for k in range(nvars, 0, -1):
-            levels[k - 1] = fm_eliminate_last(levels[k], k)
-        self.levels = levels
-
-    def feasible_real(self) -> bool:
-        return _feasible_0d(self.levels[0])
-
-    def var_interval(self, prefix: tuple[int, ...]):
-        """Exact interval for x_k given integer values of x_0..x_{k-1}."""
-        k = len(prefix)
-        reduced = []
-        for coeffs, rhs in self.levels[k + 1]:
-            rem = rhs - sum(c * v for c, v in zip(coeffs, prefix))
-            reduced.append(((coeffs[k],), rem))
-        return _interval_1d(reduced)
-
-
-def _int_range(lo, hi):
-    if lo is not None and hi is not None and lo > hi:
-        return None
-    a = ceil(lo) if lo is not None else None
-    b = floor(hi) if hi is not None else None
-    return a, b
-
-
-def enumerate_lattice(ineqs: list[Ineq], nvars: int, limit: int | None = None):
-    """All integer points of {x : ineqs}, lexicographically.
-
-    The system must be bounded; unbounded directions make the scan diverge,
-    so callers check boundedness first.
-    """
-    if nvars == 0:
-        return [()] if _feasible_0d(_dedupe([_norm_ineq(c, r) for c, r in ineqs])) else []
-    proj = _Projections(ineqs, nvars)
-    if not proj.feasible_real():
-        return []
-    out = []
-
-    def rec(prefix):
-        k = len(prefix)
-        lo, hi = proj.var_interval(prefix)
-        rng = _int_range(lo, hi)
-        if rng is None:
-            return
-        a, b = rng
-        if a is None or b is None:
-            raise ValueError("unbounded enumeration")
-        for v in range(a, b + 1):
-            nxt = prefix + (v,)
-            if k + 1 == nvars:
-                out.append(nxt)
-            else:
-                rec(nxt)
-
-    rec(())
-    if limit is not None and len(out) > limit:
-        raise ValueError("too many lattice points")
-    return out
-
-
-def _first_lattice_point(ineqs: list[Ineq], nvars: int):
-    """One integer point of a bounded system, or None."""
-    if nvars == 0:
-        return () if _feasible_0d(_dedupe([_norm_ineq(c, r) for c, r in ineqs])) else None
-    proj = _Projections(ineqs, nvars)
-    if not proj.feasible_real():
-        return None
-
-    def rec(prefix):
-        k = len(prefix)
-        lo, hi = proj.var_interval(prefix)
-        rng = _int_range(lo, hi)
-        if rng is None:
-            return None
-        a, b = rng
-        if a is None or b is None:
-            raise ValueError("unbounded search")
-        for v in range(a, b + 1):
-            nxt = prefix + (v,)
-            if k + 1 == nvars:
-                return nxt
-            got = rec(nxt)
-            if got is not None:
-                return got
-        return None
-
-    return rec(())
 
 
 def _cone_lineality(ineqs: list[Ineq], nvars: int):
@@ -229,10 +118,6 @@ class RationalPolyhedron:
     eqs: list[tuple[tuple[int, ...], int]] = field(default_factory=list)
     _vertices: list | None = field(default=None, repr=False)
     _recession: list | None = field(default=None, repr=False)
-
-    @classmethod
-    def from_ineqs(cls, rows, nvars: int) -> "RationalPolyhedron":
-        return cls(nvars, [_norm_ineq(c, r) for c, r in rows])
 
     def add_ineq(self, coeffs, rhs):
         self.ineqs.append(_norm_ineq(coeffs, rhs))
@@ -362,21 +247,21 @@ def _reduce_equalities(poly: RationalPolyhedron):
     return new_ineqs, k, lift
 
 
-def polytope_lattice_points(poly: RationalPolyhedron) -> list[tuple[int, ...]]:
-    """Exactly the integer points of a bounded polyhedron, lex order."""
+def polytope_lattice_points(poly, rhs=None) -> list[tuple[int, ...]]:
+    """Exactly the integer points of a bounded polyhedron, lex order.
+
+    `poly` is a RationalPolyhedron, or a ParametricIntegerFeasibility whose
+    rows are instantiated at the right-hand sides `rhs`.  A search that
+    meets an unbounded coordinate raises UnboundedSearch.
+    """
+    if rhs is not None:
+        return poly.points(rhs)
     red = _reduce_equalities(poly)
     if red is None:
         return []
     ineqs, n, lift = red
-    proj = _Projections(ineqs, n)
-    if not proj.feasible_real():
-        return []
-    # boundedness of the reduced system
-    probe = RationalPolyhedron(n, list(ineqs))
-    if not probe.is_bounded():
-        raise ValueError("polyhedron is unbounded; lattice enumeration refused")
-    pts = enumerate_lattice(ineqs, n)
-    return sorted(lift(t) for t in pts)
+    engine = ParametricIntegerFeasibility([c for c, _ in ineqs], n)
+    return sorted(lift(t) for t in engine.points([r for _, r in ineqs]))
 
 
 def integer_feasible(poly: RationalPolyhedron):
@@ -399,8 +284,6 @@ def integer_feasible(poly: RationalPolyhedron):
 
 def _integer_feasible_ineqs(ineqs: list[Ineq], n: int):
     ineqs = _dedupe([_norm_ineq(c, r) for c, r in ineqs])
-    if n == 0:
-        return () if _feasible_0d(ineqs) else None
     hom = [(c, Fraction(0)) for c, _ in ineqs]
     lin = _cone_lineality(hom, n)
     if lin:
@@ -409,7 +292,9 @@ def _integer_feasible_ineqs(ineqs: list[Ineq], n: int):
     ray = _cone_ray(ineqs, n)
     if ray is not None:
         return _eliminate_direction(ineqs, n, ray)
-    return _first_lattice_point(ineqs, n)
+    engine = ParametricIntegerFeasibility([c for c, _ in ineqs], n)
+    got = engine.points([r for _, r in ineqs], first=True)
+    return got[0] if got else None
 
 
 def _eliminate_direction(ineqs: list[Ineq], n: int, w):
@@ -441,27 +326,66 @@ def _eliminate_direction(ineqs: list[Ineq], n: int, w):
     return mat_vec(u, s)
 
 
+class UnboundedSearch(ValueError):
+    """The lattice-point search met a coordinate with no lower or upper bound."""
+
+
 class ParametricIntegerFeasibility:
-    """Repeated integer feasibility over a fixed row structure.
+    """The lattice-point engine: integer points of {x : rows . x >= rhs}.
 
     The Fourier-Motzkin tower depends only on the coefficient rows, so it
-    is built once with multiplier tracking; each query just instantiates
-    the right-hand sides.  Queries whose projections go unbounded fall
-    back to the generic routine.
+    is built once: level k holds rows over x_0..x_{k-1}, each with the
+    multipliers that combine it from the base rows.  A query turns every
+    right-hand side into an int once: base right-hand sides are rounded
+    up (the rows are integral), and a level row divided by the gcd of its
+    coefficients has its right-hand side rounded up too, a Chvatal-Gomory
+    cut that keeps every integer point.  One depth-first search then fixes
+    x_0, x_1, ... in turn within the bounds of the next level, passing the
+    residuals of the deeper levels down as it goes.
     """
 
     def __init__(self, rows, nvars: int):
         self.nvars = nvars
         self.base_rows = [tuple(int(c) for c in r) for r in rows]
         m = len(self.base_rows)
-        # level k holds constraints on x_0..x_{k-1}: (coeffs, multipliers)
-        start = [(r, tuple(1 if i == j else 0 for j in range(m)))
-                 for i, r in enumerate(self.base_rows)]
-        levels = [None] * (nvars + 1)
-        levels[nvars] = self._dedupe(start)
+        level = self._dedupe([(r, tuple(1 if i == j else 0 for j in range(m)))
+                              for i, r in enumerate(self.base_rows)])
+        levels = [level]
         for k in range(nvars, 0, -1):
-            levels[k - 1] = self._eliminate(levels[k], k)
-        self.levels = levels
+            level = self._eliminate(level, k)
+            levels.append(level)
+        levels.reverse()
+        # Level k + 1 bounds x_k through its rows with a nonzero x_k
+        # coefficient; the others repeat level k, which the search has
+        # already satisfied.  Lower-bound rows come first.
+        self._level0 = [self._sparse(mult) for _, mult in levels[0]]
+        self._rows = []     # per level: (content, sparse multipliers)
+        self._lower = []    # per level: last-variable coefficients, > 0
+        self._upper = []    # per level: last-variable coefficients, < 0
+        self._cols = []     # _cols[k][j]: coefficients of x_k at level k + 2 + j
+        for k in range(1, nvars + 1):
+            rows = sorted((r for r in levels[k] if r[0][k - 1]),
+                          key=lambda r: r[0][k - 1] < 0)
+            contents = [self._content(c) for c, _ in rows]
+            self._rows.append([(g, self._sparse(mult))
+                               for g, (_, mult) in zip(contents, rows)])
+            lead = [c[k - 1] // g for g, (c, _) in zip(contents, rows)]
+            self._lower.append(tuple(a for a in lead if a > 0))
+            self._upper.append(tuple(a for a in lead if a < 0))
+            for j in range(k - 1):
+                self._cols[j].append(tuple(c[j] // g for g, (c, _) in zip(contents, rows)))
+            self._cols.append([])
+
+    @staticmethod
+    def _sparse(mult):
+        return tuple((i, m) for i, m in enumerate(mult) if m)
+
+    @staticmethod
+    def _content(coeffs) -> int:
+        g = 0
+        for c in coeffs:
+            g = gcd(g, c)
+        return g
 
     @staticmethod
     def _dedupe(rows):
@@ -487,9 +411,7 @@ class ParametricIntegerFeasibility:
                 a, b = lc[nvars - 1], -uc[nvars - 1]
                 coeffs = tuple(b * lc[i] + a * uc[i] for i in range(nvars - 1))
                 mult = tuple(b * x + a * y for x, y in zip(lm, um))
-                g = 0
-                for v in coeffs + mult:
-                    g = gcd(g, v)
+                g = ParametricIntegerFeasibility._content(coeffs + mult)
                 if g > 1:
                     coeffs = tuple(v // g for v in coeffs)
                     mult = tuple(v // g for v in mult)
@@ -498,57 +420,58 @@ class ParametricIntegerFeasibility:
 
     def query(self, rhs) -> bool:
         """Is there an integer point with base_rows . x >= rhs?"""
-        rhs = [Fraction(x) for x in rhs]
-
-        def level_rhs(entry):
-            coeffs, mult = entry
-            return sum(m * r for m, r in zip(mult, rhs))
-
-        for coeffs, mult in self.levels[0]:
-            if level_rhs((coeffs, mult)) > 0:
-                return False
-
-        def rec(prefix):
-            k = len(prefix)
-            lo, hi = None, None
-            for coeffs, mult in self.levels[k + 1]:
-                c = coeffs[k]
-                rem = level_rhs((coeffs, mult)) - sum(
-                    ci * v for ci, v in zip(coeffs, prefix))
-                if c == 0:
-                    if rem > 0:
-                        return False
-                    continue
-                bound = Fraction(rem, c)
-                if c > 0:
-                    lo = bound if lo is None or bound > lo else lo
-                else:
-                    hi = bound if hi is None or bound < hi else hi
-            if lo is None or hi is None:
-                raise _UnboundedQuery()
-            a, b = ceil(lo), floor(hi)
-            for v in range(a, b + 1):
-                nxt = prefix + (v,)
-                if k + 1 == self.nvars:
-                    return True
-                if rec(nxt):
-                    return True
-            return False
-
-        if self.nvars == 0:
-            return True
         try:
-            return rec(())
-        except _UnboundedQuery:
+            return bool(self.points(rhs, first=True))
+        except UnboundedSearch:
             poly = RationalPolyhedron(self.nvars,
                                       [(r, Fraction(b)) for r, b in
                                        zip(self.base_rows, rhs)])
             ok, _ = integer_feasible(poly)
             return ok
 
+    def points(self, rhs, prune=None, first: bool = False) -> list[tuple[int, ...]]:
+        """Integer points with base_rows . x >= rhs, in lex order.
 
-class _UnboundedQuery(Exception):
-    pass
+        With `first` the search stops at the first point.  `prune(k, x)`
+        is called once x_0..x_k are fixed (x is a shared list); a true
+        result drops that value of x_k and everything below it.  Meeting
+        a coordinate without a lower or an upper bound raises
+        UnboundedSearch.
+        """
+        b = [ceil(r) for r in rhs]
+        if any(sum(m * b[i] for i, m in mult) > 0 for mult in self._level0):
+            return []
+        n = self.nvars
+        if n == 0:
+            return [()]
+        res = [[-(-sum(m * b[i] for i, m in mult) // g) for g, mult in rows]
+               for rows in self._rows]
+        x = [0] * n
+        out = []
+        lowers, uppers, cols = self._lower, self._upper, self._cols
+
+        def rec(k, res):
+            # res[j] holds the residuals of level k + 1 + j after x_0..x_{k-1}
+            r, lower, upper = res[0], lowers[k], uppers[k]
+            if not lower or not upper:
+                raise UnboundedSearch(f"coordinate {k} is unbounded")
+            lo = max(-(-ri // a) for ri, a in zip(r, lower))
+            hi = min(ri // a for ri, a in zip(r[len(lower):], upper))
+            last = k + 1 == n
+            for v in range(lo, hi + 1):
+                x[k] = v
+                if prune is not None and prune(k, x):
+                    continue
+                if last:
+                    out.append(tuple(x))
+                else:
+                    rec(k + 1, [[ri - a * v for ri, a in zip(rl, col)]
+                                for rl, col in zip(res[1:], cols[k])])
+                if first and out:
+                    return
+
+        rec(0, res)
+        return out
 
 
 def simplex_feasible(eq_rows, rhs, nvars: int):

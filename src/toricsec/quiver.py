@@ -10,16 +10,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import mul
 
+from .cohomology import fiber_rhs, fiber_tower
 from .fans import Fan, PicBasis, nef_ample_test, cartier_data
 from .intlin import IntVector
-from .polyhedra import (
-    RationalPolyhedron,
-    _norm_ineq,
-    _Projections,
-    polytope_lattice_points,
-    simplex_feasible,
-)
+from .polyhedra import UnboundedSearch, polytope_lattice_points, simplex_feasible
 
 
 @dataclass(frozen=True)
@@ -43,27 +39,19 @@ class QuiverOfSections:
     def arrows_from(self, v: int):
         return [a for a in self.arrows if a.tail == v]
 
-    def arrows_into(self, v: int):
-        return [a for a in self.arrows if a.head == v]
-
 
 class QuiverError(ValueError):
     pass
 
 
 def sections(pic: PicBasis, cls) -> list[IntVector]:
-    """Exponent vectors of the torus-invariant sections of a class."""
-    poly = RationalPolyhedron(pic.n_rays)
-    for i in range(pic.rank):
-        poly.add_eq(tuple(pic.deg[i]), cls[i])
-    for ρ in range(pic.n_rays):
-        e = [0] * pic.n_rays
-        e[ρ] = 1
-        poly.add_ineq(tuple(e), 0)
+    """Exponent vectors of the torus-invariant sections of a class, lex order."""
+    rhs = fiber_rhs(pic, cls, ())
     try:
-        return polytope_lattice_points(poly)
-    except ValueError:
+        free = polytope_lattice_points(fiber_tower(pic, frozenset()), rhs)
+    except UnboundedSearch:
         raise QuiverError(f"section space of {cls} is infinite")
+    return sorted(pic.lift(cls, t) for t in free)
 
 
 def _dominates_some(e, staircase) -> bool:
@@ -71,19 +59,6 @@ def _dominates_some(e, staircase) -> bool:
         if all(x >= y for x, y in zip(e, f)):
             return True
     return False
-
-
-def _box_fiber(pic: PicBasis, cls, upper) -> list[IntVector]:
-    """Lattice points of {0 <= f <= upper, deg f = cls}; boxes stay tiny."""
-    poly = RationalPolyhedron(pic.n_rays)
-    for i in range(pic.rank):
-        poly.add_eq(tuple(pic.deg[i]), cls[i])
-    for ρ in range(pic.n_rays):
-        e = [0] * pic.n_rays
-        e[ρ] = 1
-        poly.add_ineq(tuple(e), 0)
-        poly.add_ineq(tuple(-x for x in e), -upper[ρ])
-    return polytope_lattice_points(poly)
 
 
 def build_quiver_of_sections(fan: Fan, pic: PicBasis, bundles) -> QuiverOfSections:
@@ -122,46 +97,40 @@ def build_quiver_of_sections(fan: Fan, pic: PicBasis, bundles) -> QuiverOfSectio
 def _pruned_fiber(pic: PicBasis, cls, staircase) -> list[IntVector]:
     """Fiber lattice points of {x >= 0, deg x = cls} under the staircase.
 
-    Enumerates the exponent coordinates directly so a branch dies as soon
-    as its assigned prefix dominates a staircase monomial supported on the
-    assigned coordinates; the full fiber may be huge, the survivors never
+    The engine fixes the free-ray exponents one at a time; a basis
+    exponent is fixed once every free ray of its deg row is.  A branch
+    dies as soon as its fixed exponents dominate a staircase monomial
+    supported on them; the full fiber may be huge, the survivors never
     are.
     """
-    d = pic.n_rays
-    ineqs = []
-    for ρ in range(d):
-        e = [0] * d
-        e[ρ] = 1
-        ineqs.append((tuple(e), 0))
-    for i in range(pic.rank):
-        row = tuple(pic.deg[i])
-        ineqs.append((row, cls[i]))
-        ineqs.append((tuple(-x for x in row), -cls[i]))
-    proj = _Projections([_norm_ineq(c, r) for c, r in ineqs], d)
-    if not proj.feasible_real():
-        return []
-    from math import ceil, floor
-    by_support = [[f for f in staircase if not any(f[i] for i in range(k + 1, d))]
-                  for k in range(d)]
-    out = []
+    free = pic.free_indices
+    tower = fiber_tower(pic, frozenset())
+    a = pic.lift(cls)
+    fixed_at = {f: k for k, f in enumerate(free)}
+    for row, b in zip(pic.deg, pic.basis_indices):
+        fixed_at[b] = max((k for k, f in enumerate(free) if row[f]), default=0)
+    # the exponent x_rho is base_rows[rho] . t + a_rho, so x_rho >= v
+    # reads base_rows[rho] . t >= v - a_rho
+    checks = [[] for _ in free]
+    for f in staircase:
+        support = [ρ for ρ, v in enumerate(f) if v]
+        checks[max((fixed_at[ρ] for ρ in support), default=0)].append(
+            tuple((ρ, f[ρ] - a[ρ]) for ρ in support))
+    needed = [sorted({ρ for check in level for ρ, _ in check}) for level in checks]
+    rows = tower.base_rows
 
-    def rec(prefix):
-        k = len(prefix)
-        lo, hi = proj.var_interval(prefix)
-        if lo is None or hi is None:
-            raise QuiverError("unbounded section fiber")
-        a, b = ceil(lo), floor(hi)
-        for v in range(a, b + 1):
-            nxt = prefix + (v,)
-            if any(all(x >= y for x, y in zip(nxt, f)) for f in by_support[k]):
-                continue  # already dominates a staircase monomial
-            if k + 1 == d:
-                out.append(nxt)
-            else:
-                rec(nxt)
+    def prune(k, t):
+        if not checks[k]:
+            return False
+        dots = {ρ: sum(map(mul, rows[ρ], t)) for ρ in needed[k]}
+        return any(all(dots[ρ] >= v for ρ, v in check) for check in checks[k])
 
-    rec(())
-    return out
+    rhs = fiber_rhs(pic, cls, ())
+    try:
+        found = tower.points(rhs, prune)
+    except UnboundedSearch:
+        raise QuiverError("unbounded section fiber")
+    return [pic.lift(cls, t) for t in found]
 
 
 def covering_quiver_on_y(fan: Fan, pic: PicBasis, bundles,

@@ -83,6 +83,12 @@ def load_workspace(paths=None, require_complete: bool = True) -> Workspace:
             poset_specs.append(f)
     if not ws.fans:
         ws.warnings.append("workspace is empty")
+    for col in ws.collections.values():
+        pic = ws.pics.get(col.fan_label)
+        if pic is not None and any(len(b) != pic.rank for b in col.bundles):
+            raise WorkspaceError(
+                f"collection {col.label!r}: bundle width differs from the Pic "
+                f"rank {pic.rank} of fan {col.fan_label!r}")
     for spec in poset_specs:
         nodes, edges = parse_poset_file(spec)
         for label, fields in nodes:

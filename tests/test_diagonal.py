@@ -129,14 +129,6 @@ def test_fiber_exactness_e1(e1_signed):
     assert rep.diagonal_homology == (1, 4, 6, 4, 1)
 
 
-def test_fiber_exactness_deterministic_across_jobs(e1_signed):
-    _, _, _, _, signed = e1_signed
-    a = fiber_exactness_check(signed, 4, trials=4, diagonal_trials=2, seed=9, jobs=1)
-    b = fiber_exactness_check(signed, 4, trials=4, diagonal_trials=2, seed=9, jobs=3)
-    assert (a.ok, a.off_diagonal_ranks, a.diagonal_homology) == \
-        (b.ok, b.off_diagonal_ranks, b.diagonal_homology)
-
-
 def test_torus_orbit_invariance(e1_signed):
     from toricsec.diagonal import _rank_profile, torus_rescale
     fan, _, _, _, signed = e1_signed

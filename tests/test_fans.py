@@ -4,6 +4,7 @@ from toricsec.fans import (
     Fan,
     FanError,
     LatticePolytope,
+    PicRankError,
     contraction_step,
     deg_and_pic,
     fan_from_rays,
@@ -107,6 +108,25 @@ def test_deg_and_pic_p1():
     pic = deg_and_pic(fan)
     assert pic.rank == 1
     assert pic.ray_class(0) == pic.ray_class(1)
+
+
+def test_lift_rejects_a_class_of_the_wrong_length():
+    pic = deg_and_pic(make_fan("P1xP1"))
+    assert pic.lift((1, 2)) == (1, 2, 0, 0)
+    for cls in ((), (1,), (1, 2, 3)):
+        with pytest.raises(PicRankError):
+            pic.lift(cls)
+
+
+def test_lift_fixes_basis_exponents_from_free_ones(fans):
+    for label in ("S3", "E1", "R3"):
+        fan = fans[label]
+        pic = deg_and_pic(fan)
+        cls = tuple(range(1, pic.rank + 1))
+        free = tuple(range(-2, len(pic.free_indices) - 2))
+        x = pic.lift(cls, free)
+        assert pic.deg_of(x) == cls
+        assert tuple(x[f] for f in pic.free_indices) == free
 
 
 def test_deg_matrix_e1_matches_displayed_matrix():

@@ -2,8 +2,11 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricsec.polyhedra import (
+    ParametricIntegerFeasibility,
     RationalPolyhedron,
     integer_feasible,
     polytope_lattice_points,
@@ -154,3 +157,59 @@ def test_simplex_feasible():
     assert simplex_feasible([(1, 1)], (-1,), 2) is None
     # infeasible equality mix
     assert simplex_feasible([(1, 0), (1, 0)], (1, 2), 2) is None
+
+
+# ------------------------------------------------- the lattice-point engine
+
+BOX = 3
+
+
+@st.composite
+def bounded_systems(draw):
+    """Rows and rational right-hand sides inside the box [-BOX, BOX]^n."""
+    n = draw(st.integers(1, 3))
+    rows, rhs = [], []
+    for i in range(n):
+        e = tuple(1 if j == i else 0 for j in range(n))
+        rows += [e, tuple(-x for x in e)]
+        rhs += [-BOX, -BOX]
+    for _ in range(draw(st.integers(0, 4))):
+        rows.append(tuple(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))))
+        rhs.append(Fraction(draw(st.integers(-12, 12)), draw(st.integers(1, 4))))
+    return rows, rhs, n
+
+
+def box_points(rows, rhs, n):
+    return [p for p in itertools.product(range(-BOX, BOX + 1), repeat=n)
+            if all(sum(c * x for c, x in zip(row, p)) >= r for row, r in zip(rows, rhs))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(bounded_systems())
+def test_engine_matches_box_enumeration(system):
+    rows, rhs, n = system
+    engine = ParametricIntegerFeasibility(rows, n)
+    brute = box_points(rows, rhs, n)
+    assert engine.points(rhs) == brute
+    assert engine.points(rhs, first=True) == brute[:1]
+    assert engine.query(rhs) == bool(brute)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bounded_systems(), st.data())
+def test_engine_prune_hook_matches_box_enumeration(system, data):
+    rows, rhs, n = system
+    # staircase-style hook: at depth k drop prefixes dominating some f[:k+1]
+    stairs = data.draw(st.lists(
+        st.tuples(st.integers(0, n - 1),
+                  st.lists(st.integers(-BOX, BOX), min_size=n, max_size=n)),
+        max_size=4))
+
+    def dominated(k, x):
+        return any(d == k and all(x[j] >= f[j] for j in range(k + 1)) for d, f in stairs)
+
+    kept = [p for p in box_points(rows, rhs, n)
+            if not any(dominated(k, p) for k in range(n))]
+    engine = ParametricIntegerFeasibility(rows, n)
+    assert engine.points(rhs, prune=dominated) == kept
+    assert engine.points(rhs, prune=dominated, first=True) == kept[:1]

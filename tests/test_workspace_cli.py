@@ -41,6 +41,16 @@ def test_invalid_fan_aborts_with_label(tmp_path):
     assert "brokenfan" in str(err.value)
 
 
+def test_collection_width_must_match_pic_rank(tmp_path):
+    ws = load_workspace()
+    write_fan_file(tmp_path / "p1xp1.fan", ws.fan("P1xP1"))
+    (tmp_path / "narrow.col").write_text(
+        "label narrow\nfan P1xP1\nbundles\n0\n1\n")
+    with pytest.raises(WorkspaceError) as err:
+        load_workspace(tmp_path)
+    assert "narrow" in str(err.value)
+
+
 def test_fan_file_roundtrip(tmp_path):
     ws = load_workspace()
     fan = ws.fan("E1")
@@ -83,6 +93,16 @@ def test_cli_cohomology():
     assert result.exit_code == 0
     assert "higher_cohomology=True" in result.output
     assert "dims=0,0,1" in result.output
+
+
+def test_cli_cohomology_rejects_a_class_of_the_wrong_length():
+    runner = CliRunner()
+    for cls in ("1,2", "x"):
+        result = runner.invoke(main, ["cohomology", "P2", "--", cls])
+        assert result.exit_code == 1
+        assert "status=fail" in result.output
+        assert "error=" in result.output
+        assert "dims=" not in result.output
 
 
 def test_cli_frobenius_sizes():
