@@ -20,16 +20,18 @@ from .cohomology import (
 )
 from .diagonal import diagonal_resolution_verdict, serialize_complex
 from .fans import validate_fan
+from .files import ParseError
 from .frobenius import frobenius_gen_set, frobenius_gen_support, frobenius_split_classes
 from .method1 import GenerationCertificate, generation_closure
 from .pipelines import (
+    PipelineError,
     helix_twist,
     propagate_collection,
     tilting_total_space_check,
     verify_variety_recipe,
 )
 from .quiver import build_quiver_of_sections, covering_quiver_on_y
-from .workspace import load_workspace
+from .workspace import WorkspaceError, load_workspace
 
 
 class Report:
@@ -67,7 +69,20 @@ def _collection(ws, label):
     return [tuple(b) for b in col.bundles], col.theta, col.frobenius_m
 
 
-@click.group()
+class _Main(click.Group):
+    """Reports bad input named by a library error as status=fail with error=."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ParseError, PipelineError, WorkspaceError) as exc:
+            rep = Report(ctx.params.get("out"))
+            rep.add("error", f"{type(exc).__name__}: {exc}")
+            rep.set_status("fail")
+            rep.finish()
+
+
+@click.group(cls=_Main)
 @click.option("--data", "data_dir", default=None,
               help="Directory of fan/collection/poset files (default: bundled).")
 @click.option("--out", default=None, help="Write the report to this file as well.")
@@ -371,12 +386,19 @@ def helix(ctx, label, steps, twist_cls):
     rep = Report(ctx.obj["out"])
     fan, pic = ws.fan(label), ws.pic(label)
     bundles, _, _ = _collection(ws, label)
-    twist = tuple(int(x) for x in twist_cls.split(",")) if twist_cls \
-        else (0,) * pic.rank
-    result = helix_twist(fan, pic, bundles, steps, twist)
     rep.add("label", label)
     rep.add("steps", steps)
+    try:
+        twist = tuple(int(x) for x in twist_cls.split(",")) if twist_cls \
+            else (0,) * pic.rank
+        pic.lift(twist)
+    except ValueError as exc:
+        rep.add("twist", twist_cls)
+        rep.add("error", f"bad twist class: {exc}")
+        rep.set_status("fail")
+        rep.finish()
     rep.add("twist", _fmt_vec(twist))
+    result = helix_twist(fan, pic, bundles, steps, twist)
     for b in result.collection:
         rep.add("bundle", _fmt_vec(b))
     if not result.ok:

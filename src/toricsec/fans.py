@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
 from .intlin import (
     IntMatrix,
@@ -21,7 +23,7 @@ from .intlin import (
     mat_mul,
     mat_vec,
     primitive,
-    rank,
+    transpose,
     vec_gcd,
 )
 
@@ -306,10 +308,8 @@ def primitive_collections(fan: Fan) -> list[PrimitiveCollection]:
 
 def _cone_coordinates(fan: Fan, v):
     """(ray index, positive coefficient) pairs expressing v in a containing cone."""
-    for cone in fan.max_cones:
-        m = fan.cone_matrix(cone)
-        inv = invert_unimodular(mat(list(zip(*m))))  # columns u_rho
-        coeffs = mat_vec(inv, v)
+    for cone, chart in cone_charts(fan).items():
+        coeffs = mat_vec(transpose(chart), v)
         if all(c >= 0 for c in coeffs):
             return [(cone[i], coeffs[i]) for i in range(len(cone)) if coeffs[i] > 0]
     return None
@@ -395,35 +395,49 @@ def contraction_step(source: Fan, target: Fan, collapsed_ray: int | None,
     return ContractionStep(source, target, collapsed_ray, beta, gamma, pic_src, pic_tgt)
 
 
-def nef_ample_test(fan: Fan, pic: PicBasis, cls) -> tuple[bool, bool]:
-    """Cartier-data criterion on a Pic class; returns (nef, ample)."""
-    a = pic.lift(cls)
-    nef = True
-    ample = True
-    for cone in fan.max_cones:
-        m = fan.cone_matrix(cone)
-        inv = invert_unimodular(m)
-        m_sigma = mat_vec(inv, [-a[i] for i in cone])
-        for ρ in range(fan.n_rays):
-            val = sum(m_sigma[j] * fan.rays[ρ][j] for j in range(fan.dim))
-            if val < -a[ρ]:
-                return False, False
-            if ρ not in cone and val == -a[ρ]:
-                ample = False
-        if not nef:
-            break
-    return nef, ample
+@lru_cache(maxsize=None)
+def cone_charts(fan: Fan):
+    """Maximal cone -> integer inverse of its ray matrix, in max_cones order.
+
+    The rows of a cone's ray matrix are its rays u_i, so for a chart C the
+    character m = C b has <m, u_i> = b_i, and v = sum_i (C^T v)_i u_i.
+    The table is shared by every caller, hence read-only.
+    """
+    return MappingProxyType({cone: invert_unimodular(fan.cone_matrix(cone))
+                             for cone in fan.max_cones})
 
 
 def cartier_data(fan: Fan, pic: PicBasis, cls) -> list[IntVector]:
     """The vertices m_sigma with <m_sigma, u_rho> = -a_rho on each cone."""
     a = pic.lift(cls)
-    out = []
-    for cone in fan.max_cones:
-        m = fan.cone_matrix(cone)
-        inv = invert_unimodular(m)
-        out.append(mat_vec(inv, [-a[i] for i in cone]))
-    return out
+    return [mat_vec(chart, [-a[i] for i in cone])
+            for cone, chart in cone_charts(fan).items()]
+
+
+def vertex_divisors(fan: Fan, pic: PicBasis, cls) -> list[IntVector]:
+    """Per maximal cone, the divisor with entries <m_sigma, u_rho> + a_rho.
+
+    It vanishes on the rays of sigma, and the class is nef iff every
+    entry of every vertex divisor is >= 0.
+    """
+    a = pic.lift(cls)
+    return [tuple(sum(x * y for x, y in zip(m_sigma, u)) + a_rho
+                  for u, a_rho in zip(fan.rays, a))
+            for m_sigma in cartier_data(fan, pic, cls)]
+
+
+def nef_ample_test(fan: Fan, pic: PicBasis, cls) -> tuple[bool, bool]:
+    """Cartier-data criterion on a Pic class; returns (nef, ample).
+
+    Ample needs, besides nef, every vertex divisor positive off its cone.
+    """
+    ample = True
+    for cone, v in zip(fan.max_cones, vertex_divisors(fan, pic, cls)):
+        if min(v) < 0:
+            return False, False
+        if ample and any(x == 0 for ρ, x in enumerate(v) if ρ not in cone):
+            ample = False
+    return True, ample
 
 
 def total_space_fan(fan: Fan) -> tuple[Fan, int]:

@@ -160,6 +160,16 @@ def write_collection_file(path, col: CollectionFile):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _key_values(tokens, path, ln) -> dict[str, str]:
+    fields = {}
+    for tok in tokens:
+        if "=" not in tok:
+            raise ParseError(f"{path}:{ln}: expected key=value, got {tok!r}")
+        k, v = tok.split("=", 1)
+        fields[k] = v
+    return fields
+
+
 def parse_poset_file(path):
     """Node and edge records; returns (node specs, edge list).
 
@@ -173,27 +183,24 @@ def parse_poset_file(path):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        tokens = shlex.split(line)
+        try:
+            tokens = shlex.split(line)
+        except ValueError as exc:
+            raise ParseError(f"{path}:{ln}: {exc}")
         kind = tokens[0]
         if kind == "node":
-            fields = {}
-            for tok in tokens[2:]:
-                if "=" not in tok:
-                    raise ParseError(f"{path}:{ln}: expected key=value, got {tok!r}")
-                k, v = tok.split("=", 1)
-                fields[k] = v
-            nodes.append((tokens[1], fields))
+            if len(tokens) < 2:
+                raise ParseError(f"{path}:{ln}: node needs a label")
+            nodes.append((tokens[1], _key_values(tokens[2:], path, ln)))
         elif kind == "edge":
             if len(tokens) < 3:
                 raise ParseError(f"{path}:{ln}: edge needs source and target")
-            fields2 = {}
-            for tok in tokens[3:]:
-                k, v = tok.split("=", 1)
-                fields2[k] = v
-            edges.append(PosetEdge(
-                tokens[1], tokens[2],
-                int(fields2["collapsed"]) if "collapsed" in fields2 else None,
-                fields2.get("note", "")))
+            fields = _key_values(tokens[3:], path, ln)
+            collapsed = None
+            if "collapsed" in fields:
+                collapsed = _int_row([fields["collapsed"]], path, ln)[0]
+            edges.append(PosetEdge(tokens[1], tokens[2], collapsed,
+                                   fields.get("note", "")))
         else:
             raise ParseError(f"{path}:{ln}: unknown record {kind!r}")
     return nodes, edges

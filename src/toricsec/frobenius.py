@@ -10,8 +10,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .fans import Fan, PicBasis, ContractionStep, nef_ample_test
-from .intlin import IntVector, invert_unimodular, mat_mul, mat_vec
+from .fans import Fan, PicBasis, ContractionStep, cone_charts, nef_ample_test
+from .intlin import IntVector, mat_mul, mat_vec
 
 
 @dataclass(frozen=True)
@@ -39,12 +39,13 @@ def frobenius_summands(fan: Fan, pic: PicBasis, m: int, w, sigma=None) -> SplitS
         raise ValueError("w must have one entry per ray")
     if sigma is None:
         sigma = fan.max_cones[0]
-    sigma = tuple(sigma)
-    a_sigma = fan.cone_matrix(sigma)
-    a_sigma_inv = invert_unimodular(a_sigma)  # smooth chart: integer inverse
+    sigma = tuple(sorted(sigma))
+    chart = cone_charts(fan).get(sigma)
+    if chart is None:
+        raise ValueError(f"chart {sigma} is not a maximal cone")
     w_sigma = tuple(w[i] for i in sigma)
     # t = A A_sigma^{-1} (v - w_sigma) + w = B v + c, then q = floor(t / m)
-    b = mat_mul(fan.rays, a_sigma_inv)
+    b = mat_mul(fan.rays, chart)
     c = tuple(wr - br for wr, br in zip(w, mat_vec(b, w_sigma)))
     mult: dict[IntVector, int] = {}
     for v in itertools.product(range(m), repeat=fan.dim):

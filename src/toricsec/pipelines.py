@@ -153,6 +153,7 @@ def helix_twist(fan: Fan, pic: PicBasis, ordered_bundles, steps: int,
     twists at the far end; strong exceptionality of the result is
     re-verified, fullness is inherited from the helix.
     """
+    pic.lift(twist)  # raises PicRankError on a class of the wrong length
     bundles = [tuple(b) for b in ordered_bundles]
     r = len(bundles)
     if not 0 <= steps <= r:
@@ -248,6 +249,13 @@ def verify_variety_recipe(workspace, label: str, m: int | None = None,
     if not recipe:
         return RecipeVerdict(label, "", "fail", "no recipe recorded")
     kind = recipe.split()[0]
+    if kind in ("product", "method1", "method2"):
+        # a full collection has rank K_0 = |Sigma(n)| members
+        size, cones = len(node.bundles or ()), len(node.fan.max_cones)
+        if size != cones:
+            return RecipeVerdict(label, recipe, "fail",
+                                 f"collection has {size} bundles, a full one has "
+                                 f"{cones} (one per maximal cone)")
     if kind == "beilinson":
         fan, pic = node.fan, node.pic
         n = fan.dim

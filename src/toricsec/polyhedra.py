@@ -19,7 +19,6 @@ from .intlin import (
     mat,
     mat_vec,
     primitive,
-    rank,
     solve_linear_diophantine,
     unimodular_with_last_column,
 )
@@ -70,10 +69,6 @@ def fm_eliminate_last(ineqs: list[Ineq], nvars: int) -> list[Ineq]:
     return _dedupe(out)
 
 
-def _feasible_0d(ineqs: list[Ineq]) -> bool:
-    return all(rhs <= 0 for _, rhs in ineqs)
-
-
 def _cone_lineality(ineqs: list[Ineq], nvars: int):
     rows = mat([c for c, _ in ineqs]) if ineqs else mat([])
     if not ineqs:
@@ -108,111 +103,23 @@ def _cone_ray(ineqs: list[Ineq], nvars: int):
 
 @dataclass
 class RationalPolyhedron:
-    """{x in R^n : A x >= b, E x = f} with exact data.
-
-    Vertex and recession data are computed on demand and cached.
-    """
+    """{x in R^n : A x >= b, E x = f} with exact data."""
 
     nvars: int
     ineqs: list[Ineq] = field(default_factory=list)
     eqs: list[tuple[tuple[int, ...], int]] = field(default_factory=list)
-    _vertices: list | None = field(default=None, repr=False)
-    _recession: list | None = field(default=None, repr=False)
 
     def add_ineq(self, coeffs, rhs):
         self.ineqs.append(_norm_ineq(coeffs, rhs))
-        self._vertices = self._recession = None
 
     def add_eq(self, coeffs, rhs: int):
         self.eqs.append((tuple(int(c) for c in coeffs), int(rhs)))
-        self._vertices = self._recession = None
 
     def contains(self, point) -> bool:
         ok = all(sum(c * x for c, x in zip(coeffs, point)) >= rhs
                  for coeffs, rhs in self.ineqs)
         return ok and all(sum(c * x for c, x in zip(coeffs, point)) == rhs
                           for coeffs, rhs in self.eqs)
-
-    def _all_rows(self):
-        rows = [(c, Fraction(r)) for c, r in self.ineqs]
-        for c, r in self.eqs:
-            rows.append((c, Fraction(r)))
-            rows.append((tuple(-x for x in c), Fraction(-r)))
-        return rows
-
-    def vertices(self):
-        """Vertices by exhaustive tight-subset search; exact rationals."""
-        if self._vertices is not None:
-            return self._vertices
-        rows = self._all_rows()
-        n = self.nvars
-        seen = set()
-        verts = []
-        if n == 0:
-            self._vertices = [()] if _feasible_0d(rows) else []
-            return self._vertices
-        for subset in itertools.combinations(range(len(rows)), n):
-            a = [rows[i][0] for i in subset]
-            if rank(mat(a)) < n:
-                continue
-            sol = _solve_square_fraction(a, [rows[i][1] for i in subset])
-            if sol is None or sol in seen:
-                continue
-            if all(sum(c * x for c, x in zip(coeffs, sol)) >= rhs for coeffs, rhs in rows):
-                seen.add(sol)
-                verts.append(sol)
-        self._vertices = sorted(verts)
-        return self._vertices
-
-    def recession_generators(self):
-        """Primitive integer generators (rays then lineality basis)."""
-        if self._recession is not None:
-            return self._recession
-        hom = [(c, Fraction(0)) for c, _ in self._all_rows()]
-        lin = _cone_lineality(hom, self.nvars)
-        rays = []
-        if not lin:
-            rows = [c for c, _ in hom]
-            n = self.nvars
-            seen = set()
-            if n == 1:
-                w = _cone_ray(hom, 1)
-                if w:
-                    rays.append(w)
-            else:
-                for subset in itertools.combinations(range(len(rows)), n - 1):
-                    ker = kernel_basis(mat([rows[i] for i in subset]))
-                    if len(ker) != 1:
-                        continue
-                    v = primitive(ker[0])
-                    for cand in (v, tuple(-x for x in v)):
-                        if cand not in seen and all(
-                                sum(c * x for c, x in zip(row, cand)) >= 0 for row in rows):
-                            seen.add(cand)
-                            rays.append(cand)
-        self._recession = (sorted(rays), [tuple(v) for v in lin])
-        return self._recession
-
-    def is_bounded(self) -> bool:
-        rays, lin = self.recession_generators()
-        return not rays and not lin
-
-
-def _solve_square_fraction(a, b):
-    n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(rhs)] for row, rhs in zip(a, b)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        inv = m[col][col]
-        m[col] = [x / inv for x in m[col]]
-        for i in range(n):
-            if i != col and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
-    return tuple(m[i][n] for i in range(n))
 
 
 def _reduce_equalities(poly: RationalPolyhedron):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from .cohomology import fiber_rhs, fiber_tower
-from .fans import Fan, PicBasis, nef_ample_test, cartier_data
+from .fans import Fan, PicBasis, nef_ample_test, vertex_divisors
 from .intlin import IntVector
 from .polyhedra import UnboundedSearch, polytope_lattice_points, simplex_feasible
 
@@ -323,11 +323,8 @@ class EmbeddingVerdict:
 
 def section_polytope_vertices(fan: Fan, pic: PicBasis, cls) -> list[IntVector]:
     """Vertices of P_L for nef L: one Cartier vertex per maximal cone."""
-    a = pic.lift(cls)
     out = []
-    for m_sigma in cartier_data(fan, pic, cls):
-        v = tuple(sum(m_sigma[j] * fan.rays[ρ][j] for j in range(fan.dim)) + a[ρ]
-                  for ρ in range(fan.n_rays))
+    for v in vertex_divisors(fan, pic, cls):
         if any(x < 0 for x in v):
             raise QuiverError("Cartier vertex is not a lattice section; class not nef")
         if v not in out:

@@ -1,4 +1,9 @@
+import itertools
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricsec.fans import (
     Fan,
@@ -15,7 +20,8 @@ from toricsec.fans import (
     total_space_fan,
     validate_fan,
 )
-from toricsec.intlin import mat_mul, mat_vec
+from toricsec.intlin import kernel_basis, mat_mul, mat_vec, primitive, transpose
+from toricsec.workspace import load_workspace
 
 from conftest import RAYS, make_fan
 
@@ -175,6 +181,56 @@ def test_e1_collection_is_nef():
     bundles = e1_collection()
     for b in bundles:
         assert nef_ample_test(fan, pic, b)[0]
+
+
+@lru_cache(maxsize=None)
+def bundled_workspace():
+    return load_workspace()
+
+
+@lru_cache(maxsize=None)
+def wall_relations(label):
+    """The relation u_rho + u_rho' + sum_i b_i u_i = 0 of each wall, as a
+    vector over the rays: D.C = <relation, a> for the wall curve C."""
+    fan = bundled_workspace().fan(label)
+    out = []
+    for σ, σ2 in itertools.combinations(fan.max_cones, 2):
+        τ = sorted(set(σ) & set(σ2))
+        if len(τ) != fan.dim - 1:
+            continue
+        (ρ,), (ρ2,) = set(σ) - set(τ), set(σ2) - set(τ)
+        cols = [ρ, ρ2] + τ
+        (k,) = kernel_basis(transpose([fan.rays[i] for i in cols]))
+        k = primitive(k)
+        if k[0] < 0:
+            k = tuple(-x for x in k)
+        assert k[:2] == (1, 1)  # smooth walls
+        relation = [0] * fan.n_rays
+        for i, c in zip(cols, k):
+            relation[i] = c
+        out.append(tuple(relation))
+    return out
+
+
+@st.composite
+def bundled_classes(draw):
+    ws = bundled_workspace()
+    label = draw(st.sampled_from(sorted(ws.fans)))
+    rank = ws.pic(label).rank
+    return label, tuple(draw(st.lists(st.integers(-4, 4), min_size=rank, max_size=rank)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(bundled_classes())
+def test_nef_ample_test_agrees_with_kleiman_on_wall_curves(query):
+    # toric Kleiman criterion: nef iff D.C >= 0 on every wall curve, ample iff > 0
+    label, cls = query
+    ws = bundled_workspace()
+    fan, pic = ws.fan(label), ws.pic(label)
+    a = pic.lift(cls)
+    degrees = [sum(r * x for r, x in zip(rel, a)) for rel in wall_relations(label)]
+    expect = (min(degrees) >= 0, min(degrees) > 0)
+    assert nef_ample_test(fan, pic, cls) == expect
 
 
 def e1_collection():

@@ -1,6 +1,8 @@
+import shutil
+
 import pytest
 
-from toricsec.fans import deg_and_pic, star_subdivision
+from toricsec.fans import PicRankError, deg_and_pic, star_subdivision
 from toricsec.cohomology import strong_exceptional_check
 from toricsec.pipelines import (
     PipelineError,
@@ -12,7 +14,8 @@ from toricsec.pipelines import (
     tilting_total_space_check,
     verify_variety_recipe,
 )
-from toricsec.workspace import load_workspace
+from toricsec.files import write_collection_file
+from toricsec.workspace import bundled_data_dir, load_workspace
 
 from conftest import make_fan
 
@@ -109,6 +112,14 @@ def test_helix_periodicity():
                                    for x in bundles}
 
 
+def test_helix_rejects_a_twist_class_of_the_wrong_length():
+    fan = make_fan("P1xP1")
+    pic = deg_and_pic(fan)
+    for twist in ((0,), (0, 0, 5)):
+        with pytest.raises(PicRankError):
+            helix_twist(fan, pic, [(0, 0), (0, 1), (1, 0), (1, 1)], 1, twist)
+
+
 def test_helix_r3_reproduces_twisted_collection(ws):
     fan, pic = ws.fan("R3"), ws.pic("R3")
     base = ws.collections["r3"]
@@ -163,6 +174,25 @@ def test_product_fan_and_collection():
 def test_recipes(ws, label, expect):
     verdict = verify_variety_recipe(ws, label)
     assert verdict.status == expect, (label, verdict.detail)
+
+
+@pytest.mark.parametrize("label,col_label", [
+    ("P1xP1", "p1xp1"), ("I1", "i1"), ("S3", "s3"),
+])
+def test_recipe_rejects_a_collection_that_is_not_full(tmp_path, label, col_label):
+    # one row per collection-backed route: product, method1, method2
+    for f in bundled_data_dir().iterdir():
+        shutil.copy(f, tmp_path / f.name)
+    col = load_workspace().collections[col_label]
+    col.bundles = col.bundles[:2]
+    if col.theta is not None:
+        col.theta = col.theta[:2]
+    write_collection_file(tmp_path / f"{col_label}.col", col)
+    ws = load_workspace(tmp_path)
+    verdict = verify_variety_recipe(ws, label)
+    cones = len(ws.fan(label).max_cones)
+    assert verdict.status == "fail"
+    assert "2 bundles" in verdict.detail and str(cones) in verdict.detail
 
 
 def test_recipe_missing_label(ws):

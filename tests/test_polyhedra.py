@@ -135,21 +135,6 @@ def test_integer_feasible_witness_valid():
     assert ok and p.contains(w)
 
 
-def test_vertices_of_square():
-    p = box_poly([(0, 2), (0, 2)])
-    assert p.vertices() == [(0, 0), (0, 2), (2, 0), (2, 2)]
-
-
-def test_recession_generators():
-    p = RationalPolyhedron(2)
-    p.add_ineq((1, 0), 0)
-    p.add_ineq((0, 1), 0)
-    rays, lin = p.recession_generators()
-    assert sorted(rays) == [(0, 1), (1, 0)]
-    assert lin == []
-    assert not p.is_bounded()
-
-
 def test_simplex_feasible():
     # x0 + x1 = 2, x0 - x1 = 0 with x >= 0 -> (1, 1)
     w = simplex_feasible([(1, 1), (1, -1)], (2, 0), 2)

@@ -8,6 +8,7 @@ from toricsec.files import (
     ParseError,
     parse_collection_file,
     parse_fan_file,
+    parse_poset_file,
     write_collection_file,
     write_fan_file,
 )
@@ -49,6 +50,17 @@ def test_collection_width_must_match_pic_rank(tmp_path):
     with pytest.raises(WorkspaceError) as err:
         load_workspace(tmp_path)
     assert "narrow" in str(err.value)
+
+
+@pytest.mark.parametrize("record", [
+    "edge A B junk", "edge A B collapsed=x", "node", 'node A recipe="method2',
+])
+def test_malformed_poset_record_names_file_and_line(tmp_path, record):
+    path = tmp_path / "bad.poset"
+    path.write_text(f"# comment\n{record}\n")
+    with pytest.raises(ParseError) as err:
+        parse_poset_file(path)
+    assert f"{path}:2:" in str(err.value)
 
 
 def test_fan_file_roundtrip(tmp_path):
@@ -103,6 +115,30 @@ def test_cli_cohomology_rejects_a_class_of_the_wrong_length():
         assert "status=fail" in result.output
         assert "error=" in result.output
         assert "dims=" not in result.output
+
+
+def test_cli_helix_rejects_a_twist_class_of_the_wrong_length():
+    runner = CliRunner()
+    for cls in ("0", "0,0,5", "a"):
+        result = runner.invoke(main, ["helix", "P1xP1", "--steps", "1",
+                                      "--twist-class", cls])
+        assert result.exit_code == 1
+        assert "status=fail" in result.output
+        assert "error=" in result.output
+        assert "bundle=" not in result.output
+
+
+def test_cli_reports_input_errors_as_fail(tmp_path):
+    (tmp_path / "bad.poset").write_text("edge A B junk\n")
+    runner = CliRunner()
+    for args in (["validate", "NOPE"],               # WorkspaceError
+                 ["propagate", "E1", "P1"],          # PipelineError
+                 ["--data", str(tmp_path), "validate", "P1"]):  # ParseError
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1, args
+        assert result.exception is None or isinstance(result.exception, SystemExit), args
+        assert result.output.endswith("status=fail\n"), args
+        assert "error=" in result.output, args
 
 
 def test_cli_frobenius_sizes():
