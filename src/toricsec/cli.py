@@ -8,6 +8,7 @@ explicit seed so reruns are byte-identical.
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -65,8 +66,19 @@ def _collection(ws, label):
         return node.bundles, node.theta, node.frobenius_m
     col = ws.collection_for(label)
     if col is None:
-        raise click.ClickException(f"no collection registered for {label}")
+        raise WorkspaceError(f"no collection registered for {label}")
     return [tuple(b) for b in col.bundles], col.theta, col.frobenius_m
+
+
+@contextmanager
+def _reported_value_error(rep):
+    """Finish `rep` as status=fail with error= when the body raises ValueError."""
+    try:
+        yield
+    except ValueError as exc:
+        rep.add("error", f"{type(exc).__name__}: {exc}")
+        rep.set_status("fail")
+        rep.finish()
 
 
 class _Main(click.Group):
@@ -213,16 +225,17 @@ def frobenius(ctx, label, m, twist, gen):
     ws = ctx.obj["ws"]
     rep = Report(ctx.obj["out"])
     fan, pic = ws.fan(label), ws.pic(label)
-    split = frobenius_split_classes(fan, pic, m, (twist,) * fan.n_rays,
-                                    check_charts=True)
     rep.add("label", label)
     rep.add("m", m)
     rep.add("twist", twist)
+    with _reported_value_error(rep):
+        split = frobenius_split_classes(fan, pic, m, (twist,) * fan.n_rays,
+                                        check_charts=True)
+        pieces = frobenius_gen_set(fan, pic, m) if gen else None
     rep.add("support", len(split.support))
     for cls in sorted(split.support):
         rep.add("class", _fmt_vec(cls))
     if gen:
-        pieces = frobenius_gen_set(fan, pic, m)
         union = set()
         for i, piece in pieces.items():
             rep.add(f"size_twist_{i}", len(piece.support))
@@ -241,11 +254,12 @@ def method1(ctx, label, m):
     rep = Report(ctx.obj["out"])
     fan, pic = ws.fan(label), ws.pic(label)
     bundles, _, stored_m = _collection(ws, label)
-    mm = m or stored_m or 10
-    targets = frobenius_gen_support(fan, pic, mm)
-    res = generation_closure(fan, pic, bundles, targets)
+    mm = m if m is not None else stored_m or 10
     rep.add("label", label)
     rep.add("m", mm)
+    with _reported_value_error(rep):
+        targets = frobenius_gen_support(fan, pic, mm)
+    res = generation_closure(fan, pic, bundles, targets)
     rep.add("targets", len(targets))
     if isinstance(res, GenerationCertificate):
         rep.add("steps", len(res.steps))
@@ -321,11 +335,12 @@ def propagate(ctx, source, target, m):
     rep = Report(ctx.obj["out"])
     chain = ws.poset.chain(source, target)
     bundles, _, stored_m = _collection(ws, source)
-    mm = m or stored_m or 8
-    report = propagate_collection(chain, bundles, mm)
+    mm = m if m is not None else stored_m or 8
     rep.add("source", source)
     rep.add("target", target)
     rep.add("m", mm)
+    with _reported_value_error(rep):
+        report = propagate_collection(chain, bundles, mm)
     rep.add("membership", report.membership_m is not None)
     if report.chain_verdict:
         for level, image, ok in report.chain_verdict.per_level:

@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, gcd
+from operator import index
 
 from .intlin import (
     kernel_basis,
@@ -384,54 +385,68 @@ class ParametricIntegerFeasibility:
 def simplex_feasible(eq_rows, rhs, nvars: int):
     """Phase-1 simplex: does {x >= 0 : E x = f} have a rational point?
 
-    Bland's rule, exact Fractions.  Returns a witness tuple or None.
+    E and f are integral.  Bland's rule on an all-integer tableau
+    (Edmonds' integer-preserving pivoting, Bareiss 1968): every entry,
+    the cost row included, is D times the rational tableau entry, where
+    D > 0 is the previous pivot, the determinant of the current basis.
+    A pivot on (r, c) with element pv maps x to (pv*x - a_ic*y) // D,
+    exact by Sylvester's identity, and sets D = pv.  Returns a witness
+    tuple of Fractions or None.
     """
     m = len(eq_rows)
-    rows = [list(map(Fraction, r)) for r in eq_rows]
-    f = [Fraction(x) for x in rhs]
-    for i in range(m):
-        if f[i] < 0:
-            rows[i] = [-x for x in rows[i]]
-            f[i] = -f[i]
-    # tableau with artificial basis
-    tab = [rows[i] + [Fraction(1 if j == i else 0) for j in range(m)] + [f[i]]
-           for i in range(m)]
-    basis = [nvars + i for i in range(m)]
-    cost = [Fraction(0)] * nvars + [Fraction(1)] * m + [Fraction(0)]
-    for i in range(m):
-        for j in range(nvars + m + 1):
-            cost[j] -= tab[i][j]
     total = nvars + m
+    tab = []
+    for i, (row, f) in enumerate(zip(eq_rows, rhs, strict=True)):
+        sign = -1 if f < 0 else 1
+        tab.append([sign * index(a) for a in row]
+                   + [1 if j == i else 0 for j in range(m)] + [sign * index(f)])
+    # the artificial basis is the identity, so D starts at 1
+    cost = [0] * nvars + [1] * m + [0]
+    for row in tab:
+        cost = [x - y for x, y in zip(cost, row)]
+    basis = list(range(nvars, total))
+    d = 1
     while True:
         enter = next((j for j in range(total) if cost[j] < 0), None)
         if enter is None:
             break
-        best = None
-        for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][total] / tab[i][enter]
-                if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < basis[best[1]]):
-                    best = (ratio, i)
-        if best is None:
+        piv = None
+        for i, row in enumerate(tab):
+            a = row[enter]
+            if a > 0:
+                # f_i / a < f_piv / a_piv, with both denominators positive
+                if piv is None:
+                    piv = i
+                    continue
+                p, q = row[total] * tab[piv][enter], tab[piv][total] * a
+                if p < q or (p == q and basis[i] < basis[piv]):
+                    piv = i
+        if piv is None:
             break  # unbounded phase-1 cannot happen, guard anyway
-        _, piv = best
-        pv = tab[piv][enter]
-        tab[piv] = [x / pv for x in tab[piv]]
-        for i in range(m):
-            if i != piv and tab[i][enter] != 0:
-                factor = tab[i][enter]
-                tab[i] = [x - factor * y for x, y in zip(tab[i], tab[piv])]
-        if cost[enter] != 0:
-            factor = cost[enter]
-            cost = [x - factor * y for x, y in zip(cost, tab[piv])]
+        prow = tab[piv]
+        pv = prow[enter]
+        for i, row in enumerate(tab):
+            if i != piv:
+                tab[i] = _bareiss_row(row, prow, pv, d, enter)
+        cost = _bareiss_row(cost, prow, pv, d, enter)
         basis[piv] = enter
-    objective = -cost[total]
-    if objective != 0:
+        d = pv
+    if cost[total] != 0:
         return None
     x = [Fraction(0)] * nvars
-    for i, b in enumerate(basis):
+    for row, b in zip(tab, basis):
         if b < nvars:
-            x[b] = tab[i][total]
-        elif tab[i][total] != 0:
+            x[b] = Fraction(row[total], d)
+        elif row[total] != 0:
             return None  # artificial stuck at positive level
     return tuple(x)
+
+
+def _bareiss_row(row, prow, pv, d, enter):
+    """One row of an integer-preserving pivot: (pv*x - a*y) // d."""
+    a = row[enter]
+    if a == 0:
+        if pv == d:
+            return row
+        return [pv * x // d for x in row]
+    return [(pv * x - a * y) // d for x, y in zip(row, prow)]

@@ -19,6 +19,7 @@ from toricsec.fans import (
     star_subdivision,
     total_space_fan,
     validate_fan,
+    vertex_divisors,
 )
 from toricsec.intlin import kernel_basis, mat_mul, mat_vec, primitive, transpose
 from toricsec.workspace import load_workspace
@@ -231,6 +232,39 @@ def test_nef_ample_test_agrees_with_kleiman_on_wall_curves(query):
     degrees = [sum(r * x for r, x in zip(rel, a)) for rel in wall_relations(label)]
     expect = (min(degrees) >= 0, min(degrees) > 0)
     assert nef_ample_test(fan, pic, cls) == expect
+
+
+@st.composite
+def nef_families(draw):
+    """A row with a nef collection and a few nef classes on it: its bundles
+    and non-negative combinations of them (the nef cone is convex)."""
+    ws = bundled_workspace()
+    label = draw(st.sampled_from(["P1xP1", "S3", "D1_3", "E1", "R3"]))
+    bundles = ws.collection_for(label).bundles
+    classes = []
+    for _ in range(draw(st.integers(1, 4))):
+        coeffs = draw(st.lists(st.integers(0, 2), min_size=len(bundles), max_size=len(bundles)))
+        classes.append(tuple(sum(c * b[i] for c, b in zip(coeffs, bundles))
+                             for i in range(len(bundles[0]))))
+    return label, classes + draw(st.lists(st.sampled_from(bundles), max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(nef_families())
+def test_vertex_divisors_are_additive_on_nef_classes(family):
+    # On every maximal cone the vertex of L_1 (x) ... (x) L_k is the sum of the
+    # L_i vertices, each a non-negative divisor of class L_i: an explicit
+    # point of the Minkowski sum of the P_{L_i} at each vertex of P_{(x)L_i}.
+    label, classes = family
+    ws = bundled_workspace()
+    fan, pic = ws.fan(label), ws.pic(label)
+    parts = [vertex_divisors(fan, pic, cls) for cls in classes]
+    for cls, vertices in zip(classes, parts):
+        assert nef_ample_test(fan, pic, cls)[0]
+        assert all(min(v) >= 0 and pic.deg_of(v) == tuple(cls) for v in vertices)
+    product = tuple(map(sum, zip(*classes)))
+    for k, v in enumerate(vertex_divisors(fan, pic, product)):
+        assert v == tuple(map(sum, zip(*(p[k] for p in parts))))
 
 
 def e1_collection():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricsec import quiver
 from toricsec.polyhedra import (
     ParametricIntegerFeasibility,
     RationalPolyhedron,
@@ -12,6 +13,7 @@ from toricsec.polyhedra import (
     polytope_lattice_points,
     simplex_feasible,
 )
+from toricsec.workspace import load_workspace
 
 
 def grid_scan_oracle(poly, box):
@@ -142,6 +144,117 @@ def test_simplex_feasible():
     assert simplex_feasible([(1, 1)], (-1,), 2) is None
     # infeasible equality mix
     assert simplex_feasible([(1, 0), (1, 0)], (1, 2), 2) is None
+
+
+# ------------------------------------- integer phase-1 simplex vs Fractions
+
+def fraction_simplex(eq_rows, rhs, nvars):
+    """The Fraction-tableau phase-1 simplex with Bland's rule: the reference."""
+    m = len(eq_rows)
+    rows = [list(map(Fraction, r)) for r in eq_rows]
+    f = [Fraction(x) for x in rhs]
+    for i in range(m):
+        if f[i] < 0:
+            rows[i] = [-x for x in rows[i]]
+            f[i] = -f[i]
+    tab = [rows[i] + [Fraction(1 if j == i else 0) for j in range(m)] + [f[i]]
+           for i in range(m)]
+    basis = [nvars + i for i in range(m)]
+    cost = [Fraction(0)] * nvars + [Fraction(1)] * m + [Fraction(0)]
+    for i in range(m):
+        for j in range(nvars + m + 1):
+            cost[j] -= tab[i][j]
+    total = nvars + m
+    while True:
+        enter = next((j for j in range(total) if cost[j] < 0), None)
+        if enter is None:
+            break
+        best = None
+        for i in range(m):
+            if tab[i][enter] > 0:
+                ratio = tab[i][total] / tab[i][enter]
+                if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < basis[best[1]]):
+                    best = (ratio, i)
+        if best is None:
+            break
+        _, piv = best
+        pv = tab[piv][enter]
+        tab[piv] = [x / pv for x in tab[piv]]
+        for i in range(m):
+            if i != piv and tab[i][enter] != 0:
+                factor = tab[i][enter]
+                tab[i] = [x - factor * y for x, y in zip(tab[i], tab[piv])]
+        if cost[enter] != 0:
+            factor = cost[enter]
+            cost = [x - factor * y for x, y in zip(cost, tab[piv])]
+        basis[piv] = enter
+    if cost[total] != 0:
+        return None
+    x = [Fraction(0)] * nvars
+    for i, b in enumerate(basis):
+        if b < nvars:
+            x[b] = tab[i][total]
+        elif tab[i][total] != 0:
+            return None
+    return tuple(x)
+
+
+def assert_same_as_reference(rows, rhs, n):
+    got = simplex_feasible(rows, rhs, n)
+    assert got == fraction_simplex(rows, rhs, n)
+    if got is not None:
+        assert all(type(x) is Fraction and x >= 0 for x in got)
+        assert all(sum(c * x for c, x in zip(row, got)) == f for row, f in zip(rows, rhs))
+
+
+@st.composite
+def equality_systems(draw):
+    """Small systems E x = f mixing random, zero, redundant and conflicting rows."""
+    n = draw(st.integers(1, 4))
+    rows, rhs = [], []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["random", "random", "zero", "multiple", "sum"]))
+        if kind == "random" or not rows:
+            rows.append(tuple(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))))
+            rhs.append(draw(st.integers(-6, 6)))
+            continue
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        # a nonzero shift turns a redundant row into a conflicting one
+        shift = draw(st.sampled_from([0, 0, 0, 1, -2]))
+        if kind == "zero":
+            rows.append((0,) * n)
+            rhs.append(shift)
+        elif kind == "multiple":
+            k = draw(st.sampled_from([-2, -1, 1, 3]))
+            rows.append(tuple(k * c for c in rows[i]))
+            rhs.append(k * rhs[i] + shift)
+        else:
+            rows.append(tuple(a + b for a, b in zip(rows[i], rows[j])))
+            rhs.append(rhs[i] + rhs[j] + shift)
+    return rows, rhs, n
+
+
+@settings(max_examples=400, deadline=None)
+@given(equality_systems())
+def test_simplex_matches_fraction_reference(system):
+    assert_same_as_reference(*system)
+
+
+@pytest.mark.parametrize("label", ["S3", "D1_3"])
+def test_simplex_matches_fraction_reference_on_nef_route(label, monkeypatch):
+    ws = load_workspace()
+    fan, pic = ws.fan(label), ws.pic(label)
+    lps = []
+
+    def recording(rows, rhs, n):
+        lps.append((rows, rhs, n))
+        return simplex_feasible(rows, rhs, n)
+
+    monkeypatch.setattr(quiver, "simplex_feasible", recording)
+    assert quiver.minkowski_embedding_check(fan, pic, ws.collection_for(label).bundles).ok
+    assert lps
+    for lp in lps:
+        assert_same_as_reference(*lp)
 
 
 # ------------------------------------------------- the lattice-point engine

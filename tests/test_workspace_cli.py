@@ -141,6 +141,29 @@ def test_cli_reports_input_errors_as_fail(tmp_path):
         assert "error=" in result.output, args
 
 
+@pytest.mark.parametrize("command", ["strong-exceptional", "method1", "quiver"])
+def test_cli_label_without_collection_reports_fail(command):
+    result = CliRunner().invoke(main, [command, "P2"])
+    assert result.exit_code == 1
+    assert result.output == ("error=WorkspaceError: no collection registered for P2\n"
+                             "status=fail\n")
+
+
+@pytest.mark.parametrize("args", [
+    ["frobenius", "P2", "--m", "0"],
+    ["frobenius", "P2", "--m", "-3", "--gen"],
+    ["method1", "I1", "--m", "-1"],
+    ["method1", "I1", "--m", "0"],
+    ["propagate", "E1", "B1", "--m", "-1"],
+    ["propagate", "E1", "B1", "--m", "0"],
+])
+def test_cli_frobenius_level_must_be_positive(args):
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.output.endswith("error=ValueError: m must be positive\nstatus=fail\n")
+
+
 def test_cli_frobenius_sizes():
     runner = CliRunner()
     result = runner.invoke(main, ["frobenius", "I1", "--m", "10", "--gen"])
