@@ -429,7 +429,8 @@ class FiberReport:
 
 
 def _rank_mod_p(rows, p) -> int:
-    m = [row[:] for row in rows]
+    """Rank over F_p by row echelon form: only entries below a pivot clear."""
+    m = list(rows)
     n_rows = len(m)
     n_cols = len(m[0]) if m else 0
     r = 0
@@ -438,19 +439,37 @@ def _rank_mod_p(rows, p) -> int:
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], -1, p)
-        m[r] = [(x * inv) % p for x in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
+        top = m[r]
+        inv = pow(top[c], -1, p)
+        for i in range(r + 1, n_rows):
+            f = m[i][c] * inv % p
+            if f:
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], top)]
         r += 1
         if r == n_rows:
             break
     return r
 
 
-def _evaluate(complex_: GradedChainComplex, k: int, xs, ws, p: int):
+def _max_exponent(complex_: GradedChainComplex) -> int:
+    """The largest exponent of any variable in any term of the complex."""
+    return max((max(alpha + beta) for mat in complex_.matrices
+                for terms in mat.values() for _, alpha, beta in terms), default=0)
+
+
+def _power_table(values, top: int, p: int) -> list[list[int]]:
+    """Per value x, the list x^0, x^1, ..., x^top mod p."""
+    table = []
+    for x in values:
+        powers = [1] * (top + 1)
+        for e in range(1, top + 1):
+            powers[e] = powers[e - 1] * x % p
+        table.append(powers)
+    return table
+
+
+def _evaluate(complex_: GradedChainComplex, k: int, x_powers, w_powers, p: int):
+    """matrices[k] over F_p at the point whose power tables are given."""
     n_rows = len(complex_.levels[k])
     n_cols = len(complex_.levels[k + 1])
     rows = [[0] * n_cols for _ in range(n_rows)]
@@ -458,20 +477,21 @@ def _evaluate(complex_: GradedChainComplex, k: int, xs, ws, p: int):
         total = 0
         for sign, alpha, beta in terms:
             val = sign
-            for e, x in zip(alpha, xs):
-                if e:
-                    val = val * pow(x, e, p) % p
-            for e, w in zip(beta, ws):
-                if e:
-                    val = val * pow(w, e, p) % p
-            total = (total + val) % p
+            for powers, e in zip(x_powers, alpha):
+                val *= powers[e]
+            for powers, e in zip(w_powers, beta):
+                val *= powers[e]
+            total += val % p
         rows[row][col] = total % p
     return rows
 
 
-def _rank_profile(complex_: GradedChainComplex, xs, ws, p):
+def _rank_profile(complex_: GradedChainComplex, xs, ws, p, top: int):
+    """Ranks of every matrix at (xs, ws); top bounds the complex's exponents."""
+    x_powers = _power_table(xs, top, p)
+    w_powers = _power_table(ws, top, p)
     return [
-        _rank_mod_p(_evaluate(complex_, k, xs, ws, p), p)
+        _rank_mod_p(_evaluate(complex_, k, x_powers, w_powers, p), p)
         for k in range(len(complex_.matrices))
     ]
 
@@ -483,8 +503,10 @@ def fiber_exactness_check(complex_: GradedChainComplex, n: int,
 
     Off the diagonal the complex must be exact with zero cokernel in the
     last position; on the diagonal the homology must be the rank-n Koszul
-    profile.  Any rank deviation rejects with the offending point.  The
-    trial points are drawn up front from the seed.
+    profile.  Any rank deviation rejects with the offending point, and no
+    later point is evaluated; the diagonal points are evaluated only once
+    every off-diagonal point has passed.  All trial points are drawn up
+    front from the seed.
     """
     rng = random.Random(seed)
     d = complex_.n_variables
@@ -500,11 +522,10 @@ def fiber_exactness_check(complex_: GradedChainComplex, n: int,
     diag_points = [[rng.randrange(1, prime) for _ in range(d)]
                    for _ in range(diagonal_trials)]
 
-    off_profiles = [_rank_profile(complex_, xs, ws, prime) for xs, ws in off_points]
-    diag_profiles = [_rank_profile(complex_, p, p, prime) for p in diag_points]
-
+    top = _max_exponent(complex_)
     off_ranks = None
-    for t, profile in enumerate(off_profiles):
+    for t, (xs, ws) in enumerate(off_points):
+        profile = _rank_profile(complex_, xs, ws, prime, top)
         if profile != expected:
             return FiberReport(False, tuple(profile), (),
                                f"off-diagonal rank deviation at trial {t}: "
@@ -512,7 +533,8 @@ def fiber_exactness_check(complex_: GradedChainComplex, n: int,
         off_ranks = profile
     want_diag = [comb(n, k) for k in range(n + 1)]
     diag_hom = None
-    for t, profile in enumerate(diag_profiles):
+    for t, point in enumerate(diag_points):
+        profile = _rank_profile(complex_, point, point, prime, top)
         hom = []
         prev = 0
         for k, r in enumerate(ranks):

@@ -8,7 +8,9 @@ classes come from an exact floor-division formula on the ray data.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
+from operator import index
 
 from .fans import Fan, PicBasis, ContractionStep, cone_charts, nef_ample_test
 from .intlin import IntVector, mat_mul, mat_vec
@@ -31,10 +33,19 @@ class SplitSet:
 
 
 def frobenius_summands(fan: Fan, pic: PicBasis, m: int, w, sigma=None) -> SplitSet:
-    """Thomsen's algorithm for one divisor vector w and one chart sigma."""
+    """Thomsen's algorithm for one divisor vector w and one chart sigma.
+
+    On the chart, t = B v + c with B = A A_sigma^{-1} and c = w - B w_sigma,
+    and the summand of the residue vector v (0 <= v_i < m) is the class of
+    floor(t / m).  The rows of sigma in B are unit vectors and c vanishes
+    there, so those floors are 0; only the d - n other rows are floored.
+    Each distinct floor vector is counted, then mapped to its class once.
+    Classes appear in the order in which the residues, taken in
+    lexicographic order, first reach them.
+    """
     if m < 1:
         raise ValueError("m must be positive")
-    w = tuple(int(x) for x in w)
+    w = tuple(_twist_entry(x) for x in w)
     if len(w) != fan.n_rays:
         raise ValueError("w must have one entry per ray")
     if sigma is None:
@@ -43,16 +54,37 @@ def frobenius_summands(fan: Fan, pic: PicBasis, m: int, w, sigma=None) -> SplitS
     chart = cone_charts(fan).get(sigma)
     if chart is None:
         raise ValueError(f"chart {sigma} is not a maximal cone")
-    w_sigma = tuple(w[i] for i in sigma)
-    # t = A A_sigma^{-1} (v - w_sigma) + w = B v + c, then q = floor(t / m)
     b = mat_mul(fan.rays, chart)
-    c = tuple(wr - br for wr, br in zip(w, mat_vec(b, w_sigma)))
+    b_w = mat_vec(b, tuple(w[i] for i in sigma))
+    outside = [r for r in range(fan.n_rays) if r not in sigma]
+    heads = [b[r][:-1] for r in outside]
+    lasts = [b[r][-1] for r in outside]
+    c = [w[r] - b_w[r] for r in outside]
+    residues = range(m)
+    floors: Counter[IntVector] = Counter()
+    for head in itertools.product(residues, repeat=fan.dim - 1):
+        # per row outside sigma, the partial sum over the first n - 1
+        # residues, then its floors as the last residue runs through 0..m-1
+        columns = []
+        for row, last, cr in zip(heads, lasts, c):
+            t = sum(x * y for x, y in zip(row, head)) + cr
+            columns.append([(t + last * k) // m for k in residues])
+        floors.update(zip(*columns))  # a complete fan has a ray outside sigma
     mult: dict[IntVector, int] = {}
-    for v in itertools.product(range(m), repeat=fan.dim):
-        q = [(sum(x * y for x, y in zip(row, v)) + cr) // m for row, cr in zip(b, c)]
-        cls = pic.deg_of(q)
-        mult[cls] = mult.get(cls, 0) + 1
+    divisor = [0] * fan.n_rays
+    for q, count in floors.items():
+        for r, x in zip(outside, q):
+            divisor[r] = x
+        cls = pic.deg_of(divisor)
+        mult[cls] = mult.get(cls, 0) + count
     return SplitSet(m, w, mult)
+
+
+def _twist_entry(x) -> int:
+    try:
+        return index(x)
+    except TypeError:
+        raise ValueError(f"w entry {x!r} is not an integer") from None
 
 
 def frobenius_split_classes(fan: Fan, pic: PicBasis, m: int, w,
@@ -67,11 +99,11 @@ def frobenius_split_classes(fan: Fan, pic: PicBasis, m: int, w,
     return first
 
 
-def frobenius_gen_set(fan: Fan, pic: PicBasis, m: int) -> dict[IntVector, SplitSet]:
-    """Union over the anticanonical twists w = (i,...,i), i = 0..n.
+def frobenius_gen_set(fan: Fan, pic: PicBasis, m: int) -> dict[int, SplitSet]:
+    """The split sets of the anticanonical twists w = (i,...,i), i = 0..n.
 
-    Keyed by twist level i as a vector is unnecessary; the per-twist split
-    sets are returned so callers can size each piece.
+    Keyed by the twist level i; the pieces stay separate so that callers
+    can size each one, and their supports together form the gen-set.
     """
     out = {}
     for i in range(fan.dim + 1):

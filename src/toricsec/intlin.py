@@ -8,7 +8,6 @@ numpy: every entry is a Python int, so Frobenius-scale coefficients
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -84,22 +83,30 @@ def det(a: IntMatrix) -> int:
 
 
 def rank(a: IntMatrix) -> int:
-    """Rank over Q via fraction-free elimination."""
+    """Rank over Q by fraction-free (Bareiss) row echelon elimination.
+
+    After k pivots every entry below them is a (k+1)-minor of a, so the
+    update (x*pv - f*y) // prev divides exactly (Sylvester's identity),
+    prev being the previous pivot, and no entry leaves the integers.
+    """
     if not a or not a[0]:
         return 0
-    m = [[Fraction(x) for x in row] for row in a]
+    m = list(a)  # rows are replaced, never changed in place
     rows, cols = len(m), len(m[0])
     r = 0
+    prev = 1
     for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        piv = next((i for i in range(r, rows) if m[i][c]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = m[r][c]
+        top = m[r]
+        pv = top[c]
         for i in range(r + 1, rows):
-            if m[i][c] != 0:
-                f = m[i][c] / inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            row = m[i]
+            f = row[c]
+            m[i] = [(x * pv - f * y) // prev for x, y in zip(row, top)]
+        prev = pv
         r += 1
         if r == rows:
             break

@@ -1,8 +1,11 @@
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from toricsec.cohomology import (
+    BoxTooSmall,
     ChainConeSystem,
     cohomology_dims,
     cohomology_dims_oracle,
@@ -153,6 +156,31 @@ def test_cone_method_agrees_with_oracle_radius2(label):
         dims = cohomology_dims(fan, pic, cls)
         bad, _ = has_higher_cohomology(fan, pic, cls)
         assert bad == any(d != 0 for d in dims[1:]), (label, cls, dims)
+
+
+@st.composite
+def blown_up_classes(draw):
+    """A class on one or two star subdivisions of P3 or P4 at random faces."""
+    fan = make_fan(draw(st.sampled_from(["P3", "P4"])))
+    for _ in range(draw(st.integers(1, 2))):
+        cone = draw(st.sampled_from(fan.max_cones))
+        face = draw(st.lists(st.sampled_from(cone), min_size=2, max_size=len(cone), unique=True))
+        fan, _ = star_subdivision(fan, face)
+    pic = deg_and_pic(fan)
+    cls = tuple(draw(st.lists(st.integers(-3, 2), min_size=pic.rank, max_size=pic.rank)))
+    return fan, pic, cls
+
+
+@settings(max_examples=12, deadline=None)
+@given(blown_up_classes())
+def test_cone_method_agrees_with_oracle_on_random_blowups(case):
+    fan, pic, cls = case
+    try:
+        dims = cohomology_dims(fan, pic, cls)
+    except BoxTooSmall:
+        assume(False)
+    bad, _ = has_higher_cohomology(fan, pic, cls)
+    assert bad == any(d != 0 for d in dims[1:]), (fan.rays, fan.max_cones, cls, dims)
 
 
 def test_effectivity_predicate():

@@ -1,7 +1,17 @@
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from toricsec import diagonal
 from toricsec.diagonal import (
     DiagonalError,
+    GradedChainComplex,
+    _evaluate,
+    _max_exponent,
+    _power_table,
+    _rank_mod_p,
     cell_sets,
     check_bidegrees,
     check_dd_zero,
@@ -132,14 +142,14 @@ def test_fiber_exactness_e1(e1_signed):
 def test_torus_orbit_invariance(e1_signed):
     from toricsec.diagonal import _rank_profile, torus_rescale
     fan, _, _, _, signed = e1_signed
-    import random
     rng = random.Random(5)
     p = 2147483647
     xs = [rng.randrange(1, p) for _ in range(7)]
     ws = [rng.randrange(1, p) for _ in range(7)]
-    base = _rank_profile(signed, xs, ws, p)
+    top = _max_exponent(signed)
+    base = _rank_profile(signed, xs, ws, p, top)
     xs2, ws2 = torus_rescale(xs, ws, fan, (3, -2, 5, 1), p)
-    assert _rank_profile(signed, xs2, ws2, p) == base
+    assert _rank_profile(signed, xs2, ws2, p, top) == base
 
 
 def test_alternating_sums_of_paper_complexes():
@@ -176,3 +186,119 @@ def test_threefold_verdict():
                                           diagonal_trials=3, seed=0)
     assert verdict.full
     assert verdict.fiber.diagonal_homology == (1, 3, 3, 1)
+
+
+# ------------------------------------------- fiber ranks against references
+
+def full_reduction_rank(rows, p):
+    """The former reduced row echelon rank mod p, kept as the reference."""
+    m = [row[:] for row in rows]
+    n_rows = len(m)
+    n_cols = len(m[0]) if m else 0
+    r = 0
+    for c in range(n_cols):
+        piv = next((i for i in range(r, n_rows) if m[i][c] % p), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = pow(m[r][c], -1, p)
+        m[r] = [(x * inv) % p for x in m[r]]
+        for i in range(n_rows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
+        r += 1
+        if r == n_rows:
+            break
+    return r
+
+
+def pow_evaluate(complex_, k, xs, ws, p):
+    """The former evaluation with one pow per exponent, kept as the reference."""
+    rows = [[0] * len(complex_.levels[k + 1]) for _ in complex_.levels[k]]
+    for (row, col), terms in complex_.matrices[k].items():
+        total = 0
+        for sign, alpha, beta in terms:
+            val = sign
+            for e, x in zip(alpha, xs):
+                if e:
+                    val = val * pow(x, e, p) % p
+            for e, w in zip(beta, ws):
+                if e:
+                    val = val * pow(w, e, p) % p
+            total = (total + val) % p
+        rows[row][col] = total % p
+    return rows
+
+
+@st.composite
+def matrices_mod_p(draw):
+    """Matrices over F_p, p in {7, 2^31 - 1}, with zero and dependent rows."""
+    p = draw(st.sampled_from([7, 2147483647]))
+    cols = draw(st.integers(1, 8))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["random", "random", "zero", "multiple", "sum"]))
+        if kind == "random" or not rows:
+            rows.append(draw(st.lists(st.integers(0, p - 1), min_size=cols, max_size=cols)))
+        elif kind == "zero":
+            rows.append([0] * cols)
+        elif kind == "multiple":
+            k = draw(st.integers(1, p - 1))
+            rows.append([k * x % p for x in rows[draw(st.integers(0, len(rows) - 1))]])
+        else:
+            i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+            rows.append([(x + y) % p for x, y in zip(rows[i], rows[j])])
+    return rows, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices_mod_p())
+def test_row_echelon_rank_matches_full_reduction(case):
+    rows, p = case
+    before = [row[:] for row in rows]
+    assert _rank_mod_p(rows, p) == full_reduction_rank(rows, p)
+    assert rows == before
+
+
+def test_power_tables_match_pow_beyond_exponent_one():
+    rng = random.Random(7)
+    p = 2147483647
+    nv = 4
+    levels = (("cell",) * 3, ("cell",) * 4, ("cell",) * 2)
+    matrices = []
+    for k in range(2):
+        entries = {}
+        for row in range(len(levels[k])):
+            for col in range(len(levels[k + 1])):
+                entries[(row, col)] = [
+                    (rng.choice((1, -1)), tuple(rng.randint(0, 3) for _ in range(nv)),
+                     tuple(rng.randint(0, 3) for _ in range(nv)))
+                    for _ in range(rng.randint(1, 3))]
+        matrices.append(entries)
+    matrices[1][(0, 0)].append((1, (0, 0, 0, 4), (0,) * nv))
+    cx = GradedChainComplex((), levels, matrices, nv)
+    top = _max_exponent(cx)
+    assert top == 4
+    xs = [rng.randrange(1, p) for _ in range(nv)]
+    ws = [rng.randrange(1, p) for _ in range(nv)]
+    for k in range(2):
+        got = _evaluate(cx, k, _power_table(xs, top, p), _power_table(ws, top, p), p)
+        assert got == pow_evaluate(cx, k, xs, ws, p)
+
+
+def test_fiber_check_stops_at_the_first_off_diagonal_deviation(e1_signed, monkeypatch):
+    _, _, _, _, signed = e1_signed
+    real = diagonal._rank_profile
+    calls = []  # per evaluated point: is it on the diagonal?
+
+    def third_point_deviates(complex_, xs, ws, p, top):
+        calls.append(xs is ws)
+        profile = real(complex_, xs, ws, p, top)
+        return [0] * len(profile) if len(calls) == 3 else profile
+
+    monkeypatch.setattr(diagonal, "_rank_profile", third_point_deviates)
+    rep = fiber_exactness_check(signed, 4, trials=8, diagonal_trials=4, seed=3)
+    assert not rep.ok
+    assert rep.detail.startswith("off-diagonal rank deviation at trial 2:")
+    assert calls == [False] * 3

@@ -1,6 +1,9 @@
+import itertools
+import random
+
 import pytest
 
-from toricsec.fans import deg_and_pic, star_subdivision
+from toricsec.fans import cone_charts, deg_and_pic, star_subdivision
 from toricsec.frobenius import (
     frobenius_gen_set,
     frobenius_gen_support,
@@ -9,8 +12,24 @@ from toricsec.frobenius import (
     nef_frobenius_collection,
     pushforward_gamma_agreement,
 )
+from toricsec.intlin import mat_mul, mat_vec
 
-from conftest import make_fan
+from conftest import RAYS, make_fan
+
+
+def product_loop_summands(fan, pic, m, w, sigma):
+    """The former loop over every residue vector, kept as the reference."""
+    sigma = tuple(sorted(sigma))
+    chart = cone_charts(fan)[sigma]
+    w_sigma = tuple(w[i] for i in sigma)
+    b = mat_mul(fan.rays, chart)
+    c = tuple(wr - br for wr, br in zip(w, mat_vec(b, w_sigma)))
+    mult = {}
+    for v in itertools.product(range(m), repeat=fan.dim):
+        q = [(sum(x * y for x, y in zip(row, v)) + cr) // m for row, cr in zip(b, c)]
+        cls = pic.deg_of(q)
+        mult[cls] = mult.get(cls, 0) + 1
+    return mult
 
 
 def test_m1_returns_the_class_itself():
@@ -111,3 +130,27 @@ def test_pushforward_gamma_agreement_e1_b1(w_kind):
     b1 = make_fan("B1")
     _, step = star_subdivision(b1, (4, 5))
     assert pushforward_gamma_agreement(step, 3, w_kind)
+
+
+@pytest.mark.parametrize("label", sorted(RAYS))
+def test_floor_vector_counting_matches_product_loop(label):
+    fan = make_fan(label)
+    pic = deg_and_pic(fan)
+    rng = random.Random(label)
+    twists = [(0,) * fan.n_rays, (-1,) * fan.n_rays,
+              tuple(rng.randint(-3, 3) for _ in range(fan.n_rays))]
+    for sigma in fan.max_cones:
+        for m in (1, 2, 3):
+            for w in twists:
+                got = frobenius_summands(fan, pic, m, w, sigma)
+                want = product_loop_summands(fan, pic, m, w, sigma)
+                # same classes, same counts, same order of first occurrence
+                assert list(got.multiplicity.items()) == list(want.items()), (sigma, m, w)
+
+
+@pytest.mark.parametrize("w", [(0.9, 0, 0), (0, 0, 1.0), ("1", 0, 0)])
+def test_non_integer_twist_is_rejected(w):
+    fan = make_fan("P2")
+    pic = deg_and_pic(fan)
+    with pytest.raises(ValueError, match="w entry"):
+        frobenius_summands(fan, pic, 2, w)

@@ -1,7 +1,10 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricsec.intlin import (
     det,
@@ -129,3 +132,53 @@ def test_invert_unimodular():
 def test_rank():
     assert rank(mat([[1, 2], [2, 4]])) == 1
     assert rank(mat([[1, 0], [0, 1], [1, 1]])) == 2
+
+
+def fraction_rank(a):
+    """The former Fraction elimination, kept as the reference for rank."""
+    if not a or not a[0]:
+        return 0
+    m = [[Fraction(x) for x in row] for row in a]
+    rows, cols = len(m), len(m[0])
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = m[r][c]
+        for i in range(r + 1, rows):
+            if m[i][c] != 0:
+                f = m[i][c] / inv
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        r += 1
+        if r == rows:
+            break
+    return r
+
+
+@st.composite
+def integer_matrices(draw):
+    """Tall, wide and square matrices with zero columns and dependent rows."""
+    cols = draw(st.integers(1, 7))
+    zero_cols = draw(st.sets(st.integers(0, cols - 1), max_size=cols))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["random", "random", "multiple", "sum"]))
+        if kind == "random" or not rows:
+            row = draw(st.lists(st.integers(-50, 50), min_size=cols, max_size=cols))
+            rows.append([0 if j in zero_cols else x for j, x in enumerate(row)])
+        elif kind == "multiple":
+            i = draw(st.integers(0, len(rows) - 1))
+            k = draw(st.sampled_from([-3, -1, 0, 2, 5]))
+            rows.append([k * x for x in rows[i]])
+        else:
+            i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+            rows.append([x + y for x, y in zip(rows[i], rows[j])])
+    return mat(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+def test_bareiss_rank_matches_fraction_reference(a):
+    assert rank(a) == fraction_rank(a)
