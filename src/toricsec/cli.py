@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Reports are one record per line in key=value form; the exit status is 0
-exactly when the report status is pass.  All randomized stages consume an
+Reports are one record per line in key=value form.  The exit status is 0
+when the report status is pass, 1 for a fail or inconclusive verdict and 2
+for rejected input (an error= line).  All randomized stages consume an
 explicit seed so reruns are byte-identical.
 """
 
@@ -22,7 +23,7 @@ from .cohomology import (
 from .diagonal import diagonal_resolution_verdict, serialize_complex
 from .fans import validate_fan
 from .files import ParseError
-from .frobenius import frobenius_gen_set, frobenius_gen_support, frobenius_split_classes
+from .frobenius import frobenius_gen_support, frobenius_split_classes
 from .method1 import GenerationCertificate, generation_closure
 from .pipelines import (
     PipelineError,
@@ -47,13 +48,19 @@ class Report:
     def set_status(self, status):
         self.status = status
 
-    def finish(self):
+    def finish(self, code=None):
         self.lines.append(f"status={self.status}")
         text = "\n".join(self.lines) + "\n"
         if self.out:
             Path(self.out).write_text(text)
         click.echo(text, nl=False)
-        sys.exit(0 if self.status == "pass" else 1)
+        sys.exit(code if code is not None else 0 if self.status == "pass" else 1)
+
+    def reject(self, error):
+        """Finish as status=fail naming bad input; exits 2, unlike a verdict."""
+        self.add("error", error)
+        self.set_status("fail")
+        self.finish(2)
 
 
 def _fmt_vec(v):
@@ -76,9 +83,7 @@ def _reported_value_error(rep):
     try:
         yield
     except ValueError as exc:
-        rep.add("error", f"{type(exc).__name__}: {exc}")
-        rep.set_status("fail")
-        rep.finish()
+        rep.reject(f"{type(exc).__name__}: {exc}")
 
 
 class _Main(click.Group):
@@ -88,10 +93,7 @@ class _Main(click.Group):
         try:
             return super().invoke(ctx)
         except (ParseError, PipelineError, WorkspaceError) as exc:
-            rep = Report(ctx.params.get("out"))
-            rep.add("error", f"{type(exc).__name__}: {exc}")
-            rep.set_status("fail")
-            rep.finish()
+            Report(ctx.params.get("out")).reject(f"{type(exc).__name__}: {exc}")
 
 
 @click.group(cls=_Main)
@@ -169,9 +171,7 @@ def cohomology(ctx, label, cls):
         pic.lift(vec)
     except ValueError as exc:
         rep.add("class", cls)
-        rep.add("error", f"bad class: {exc}")
-        rep.set_status("fail")
-        rep.finish()
+        rep.reject(f"bad class: {exc}")
     bad, witness = has_higher_cohomology(fan, pic, vec)
     dims = cohomology_dims(fan, pic, vec)
     rep.add("class", _fmt_vec(vec))
@@ -231,7 +231,12 @@ def frobenius(ctx, label, m, twist, gen):
     with _reported_value_error(rep):
         split = frobenius_split_classes(fan, pic, m, (twist,) * fan.n_rays,
                                         check_charts=True)
-        pieces = frobenius_gen_set(fan, pic, m) if gen else None
+        pieces = None
+        if gen:
+            # the gen-set pieces are the twists 0..n; reuse the one just split
+            pieces = {i: split if i == twist else
+                      frobenius_split_classes(fan, pic, m, (i,) * fan.n_rays)
+                      for i in range(fan.dim + 1)}
     rep.add("support", len(split.support))
     for cls in sorted(split.support):
         rep.add("class", _fmt_vec(cls))
@@ -409,9 +414,7 @@ def helix(ctx, label, steps, twist_cls):
         pic.lift(twist)
     except ValueError as exc:
         rep.add("twist", twist_cls)
-        rep.add("error", f"bad twist class: {exc}")
-        rep.set_status("fail")
-        rep.finish()
+        rep.reject(f"bad twist class: {exc}")
     rep.add("twist", _fmt_vec(twist))
     result = helix_twist(fan, pic, bundles, steps, twist)
     for b in result.collection:

@@ -10,18 +10,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from .fans import Fan, PicBasis, ContractionStep, cartier_data
-from .intlin import mat, mat_vec, rank
-from .polyhedra import (
-    ParametricIntegerFeasibility,
-    RationalPolyhedron,
-    _dedupe,
-    _norm_ineq,
-    fm_eliminate_last,
-    integer_feasible,
-)
+from .intlin import mat, mat_vec, rank, vec_gcd
+from .polyhedra import ParametricIntegerFeasibility, eliminate_last
 
 
 class BoxTooSmall(ValueError):
@@ -109,24 +103,6 @@ def dual_forbidden(fan: Fan, forbidden: ForbiddenSet) -> ForbiddenSet:
     return ForbiddenSet(comp, degrees)
 
 
-def deg_fiber(pic: PicBasis, cls, negative_rays) -> RationalPolyhedron:
-    """{x in Z^d : deg x = cls, x_rho <= -1 on I, x_rho >= 0 off I}."""
-    d = pic.n_rays
-    poly = RationalPolyhedron(d)
-    for i in range(pic.rank):
-        poly.add_eq(tuple(pic.deg[i]), cls[i])
-    neg = set(negative_rays)
-    for ρ in range(d):
-        e = [0] * d
-        if ρ in neg:
-            e[ρ] = -1
-            poly.add_ineq(tuple(e), 1)
-        else:
-            e[ρ] = 1
-            poly.add_ineq(tuple(e), 0)
-    return poly
-
-
 @lru_cache(maxsize=None)
 def fiber_tower(pic: PicBasis, neg: frozenset) -> ParametricIntegerFeasibility:
     """The lattice-point engine of the deg-fibers with negative support neg.
@@ -135,6 +111,19 @@ def fiber_tower(pic: PicBasis, neg: frozenset) -> ParametricIntegerFeasibility:
     A class fixes the basis exponents through them (PicBasis.lift), so
     the rows x_rho >= 0 off neg and -x_rho >= 1 on neg depend on the class
     only through their right-hand sides, fiber_rhs.
+
+    On a complete fan every fiber the verifier asks about is bounded, for
+    neg empty or forbidden, so the search never meets an unbounded
+    coordinate.  The fiber's recession cone is C = {m : <m, u_rho> <= 0
+    on neg, >= 0 off neg}.  For neg empty, C = {0} because the rays
+    positively span N.  For a forbidden neg, a nonzero m0 in C would make
+    every t*m0 (t >= 1) a character of O(-sum_{rho in neg} D_rho) with
+    negative support exactly neg, each contributing the nonzero reduced
+    cohomology of neg, and some h^i would be infinite; it is finite on a
+    complete variety (Cox-Little-Schenck, Toric Varieties, 2011, 9.0).
+    Fourier-Motzkin projects exactly, so every level of the tower then
+    bounds its coordinate from both sides.  Any other support may have
+    an unbounded fiber, and its search raises UnboundedSearch.
     """
     free = pic.free_indices
     rows = []
@@ -169,9 +158,10 @@ def has_higher_cohomology(fan: Fan, pic: PicBasis, cls) -> tuple[bool, Forbidden
 
 
 def fiber_witness(pic: PicBasis, cls, neg):
-    """An explicit integer point of the deg-fiber, or None."""
-    ok, witness = integer_feasible(deg_fiber(pic, cls, neg))
-    return witness if ok else None
+    """The first integer point of the deg-fiber, in ray exponents, or None."""
+    neg = frozenset(neg)
+    found = fiber_tower(pic, neg).points(fiber_rhs(pic, cls, neg), first=True)
+    return pic.lift(cls, found[0]) if found else None
 
 
 def is_effective(pic: PicBasis, cls) -> bool:
@@ -329,37 +319,31 @@ class ChainConeSystem:
         """
         fan, pic = self.level_fan_pic(k)
         d, r = pic.n_rays, pic.rank
-        # variables (x_0..x_{d-1}, c_0..c_{r-1}); eliminate the x block
-        ineqs = []
         neg = fs.ray_indices
+        # rows . (c_0..c_{r-1}, x_0..x_{d-1}) >= b; eliminate the x block
+        rows, b = [], []
         for ρ in range(d):
-            e = [0] * (d + r)
-            if ρ in neg:
-                e[ρ] = -1
-                ineqs.append(_norm_ineq(tuple(e), 1))
-            else:
-                e[ρ] = 1
-                ineqs.append(_norm_ineq(tuple(e), 0))
+            rows.append((0,) * (r + ρ) + (-1 if ρ in neg else 1,) + (0,) * (d - 1 - ρ))
+            b.append(1 if ρ in neg else 0)
         for i in range(r):
-            row = list(pic.deg[i]) + [0] * r
-            row[d + i] = -1
-            ineqs.append(_norm_ineq(tuple(row), 0))
-            ineqs.append(_norm_ineq(tuple(-x for x in row), 0))
-        ineqs = _dedupe(ineqs)
-        nv = d + r
-        # rotate the x block to the tail and eliminate it
-        perm = list(range(d, d + r)) + list(range(d))
-        ineqs = [(tuple(c[p] for p in perm), rhs) for c, rhs in ineqs]
-        for _ in range(d):
-            ineqs = fm_eliminate_last(ineqs, nv)
-            nv -= 1
+            row = tuple(-1 if j == i else 0 for j in range(r)) + tuple(pic.deg[i])
+            rows += [row, tuple(-x for x in row)]
+            b += [0, 0]
+        level = [(row, tuple(1 if i == j else 0 for j in range(len(rows))))
+                 for i, row in enumerate(rows)]
+        for nv in range(r + d, r, -1):
+            level = eliminate_last(level, nv)
         gamma = self.gammas[k]
-        out = []
         r0 = len(gamma[0]) if gamma else 0
-        for coeffs, rhs in ineqs:
+        best = {}
+        for coeffs, mult in level:
             pulled = tuple(sum(coeffs[i] * gamma[i][j] for i in range(r)) for j in range(r0))
-            out.append(_norm_ineq(pulled, rhs))
-        return _dedupe([x for x in out if any(x[0]) or x[1] > 0])
+            g = vec_gcd(pulled) or 1
+            key = tuple(x // g for x in pulled)
+            rhs = Fraction(sum(m * bi for m, bi in zip(mult, b)), g)
+            if key not in best or rhs > best[key]:
+                best[key] = rhs
+        return [(c, rhs) for c, rhs in best.items() if any(c) or rhs > 0]
 
 
 def _compose(a, b):

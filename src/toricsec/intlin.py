@@ -243,51 +243,6 @@ def kernel_basis(a: IntMatrix) -> tuple[IntVector, ...]:
     return tuple(basis)
 
 
-def solve_linear_diophantine(a: IntMatrix, b) -> tuple[IntVector | None, list[IntVector]]:
-    """One integer solution of A @ x = b plus a basis of the kernel lattice.
-
-    Returns (None, kernel) when b is not in the image lattice.
-    """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    kernel = list(kernel_basis(a))
-    b = tuple(int(x) for x in b)
-    if len(b) != rows:
-        raise ValueError("dimension mismatch")
-    if cols == 0:
-        return ((), kernel) if all(x == 0 for x in b) else (None, kernel)
-    snf = smith_normal_form(a)
-    ub = mat_vec(snf.U, b)
-    y = [0] * cols
-    diag = snf.diagonal
-    for i in range(rows):
-        d_i = diag[i] if i < len(diag) else 0
-        if d_i == 0:
-            if ub[i] != 0:
-                return None, kernel
-        else:
-            if ub[i] % d_i:
-                return None, kernel
-            y[i] = ub[i] // d_i
-    x = mat_vec(snf.V, y)
-    return x, kernel
-
-
-def unimodular_with_last_column(w) -> IntMatrix:
-    """A unimodular matrix whose last column is the primitive vector w."""
-    w = primitive(w)
-    n = len(w)
-    col = mat([[x] for x in w])
-    snf = smith_normal_form(col)  # U w V = e_1 with V = (+-1), gcd(w) = 1
-    uinv = invert_unimodular(snf.U)
-    sign = snf.V[0][0]
-    cols = [tuple(sign * uinv[i][j] if j == 0 else uinv[i][j] for i in range(n))
-            for j in range(n)]
-    assert cols[0] == w
-    ordered = cols[1:] + [cols[0]]
-    return tuple(tuple(ordered[j][i] for j in range(n)) for i in range(n))
-
-
 def invert_unimodular(a: IntMatrix) -> IntMatrix:
     """Exact inverse of a matrix with determinant +-1."""
     n = len(a)

@@ -246,9 +246,17 @@ def verify_variety_recipe(workspace, label: str, m: int | None = None,
         return RecipeVerdict(label, "", "fail", "label missing from the database")
     node = poset.nodes[label]
     recipe = node.recipe
-    if not recipe:
+    if not recipe.strip():
         return RecipeVerdict(label, "", "fail", "no recipe recorded")
-    kind = recipe.split()[0]
+    kind, *args = recipe.split()
+
+    def bad_record(problem):
+        return PipelineError(f"poset node {label}: recipe {recipe!r} {problem}")
+
+    if kind in ("product", "from") and len(args) != 1:
+        raise bad_record("needs exactly one argument")
+    if kind in ("beilinson", "product", "method1", "method2") and node.fan is None:
+        raise bad_record("needs a fan")
     if kind in ("product", "method1", "method2"):
         # a full collection has rank K_0 = |Sigma(n)| members
         size, cones = len(node.bundles or ()), len(node.fan.max_cones)
@@ -269,7 +277,10 @@ def verify_variety_recipe(workspace, label: str, m: int | None = None,
         return RecipeVerdict(label, recipe, "pass" if ok else "fail",
                              f"method1 targets={len(targets)} at m={mm}")
     if kind == "product":
-        factors = recipe.split()[1].split(",")
+        factors = args[0].split(",")
+        unknown = [f for f in factors if f not in poset.nodes]
+        if unknown:
+            raise bad_record(f"names no poset node {unknown[0]!r}")
         sub = [poset.nodes[f] for f in factors]
         fan = node.fan
         pic = node.pic
@@ -302,7 +313,7 @@ def verify_variety_recipe(workspace, label: str, m: int | None = None,
         return RecipeVerdict(label, recipe, status,
                              f"ranks={verdict.ranks} stage={verdict.stage}")
     if kind == "from":
-        source = recipe.split()[1]
+        source = args[0]
         chain = poset.chain(source, label)
         src = poset.nodes[source]
         mm = m or src.frobenius_m or 8

@@ -47,7 +47,7 @@ def bundled_data_dir() -> Path:
     return Path(importlib.resources.files("toricsec") / "data")
 
 
-def load_workspace(paths=None, require_complete: bool = True) -> Workspace:
+def load_workspace(paths=None) -> Workspace:
     """Parse fans, collections and the poset; abort on any invalid fan.
 
     `paths` may be a directory or an iterable of files; defaults to the
@@ -69,7 +69,7 @@ def load_workspace(paths=None, require_complete: bool = True) -> Workspace:
             if parsed.label in ws.fans:
                 raise WorkspaceError(f"duplicate fan label {parsed.label!r}")
             report = validate_fan(parsed.fan)
-            if not (report.smooth and (report.complete or not require_complete)):
+            if not (report.smooth and report.complete):
                 raise WorkspaceError(
                     f"fan {parsed.label!r} fails validation: {report.errors}")
             ws.fans[parsed.label] = parsed.fan

@@ -16,8 +16,6 @@ from toricsec.intlin import (
     mat_vec,
     rank,
     smith_normal_form,
-    solve_linear_diophantine,
-    unimodular_with_last_column,
 )
 
 E1_RAYS = [
@@ -83,25 +81,6 @@ def test_snf_random_matrices():
         check_decomposition(a)
 
 
-def test_solve_identity():
-    x, ker = solve_linear_diophantine(identity(3), (5, -2, 7))
-    assert x == (5, -2, 7)
-    assert ker == []
-
-
-def test_solve_parity_obstruction():
-    x, _ = solve_linear_diophantine(mat([[2]]), (1,))
-    assert x is None
-
-
-def test_solve_with_kernel():
-    a = mat([[1, 1, 0], [0, 1, 1]])
-    x, ker = solve_linear_diophantine(a, (3, 4))
-    assert x is not None and mat_vec(a, x) == (3, 4)
-    assert len(ker) == 1
-    assert mat_vec(a, ker[0]) == (0, 0)
-
-
 def test_kernel_of_e1_deg_matrix_is_ray_image():
     # deg matrix of the E1 fourfold in basis {D4, D5, D6}
     deg = mat([
@@ -111,17 +90,15 @@ def test_kernel_of_e1_deg_matrix_is_ray_image():
     ])
     ker = kernel_basis(deg)
     assert len(ker) == 4
-    ray_cols = mat(E1_RAYS)  # 7x4, columns span the kernel
+    rays = mat(E1_RAYS)  # 7x4, columns span the kernel
+    # a kernel vector v is the ray image of m = A^-1 v_sigma, A the
+    # unimodular ray matrix of the maximal cone sigma = {1, 2, 5, 6}
+    sigma = (1, 2, 5, 6)
+    chart = invert_unimodular(mat([E1_RAYS[i] for i in sigma]))
     for v in ker:
-        sol, _ = solve_linear_diophantine(ray_cols, v)
-        assert sol is not None
-
-
-def test_unimodular_with_last_column():
-    for w in [(1, 0, 0), (2, 3, 5), (-1, 4, 2), (0, 0, -1)]:
-        u = unimodular_with_last_column(w)
-        assert abs(det(u)) == 1
-        assert tuple(u[i][len(w) - 1] for i in range(len(w))) == w
+        assert mat_vec(deg, v) == (0, 0, 0)
+        m = mat_vec(chart, [v[i] for i in sigma])
+        assert mat_vec(rays, m) == v
 
 
 def test_invert_unimodular():

@@ -8,133 +8,129 @@ from hypothesis import strategies as st
 from toricsec import quiver
 from toricsec.polyhedra import (
     ParametricIntegerFeasibility,
-    RationalPolyhedron,
-    integer_feasible,
+    UnboundedSearch,
     polytope_lattice_points,
     simplex_feasible,
 )
 from toricsec.workspace import load_workspace
 
 
-def grid_scan_oracle(poly, box):
+def satisfies(rows, rhs, p):
+    return all(sum(c * x for c, x in zip(row, p)) >= r for row, r in zip(rows, rhs))
+
+
+def grid_scan_oracle(rows, rhs, box):
     """Naive bounding-box scan; the independent oracle for lattice points."""
-    pts = []
-    ranges = [range(lo, hi + 1) for lo, hi in box]
-    for p in itertools.product(*ranges):
-        if poly.contains(p):
-            pts.append(p)
-    return sorted(pts)
+    return [p for p in itertools.product(*[range(lo, hi + 1) for lo, hi in box])
+            if satisfies(rows, rhs, p)]
 
 
-def box_poly(bounds):
-    p = RationalPolyhedron(len(bounds))
+def box_system(bounds):
+    """Rows and right-hand sides of lo <= x_i <= hi."""
+    rows, rhs = [], []
     for i, (lo, hi) in enumerate(bounds):
-        e = [0] * len(bounds)
-        e[i] = 1
-        p.add_ineq(tuple(e), lo)
-        p.add_ineq(tuple(-x for x in e), -hi)
-    return p
+        e = tuple(1 if j == i else 0 for j in range(len(bounds)))
+        rows += [e, tuple(-x for x in e)]
+        rhs += [lo, -hi]
+    return rows, rhs
+
+
+def engine_points(rows, rhs, n):
+    return polytope_lattice_points(ParametricIntegerFeasibility(rows, n), rhs)
 
 
 def test_unit_segment():
-    p = box_poly([(0, 1)])
-    assert polytope_lattice_points(p) == [(0,), (1,)]
+    rows, rhs = box_system([(0, 1)])
+    assert engine_points(rows, rhs, 1) == [(0,), (1,)] == grid_scan_oracle(rows, rhs, [(-2, 3)])
 
 
 def test_scaled_simplex_matches_grid_oracle():
     # 2 * standard 2-simplex: x, y >= 0, x + y <= 2 -> 6 points
-    p = RationalPolyhedron(2)
-    p.add_ineq((1, 0), 0)
-    p.add_ineq((0, 1), 0)
-    p.add_ineq((-1, -1), -2)
-    pts = polytope_lattice_points(p)
+    rows, rhs = [(1, 0), (0, 1), (-1, -1)], [0, 0, -2]
+    pts = engine_points(rows, rhs, 2)
     assert len(pts) == 6
-    assert pts == grid_scan_oracle(p, [(-1, 3), (-1, 3)])
+    assert pts == grid_scan_oracle(rows, rhs, [(-1, 3), (-1, 3)])
 
 
 @pytest.mark.parametrize("tilt", [0, 1, -2])
 def test_random_polytopes_match_grid_oracle(tilt):
-    p = RationalPolyhedron(3)
-    p.add_ineq((1, 0, 0), -2)
-    p.add_ineq((0, 1, 0), -2)
-    p.add_ineq((0, 0, 1), -2)
-    p.add_ineq((-1, -1, -1), -4)
-    p.add_ineq((1, tilt, 2), Fraction(-7, 2))
-    assert polytope_lattice_points(p) == grid_scan_oracle(p, [(-3, 9)] * 3)
+    rows = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (1, tilt, 2)]
+    rhs = [-2, -2, -2, -4, Fraction(-7, 2)]
+    assert engine_points(rows, rhs, 3) == grid_scan_oracle(rows, rhs, [(-3, 9)] * 3)
 
 
 def test_lattice_points_with_equalities():
-    p = RationalPolyhedron(3)
-    p.add_eq((1, 1, 1), 2)
-    for i in range(3):
-        e = [0, 0, 0]
-        e[i] = 1
-        p.add_ineq(tuple(e), 0)
-    pts = polytope_lattice_points(p)
+    # x + y + z = 2 as a pair of opposite rows, x, y, z >= 0
+    rows = [(1, 1, 1), (-1, -1, -1), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    rhs = [2, -2, 0, 0, 0]
+    pts = engine_points(rows, rhs, 3)
     assert len(pts) == 6
     assert all(sum(x) == 2 and min(x) >= 0 for x in pts)
 
 
 def test_unbounded_enumeration_rejected():
-    p = RationalPolyhedron(2)
-    p.add_ineq((1, 0), 0)
-    p.add_ineq((0, 1), 0)
-    with pytest.raises(ValueError):
-        polytope_lattice_points(p)
+    engine = ParametricIntegerFeasibility([(1, 0), (0, 1)], 2)
+    with pytest.raises(UnboundedSearch):
+        polytope_lattice_points(engine, [0, 0])
+    with pytest.raises(UnboundedSearch):
+        engine.query([0, 0])
 
 
 def test_integer_feasible_dim0():
-    p = RationalPolyhedron(0)
-    ok, witness = integer_feasible(p)
-    assert ok and witness == ()
+    assert ParametricIntegerFeasibility([], 0).points([]) == [()]
+    # 0 >= 1 has no point, 0 >= 0 has the empty one
+    engine = ParametricIntegerFeasibility([()], 0)
+    for rhs in ([0], [1]):
+        assert engine.points(rhs) == grid_scan_oracle([()], rhs, [])
+    assert not engine.query([1])
 
 
 def test_integer_feasible_2x_eq_1():
-    p = RationalPolyhedron(1)
-    p.add_ineq((2,), 1)
-    p.add_ineq((-2,), -1)
-    ok, _ = integer_feasible(p)
-    assert not ok
+    rows, rhs = [(2,), (-2,)], [1, -1]
+    assert not ParametricIntegerFeasibility(rows, 1).query(rhs)
+    assert grid_scan_oracle(rows, rhs, [(-3, 3)]) == []
 
 
 def test_integer_feasible_cone_membership():
     # the H^4-cone system of the paper's worked fourfold at a fixed point
-    p = RationalPolyhedron(0)
     a1, a2, a3 = 40, -7, 0
     assert a1 + 6 * a2 + a3 <= -2
     assert a2 + a3 <= -7
     assert a3 <= 1
-    system = RationalPolyhedron(3)
-    system.add_ineq((-1, -6, -1), 2)
-    system.add_ineq((0, -1, -1), 7)
-    system.add_ineq((0, 0, -1), -1)
-    assert system.contains((a1, a2, a3))
+    rows, rhs = [(-1, -6, -1), (0, -1, -1), (0, 0, -1)], [2, 7, -1]
+    for point, inside in (((a1, a2, a3), True), ((a1, a2 + 1, a3), False)):
+        box_rows, box_rhs = box_system([(x, x) for x in point])
+        engine = ParametricIntegerFeasibility(rows + box_rows, 3)
+        assert engine.query(rhs + box_rhs) == inside
 
 
 def test_integer_feasible_unbounded_strip():
-    # unbounded strip with no lattice points: 3x <= 3y + 1, 3x >= 3y + 1 - eps
-    p = RationalPolyhedron(2)
-    p.add_ineq((-3, 3), -1)
-    p.add_ineq((3, -3), Fraction(1, 2))
-    ok, _ = integer_feasible(p)
-    assert not ok
+    # strip with no lattice points: 3x <= 3y + 1, 3x >= 3y + 1/2
+    rows, rhs = [(-3, 3), (3, -3)], [-1, Fraction(1, 2)]
+    box_rows, box_rhs = box_system([(-5, 5), (-5, 5)])
+    assert not ParametricIntegerFeasibility(rows + box_rows, 2).query(rhs + box_rhs)
+    assert grid_scan_oracle(rows, rhs, [(-5, 5), (-5, 5)]) == []
+    # unbounded, the search has nothing to bound x with
+    with pytest.raises(UnboundedSearch):
+        ParametricIntegerFeasibility(rows, 2).query(rhs)
 
 
 def test_integer_feasible_unbounded_with_point():
-    p = RationalPolyhedron(2)
-    p.add_ineq((1, 0), 3)   # x >= 3, y free
-    ok, w = integer_feasible(p)
-    assert ok and w[0] >= 3
+    rows, rhs = [(1, 0)], [3]   # x >= 3, y free
+    with pytest.raises(UnboundedSearch):
+        ParametricIntegerFeasibility(rows, 2).query(rhs)
+    box_rows, box_rhs = box_system([(-9, 9), (-2, 2)])
+    got = ParametricIntegerFeasibility(rows + box_rows, 2).points(rhs + box_rhs, first=True)
+    assert got == [(3, -2)]
 
 
 def test_integer_feasible_witness_valid():
-    p = RationalPolyhedron(3)
-    p.add_eq((1, 2, 3), 7)
-    p.add_ineq((1, 0, 0), 0)
-    p.add_ineq((0, 1, 0), 0)
-    p.add_ineq((0, 0, 1), 0)
-    ok, w = integer_feasible(p)
-    assert ok and p.contains(w)
+    # x + 2y + 3z = 7, x, y, z >= 0
+    rows = [(1, 2, 3), (-1, -2, -3), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    rhs = [7, -7, 0, 0, 0]
+    got = ParametricIntegerFeasibility(rows, 3).points(rhs, first=True)
+    assert len(got) == 1 and satisfies(rows, rhs, got[0])
+    assert got == grid_scan_oracle(rows, rhs, [(0, 7)] * 3)[:1]
 
 
 def test_simplex_feasible():
@@ -278,8 +274,7 @@ def bounded_systems(draw):
 
 
 def box_points(rows, rhs, n):
-    return [p for p in itertools.product(range(-BOX, BOX + 1), repeat=n)
-            if all(sum(c * x for c, x in zip(row, p)) >= r for row, r in zip(rows, rhs))]
+    return grid_scan_oracle(rows, rhs, [(-BOX, BOX)] * n)
 
 
 @settings(max_examples=150, deadline=None)

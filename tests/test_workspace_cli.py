@@ -111,7 +111,7 @@ def test_cli_cohomology_rejects_a_class_of_the_wrong_length():
     runner = CliRunner()
     for cls in ("1,2", "x"):
         result = runner.invoke(main, ["cohomology", "P2", "--", cls])
-        assert result.exit_code == 1
+        assert result.exit_code == 2
         assert "status=fail" in result.output
         assert "error=" in result.output
         assert "dims=" not in result.output
@@ -122,7 +122,7 @@ def test_cli_helix_rejects_a_twist_class_of_the_wrong_length():
     for cls in ("0", "0,0,5", "a"):
         result = runner.invoke(main, ["helix", "P1xP1", "--steps", "1",
                                       "--twist-class", cls])
-        assert result.exit_code == 1
+        assert result.exit_code == 2
         assert "status=fail" in result.output
         assert "error=" in result.output
         assert "bundle=" not in result.output
@@ -135,16 +135,36 @@ def test_cli_reports_input_errors_as_fail(tmp_path):
                  ["propagate", "E1", "P1"],          # PipelineError
                  ["--data", str(tmp_path), "validate", "P1"]):  # ParseError
         result = runner.invoke(main, args)
-        assert result.exit_code == 1, args
+        assert result.exit_code == 2, args
         assert result.exception is None or isinstance(result.exception, SystemExit), args
         assert result.output.endswith("status=fail\n"), args
         assert "error=" in result.output, args
 
 
+@pytest.mark.parametrize("label, error", [
+    ("P1xP1", "poset node P1xP1: recipe 'product P1,NOPE' names no poset node 'NOPE'"),
+    ("X", "poset node X: recipe 'from' needs exactly one argument"),
+    ("Y", "poset node Y: recipe 'method2' needs a fan"),
+], ids=["unknown-factor", "from-without-source", "method2-without-fan"])
+def test_cli_malformed_recipe_reports_fail(tmp_path, label, error):
+    data = load_workspace()
+    write_fan_file(tmp_path / "P1.fan", data.fan("P1"))
+    write_fan_file(tmp_path / "P1xP1.fan", data.fan("P1xP1"))
+    write_collection_file(tmp_path / "p1xp1.col", data.collections["p1xp1"])
+    (tmp_path / "v.poset").write_text(
+        'node P1 fan=P1 recipe="beilinson"\n'
+        'node P1xP1 fan=P1xP1 collection=p1xp1 recipe="product P1,NOPE"\n'
+        'node X fan=P1 recipe="from"\n'
+        'node Y recipe="method2"\n')
+    result = CliRunner().invoke(main, ["--data", str(tmp_path), "recipe", label])
+    assert result.exit_code == 2
+    assert result.output == f"error=PipelineError: {error}\nstatus=fail\n"
+
+
 @pytest.mark.parametrize("command", ["strong-exceptional", "method1", "quiver"])
 def test_cli_label_without_collection_reports_fail(command):
     result = CliRunner().invoke(main, [command, "P2"])
-    assert result.exit_code == 1
+    assert result.exit_code == 2
     assert result.output == ("error=WorkspaceError: no collection registered for P2\n"
                              "status=fail\n")
 
@@ -159,7 +179,7 @@ def test_cli_label_without_collection_reports_fail(command):
 ])
 def test_cli_frobenius_level_must_be_positive(args):
     result = CliRunner().invoke(main, args)
-    assert result.exit_code == 1
+    assert result.exit_code == 2
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert result.output.endswith("error=ValueError: m must be positive\nstatus=fail\n")
 
@@ -170,6 +190,21 @@ def test_cli_frobenius_sizes():
     assert result.exit_code == 0
     assert "size_twist_0=18" in result.output
     assert "size_gen=46" in result.output
+
+
+def test_cli_frobenius_gen_splits_each_twist_once(monkeypatch):
+    from toricsec import frobenius
+    calls = []
+    real = frobenius.frobenius_summands
+
+    def spy(fan, pic, m, w, sigma):
+        calls.append((tuple(w), tuple(sigma)))
+        return real(fan, pic, m, w, sigma)
+
+    monkeypatch.setattr(frobenius, "frobenius_summands", spy)
+    result = CliRunner().invoke(main, ["frobenius", "P2", "--m", "3", "--gen"])
+    assert result.exit_code == 0
+    assert calls and len(calls) == len(set(calls))
 
 
 def test_cli_strong_exceptional():
