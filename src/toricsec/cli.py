@@ -17,7 +17,7 @@ import click
 from .cohomology import (
     cohomology_dims,
     forbidden_sets,
-    has_higher_cohomology,
+    higher_cohomology_witness,
     strong_exceptional_check,
 )
 from .diagonal import diagonal_resolution_verdict, serialize_complex
@@ -32,7 +32,7 @@ from .pipelines import (
     tilting_total_space_check,
     verify_variety_recipe,
 )
-from .quiver import build_quiver_of_sections, covering_quiver_on_y
+from .quiver import QuiverError, build_quiver_of_sections, covering_quiver_on_y
 from .workspace import WorkspaceError, load_workspace
 
 
@@ -92,7 +92,7 @@ class _Main(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (ParseError, PipelineError, WorkspaceError) as exc:
+        except (ParseError, PipelineError, QuiverError, WorkspaceError) as exc:
             Report(ctx.params.get("out")).reject(f"{type(exc).__name__}: {exc}")
 
 
@@ -172,17 +172,15 @@ def cohomology(ctx, label, cls):
     except ValueError as exc:
         rep.add("class", cls)
         rep.reject(f"bad class: {exc}")
-    bad, witness = has_higher_cohomology(fan, pic, vec)
+    witness, point = higher_cohomology_witness(fan, pic, vec)
+    bad = witness is not None
     dims = cohomology_dims(fan, pic, vec)
     rep.add("class", _fmt_vec(vec))
     rep.add("higher_cohomology", bad)
     rep.add("dims", _fmt_vec(dims))
-    if witness is not None:
-        from .cohomology import fiber_witness
+    if bad:
         rep.add("witness", _fmt_vec(sorted(witness.ray_indices)))
-        point = fiber_witness(pic, vec, witness.ray_indices)
-        if point is not None:
-            rep.add("witness_point", _fmt_vec(point))
+        rep.add("witness_point", _fmt_vec(point))
     if bad != any(d for d in dims[1:]):
         rep.set_status("fail")
         rep.add("error", "cone test disagrees with the character oracle")

@@ -164,6 +164,19 @@ def fiber_witness(pic: PicBasis, cls, neg):
     return pic.lift(cls, found[0]) if found else None
 
 
+def higher_cohomology_witness(fan: Fan, pic: PicBasis, cls):
+    """has_higher_cohomology's forbidden set together with a point of its fiber.
+
+    One first-point search per forbidden set, in the same order; returns
+    (ForbiddenSet, ray exponents), or (None, None) without higher cohomology.
+    """
+    for fs in forbidden_sets(fan):
+        point = fiber_witness(pic, cls, fs.ray_indices)
+        if point is not None:
+            return fs, point
+    return None, None
+
+
 def is_effective(pic: PicBasis, cls) -> bool:
     """H^0 != 0, i.e. the nonnegative deg-fiber has an integer point."""
     return fiber_feasible(pic, cls, frozenset())

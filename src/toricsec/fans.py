@@ -121,10 +121,12 @@ def validate_fan(fan: Fan) -> FanReport:
                 errors.append(f"codim-1 faces not paired: {bad}")
     fano = False
     if smooth and complete:
+        # Fano iff the fan is the face fan of conv(rays) and every facet
+        # w.x >= c of that hull sits at lattice distance 1 from 0 (c = -1)
+        facets = hull_facets(fan.rays, fan.dim)
         try:
-            face_fan = fan_from_rays(fan.dim, fan.rays, label=fan.label)
-            fano = set(face_fan.max_cones) == set(fan.max_cones) and \
-                _hull_is_reflexive(fan.rays, fan.dim)
+            fano = set(_face_fan_cones(facets)) == set(fan.max_cones) and \
+                all(c == -1 for _, c, _ in facets)
         except FanError:
             fano = False
     return FanReport(smooth, complete, fano, tuple(errors))
@@ -157,23 +159,19 @@ def hull_facets(points, dim):
     return [(w, c, tight) for (w, c), tight in facets.items()]
 
 
-def _hull_is_reflexive(rays, dim) -> bool:
-    for w, c, _ in hull_facets(rays, dim):
-        # facet hyperplane w.x = c must be at lattice distance 1 from 0
-        if c != -1:
-            return False
-    return True
-
-
-def fan_from_rays(dim: int, rays, label: str = "") -> Fan:
-    """Face fan of conv(rays); the origin must be interior."""
-    facets = hull_facets(rays, dim)
+def _face_fan_cones(facets) -> tuple[tuple[int, ...], ...]:
+    """Maximal cones of the face fan: the tight ray sets of the hull facets."""
     if not facets:
         raise FanError("rays do not span a full-dimensional hull")
     for w, c, _ in facets:
         if c >= 0:
             raise FanError("origin is not interior to the hull of the rays")
-    cones = tuple(sorted(tight for _, _, tight in facets))
+    return tuple(sorted(tight for _, _, tight in facets))
+
+
+def fan_from_rays(dim: int, rays, label: str = "") -> Fan:
+    """Face fan of conv(rays); the origin must be interior."""
+    cones = _face_fan_cones(hull_facets(rays, dim))
     return Fan(dim, tuple(tuple(r) for r in rays), cones, label=label)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import ceil
-from operator import index
+from operator import index, mul
 
 from .intlin import vec_gcd
 
@@ -115,14 +115,16 @@ class ParametricIntegerFeasibility:
         """Is there an integer point with base_rows . x >= rhs?"""
         return bool(self.points(rhs, first=True))
 
-    def points(self, rhs, prune=None, first: bool = False) -> list[tuple[int, ...]]:
+    def points(self, rhs, forbid=None, first: bool = False) -> list[tuple[int, ...]]:
         """Integer points with base_rows . x >= rhs, in lex order.
 
-        With `first` the search stops at the first point.  `prune(k, x)`
-        is called once x_0..x_k are fixed (x is a shared list); a true
-        result drops that value of x_k and everything below it.  Meeting
-        a coordinate without a lower or an upper bound raises
-        UnboundedSearch.
+        With `first` the search stops at the first point.  `forbid(k, x,
+        lo, hi)` is called once per search node, when x_0..x_{k-1} are
+        fixed (x is a shared list) and x_k ranges over [lo, hi]; it
+        returns closed integer intervals (a, b) of x_k to skip, with
+        everything below them.  An interval may be empty or reach past
+        [lo, hi].  Meeting a coordinate without a lower or an upper bound
+        raises UnboundedSearch.
         """
         b = [ceil(r) for r in rhs]
         if any(sum(m * b[i] for i, m in mult) > 0 for mult in self._level0):
@@ -143,11 +145,13 @@ class ParametricIntegerFeasibility:
                 raise UnboundedSearch(f"coordinate {k} is unbounded")
             lo = max(-(-ri // a) for ri, a in zip(r, lower))
             hi = min(ri // a for ri, a in zip(r[len(lower):], upper))
+            if forbid is None or lo > hi:
+                values = range(lo, hi + 1)
+            else:
+                values = _allowed(lo, hi, forbid(k, x, lo, hi))
             last = k + 1 == n
-            for v in range(lo, hi + 1):
+            for v in values:
                 x[k] = v
-                if prune is not None and prune(k, x):
-                    continue
                 if last:
                     out.append(tuple(x))
                 else:
@@ -158,6 +162,71 @@ class ParametricIntegerFeasibility:
 
         rec(0, res)
         return out
+
+
+def _allowed(lo: int, hi: int, intervals) -> list[int]:
+    """The integers of [lo, hi] outside every closed interval, in order."""
+    values = []
+    for a, b in sorted(intervals):
+        if a > hi:
+            break
+        if a > b:
+            continue
+        values.extend(range(lo, a))
+        lo = max(lo, b + 1)
+    values.extend(range(lo, hi + 1))
+    return values
+
+
+def conjunction_forbid(rows, checks):
+    """A forbid hook for points: skip x_k wherever a check at depth k holds.
+
+    checks[k] lists conjunctions ((i, v), ...) that read rows[i] . x >= v,
+    for rows vanishing past x_k.  At a node, row i reads s_i + c_i x_k
+    with s_i its dot with the fixed prefix and c_i = rows[i][k], both
+    computed once per node.  A row then bounds x_k exactly over the
+    integers: x_k >= ceil((v - s_i) / c_i) for c_i > 0, x_k <=
+    floor((v - s_i) / c_i) for c_i < 0, and for c_i = 0 it holds or fails
+    outright.  So each conjunction forbids one closed interval.
+    """
+    # per depth: the prefixes of the rows its checks read, and each check
+    # split into rows constant at that depth and rows bounding x_k, with
+    # row indices renumbered to positions in the prefix list
+    levels = []
+    for k, level in enumerate(checks):
+        needed = sorted({i for check in level for i, _ in check})
+        pos = {i: j for j, i in enumerate(needed)}
+        split = [(tuple((pos[i], v) for i, v in check if not rows[i][k]),
+                  tuple((pos[i], v, rows[i][k]) for i, v in check if rows[i][k]))
+                 for check in level]
+        levels.append(([rows[i][:k] for i in needed], split))
+
+    def forbid(k, x, lo, hi):
+        prefixes, split = levels[k]
+        if not split:
+            return ()
+        s = [sum(map(mul, prefix, x)) for prefix in prefixes]
+        out = []
+        for fixed, bounds in split:
+            for i, v in fixed:
+                if s[i] < v:
+                    break
+            else:
+                a, b = lo, hi
+                for i, v, c in bounds:
+                    if c > 0:
+                        t = -((s[i] - v) // c)
+                        if t > a:
+                            a = t
+                    else:
+                        t = (v - s[i]) // c
+                        if t < b:
+                            b = t
+                if a <= b:
+                    out.append((a, b))
+        return out
+
+    return forbid
 
 
 def simplex_feasible(eq_rows, rhs, nvars: int):

@@ -10,12 +10,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import mul
 
 from .cohomology import fiber_rhs, fiber_tower
 from .fans import Fan, PicBasis, nef_ample_test, vertex_divisors
 from .intlin import IntVector
-from .polyhedra import UnboundedSearch, polytope_lattice_points, simplex_feasible
+from .polyhedra import (
+    UnboundedSearch,
+    conjunction_forbid,
+    polytope_lattice_points,
+    simplex_feasible,
+)
 
 
 @dataclass(frozen=True)
@@ -98,10 +102,13 @@ def _pruned_fiber(pic: PicBasis, cls, staircase) -> list[IntVector]:
     """Fiber lattice points of {x >= 0, deg x = cls} under the staircase.
 
     The engine fixes the free-ray exponents one at a time; a basis
-    exponent is fixed once every free ray of its deg row is.  A branch
-    dies as soon as its fixed exponents dominate a staircase monomial
-    supported on them; the full fiber may be huge, the survivors never
-    are.
+    exponent is fixed once every free ray of its deg row is.  A monomial
+    f of the staircase becomes one check at the depth where its last
+    support exponent is fixed: x_rho >= f_rho on its support, a
+    conjunction of rows over the fixed prefix, which forbids one closed
+    interval of the exponent fixed there (polyhedra.conjunction_forbid).
+    So a branch dies as soon as its fixed exponents dominate a staircase
+    monomial; the full fiber may be huge, the survivors never are.
     """
     free = pic.free_indices
     tower = fiber_tower(pic, frozenset())
@@ -116,21 +123,19 @@ def _pruned_fiber(pic: PicBasis, cls, staircase) -> list[IntVector]:
         support = [ρ for ρ, v in enumerate(f) if v]
         checks[max((fixed_at[ρ] for ρ in support), default=0)].append(
             tuple((ρ, f[ρ] - a[ρ]) for ρ in support))
-    needed = [sorted({ρ for check in level for ρ, _ in check}) for level in checks]
-    rows = tower.base_rows
-
-    def prune(k, t):
-        if not checks[k]:
-            return False
-        dots = {ρ: sum(map(mul, rows[ρ], t)) for ρ in needed[k]}
-        return any(all(dots[ρ] >= v for ρ, v in check) for check in checks[k])
-
     rhs = fiber_rhs(pic, cls, ())
     try:
-        found = tower.points(rhs, prune)
+        found = tower.points(rhs, conjunction_forbid(tower.base_rows, checks))
     except UnboundedSearch:
         raise QuiverError("unbounded section fiber")
     return [pic.lift(cls, t) for t in found]
+
+
+def _minimal(monomials) -> list[IntVector]:
+    """The distinct monomials that dominate no other: the staircase's generators."""
+    monomials = list(dict.fromkeys(monomials))
+    return [e for e in monomials
+            if not _dominates_some(e, (f for f in monomials if f != e))]
 
 
 def covering_quiver_on_y(fan: Fan, pic: PicBasis, bundles,
@@ -141,7 +146,8 @@ def covering_quiver_on_y(fan: Fan, pic: PicBasis, bundles,
     the base; its exponent vector gains a final rho_tot coordinate p.
     Every composite section dominates the divisor of the first arrow of
     any factorization, so candidates are enumerated under the staircase of
-    the lower-level arrows out of their tail and then reduced against
+    the lower-level arrows out of their tail (its minimal monomials; one
+    that dominates another prunes nothing more) and then reduced against
     same-level arrows in order of total degree.  Levels at the cap must
     come up empty.
     """
@@ -156,7 +162,8 @@ def covering_quiver_on_y(fan: Fan, pic: PicBasis, bundles,
                      for bi, bj, w in zip(bundles[i], bundles[j], minus_omega))
 
     for p in range(1, level_cap + 1):
-        out_divs = [[a.div[:-1] for a in arrows if a.tail == i] for i in range(r)]
+        out_divs = [_minimal(a.div[:-1] for a in arrows if a.tail == i)
+                    for i in range(r)]
         survivors = []
         for i in range(r):
             for j in range(r):

@@ -9,6 +9,7 @@ from toricsec import quiver
 from toricsec.polyhedra import (
     ParametricIntegerFeasibility,
     UnboundedSearch,
+    conjunction_forbid,
     polytope_lattice_points,
     simplex_feasible,
 )
@@ -288,21 +289,58 @@ def test_engine_matches_box_enumeration(system):
     assert engine.query(rhs) == bool(brute)
 
 
+def dot(w, p):
+    return sum(a * b for a, b in zip(w, p))
+
+
+@st.composite
+def forbid_hooks(draw, n):
+    """Raw intervals and row conjunctions, each tagged with its depth k.
+
+    A raw entry (k, w, a, width) forbids x_k in [w . x + a, w . x + a +
+    width]: empty for a negative width, one point wide for width 0, and
+    free to reach past the box.  A conjunction (k, ((row, v), ...)) has
+    rows vanishing past x_k and forbids x_k wherever every row . x >= v.
+    """
+    depth = st.integers(0, n - 1)
+    raw = draw(st.lists(depth.flatmap(lambda k: st.tuples(
+        st.just(k), st.lists(st.integers(-1, 1), min_size=k, max_size=k),
+        st.integers(-3 * BOX, 2 * BOX),
+        st.integers(-BOX, -1) | st.just(0) | st.integers(1, 4 * BOX + 2))), max_size=3))
+
+    def row(k):
+        return st.lists(st.integers(-3, 3), min_size=k + 1, max_size=k + 1).map(
+            lambda r: tuple(r) + (0,) * (n - k - 1))
+
+    conjs = draw(st.lists(depth.flatmap(lambda k: st.tuples(
+        st.just(k), st.lists(st.tuples(row(k), st.integers(-2 * BOX, 2 * BOX)),
+                             min_size=1, max_size=3))), max_size=4))
+    return raw, conjs
+
+
 @settings(max_examples=150, deadline=None)
 @given(bounded_systems(), st.data())
-def test_engine_prune_hook_matches_box_enumeration(system, data):
+def test_engine_forbid_hook_matches_box_enumeration(system, data):
     rows, rhs, n = system
-    # staircase-style hook: at depth k drop prefixes dominating some f[:k+1]
-    stairs = data.draw(st.lists(
-        st.tuples(st.integers(0, n - 1),
-                  st.lists(st.integers(-BOX, BOX), min_size=n, max_size=n)),
-        max_size=4))
+    raw, conjs = data.draw(forbid_hooks(n))
+    hook_rows = [r for _, conj in conjs for r, _ in conj]
+    checks = [[] for _ in range(n)]
+    i = 0
+    for k, conj in conjs:
+        checks[k].append(tuple((i + j, v) for j, (_, v) in enumerate(conj)))
+        i += len(conj)
+    by_rows = conjunction_forbid(hook_rows, checks)
 
-    def dominated(k, x):
-        return any(d == k and all(x[j] >= f[j] for j in range(k + 1)) for d, f in stairs)
+    def forbid(k, x, lo, hi):
+        assert lo <= hi
+        return [(a + dot(w, x), a + dot(w, x) + width)
+                for d, w, a, width in raw if d == k] + list(by_rows(k, x, lo, hi))
 
-    kept = [p for p in box_points(rows, rhs, n)
-            if not any(dominated(k, p) for k in range(n))]
+    def forbidden(p):
+        return any(a <= p[k] - dot(w, p) <= a + width for k, w, a, width in raw) or \
+            any(all(dot(r, p) >= v for r, v in conj) for _, conj in conjs)
+
+    kept = [p for p in box_points(rows, rhs, n) if not forbidden(p)]
     engine = ParametricIntegerFeasibility(rows, n)
-    assert engine.points(rhs, prune=dominated) == kept
-    assert engine.points(rhs, prune=dominated, first=True) == kept[:1]
+    assert engine.points(rhs, forbid=forbid) == kept
+    assert engine.points(rhs, forbid=forbid, first=True) == kept[:1]

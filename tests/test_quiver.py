@@ -1,7 +1,13 @@
+import hashlib
 import itertools
 import random
+from functools import lru_cache
 
 import pytest
+from click.testing import CliRunner
+
+from toricsec import quiver
+from toricsec.cli import main
 
 from toricsec.fans import deg_and_pic
 from toricsec.quiver import (
@@ -18,6 +24,7 @@ from toricsec.quiver import (
     theta_fiber_surjectivity_check,
     torus_fixed_bits,
 )
+from toricsec.workspace import load_workspace
 
 from conftest import make_fan
 
@@ -31,6 +38,11 @@ J1_PIC = [
     [0, 1, 1, 1, 1, 1, 2, 1, 2, 2, 1, 1, 2, 1, 1, 2, 2]]
 J1_BUNDLES = list(zip(*J1_PIC))
 J1_THETA = tuple([-6] + [0] * 10 + [1] * 6)
+
+
+@lru_cache(maxsize=None)
+def bundled_workspace():
+    return load_workspace()
 
 
 def j1_quiver():
@@ -127,6 +139,52 @@ def test_covering_quiver_e1_counts():
     q = covering_quiver_on_y(fan, pic, E1_BUNDLES)
     assert q.n_vertices == 11
     assert len(q.arrows) == 46
+
+
+@pytest.mark.parametrize("label", ["S3", "D1_3", "E1"])
+def test_pruned_fiber_is_the_fiber_minus_the_staircase_upset(label, monkeypatch):
+    # every (i, j, p) class the covering quiver visits, against the full
+    # fiber and the unreduced arrows out of i below level p
+    ws = bundled_workspace()
+    fan, pic = ws.fan(label), ws.pic(label)
+    bundles = [tuple(b) for b in ws.collection_for(label).bundles]
+    calls = []
+    pruned_fiber = quiver._pruned_fiber
+
+    def recording(pic_, cls, staircase):
+        found = pruned_fiber(pic_, cls, staircase)
+        calls.append((cls, found))
+        return found
+
+    monkeypatch.setattr(quiver, "_pruned_fiber", recording)
+    q = covering_quiver_on_y(fan, pic, bundles, level_cap=3)
+    r = len(bundles)
+    minus_omega = tuple(-w for w in pic.canonical_class())
+    visits = [(i, j, p) for p in range(1, 4) for i in range(r) for j in range(r)]
+    assert len(calls) == len(visits)
+    for (i, j, p), (cls, found) in zip(visits, calls):
+        assert cls == tuple(bj - bi + p * w for bi, bj, w
+                            in zip(bundles[i], bundles[j], minus_omega))
+        below = [a.div[:-1] for a in q.arrows if a.tail == i and a.div[-1] < p]
+        expected = [e for e in sections(pic, cls)
+                    if not any(all(x >= y for x, y in zip(e, f)) for f in below)]
+        assert sorted(found) == expected and len(set(found)) == len(found), (i, j, p)
+
+
+# sha256 of the full `toricsec quiver <row> --total-space` report
+TOTAL_SPACE_REPORT_SHA256 = {
+    "S3": "d8cd5ceaabc1fcd383c32d29b98855b09d4582634a5033236fed145773714228",
+    "D1_3": "b5ffafe68cc442b55cffdc0aae5b4d8e9360fd39ce36bc3584ae8af9529b5541",
+    "E1": "993a8942c3ba1bdbd7648ff04e29d6b03e03206c2160a9034b586c63b52aff14",
+}
+
+
+@pytest.mark.parametrize("label", sorted(TOTAL_SPACE_REPORT_SHA256))
+def test_total_space_quiver_report_is_pinned(label):
+    result = CliRunner().invoke(main, ["quiver", label, "--total-space"])
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.output.encode()).hexdigest() == \
+        TOTAL_SPACE_REPORT_SHA256[label]
 
 
 def test_parallel_relations_share_endpoints_and_div():

@@ -4,6 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from toricsec.cli import main
+from toricsec.cohomology import fiber_feasible, forbidden_sets
 from toricsec.files import (
     ParseError,
     parse_collection_file,
@@ -12,6 +13,7 @@ from toricsec.files import (
     write_collection_file,
     write_fan_file,
 )
+from toricsec.polyhedra import ParametricIntegerFeasibility
 from toricsec.workspace import WorkspaceError, load_workspace
 
 
@@ -107,6 +109,27 @@ def test_cli_cohomology():
     assert "dims=0,0,1" in result.output
 
 
+def test_cli_cohomology_searches_each_forbidden_fiber_once(monkeypatch):
+    # the witness set and its point come from the same first-point search
+    ws = load_workspace()
+    fan, pic = ws.fan("D1_3"), ws.pic("D1_3")
+    tried = 1 + next(n for n, fs in enumerate(forbidden_sets(fan))
+                     if fiber_feasible(pic, (2, 1, -3), fs.ray_indices))
+    assert tried == 7
+    searches = []
+    points = ParametricIntegerFeasibility.points
+
+    def counting(self, *args, **kwargs):
+        searches.append(args)
+        return points(self, *args, **kwargs)
+
+    monkeypatch.setattr(ParametricIntegerFeasibility, "points", counting)
+    result = CliRunner().invoke(main, ["cohomology", "D1_3", "--", "2,1,-3"])
+    assert result.exit_code == 0
+    assert "witness_point=" in result.output
+    assert len(searches) == tried
+
+
 def test_cli_cohomology_rejects_a_class_of_the_wrong_length():
     runner = CliRunner()
     for cls in ("1,2", "x"):
@@ -167,6 +190,20 @@ def test_cli_label_without_collection_reports_fail(command):
     assert result.exit_code == 2
     assert result.output == ("error=WorkspaceError: no collection registered for P2\n"
                              "status=fail\n")
+
+
+@pytest.mark.parametrize("args", [["quiver", "P1xP1"],
+                                  ["quiver", "P1xP1", "--total-space"],
+                                  ["method2", "P1xP1"]])
+def test_cli_collection_not_hom_ordered_reports_fail(tmp_path, args):
+    data = load_workspace()
+    write_fan_file(tmp_path / "P1xP1.fan", data.fan("P1xP1"))
+    (tmp_path / "p1xp1.col").write_text(
+        "label p1xp1\nfan P1xP1\nbundles\n1 1\n0 1\n1 0\n0 0\n")
+    result = CliRunner().invoke(main, ["--data", str(tmp_path)] + args)
+    assert result.exit_code == 2
+    assert result.output == ("error=QuiverError: collection is not Hom-ordered: "
+                             "sections from 1 to 0\nstatus=fail\n")
 
 
 @pytest.mark.parametrize("args", [
