@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .fans import Fan, PicBasis, ContractionStep, cartier_data
-from .intlin import mat, mat_vec, rank, vec_gcd
+from .intlin import identity, mat, mat_mul, mat_vec, rank, vec_gcd
 from .polyhedra import ParametricIntegerFeasibility, eliminate_last
 
 
@@ -294,10 +294,10 @@ class ChainConeSystem:
                 raise ValueError("chain steps do not compose")
         gammas = []
         r0 = chain[0].source_pic.rank if chain else 0
-        current = tuple(tuple(1 if i == j else 0 for j in range(r0)) for i in range(r0))
+        current = identity(r0)
         gammas.append(current)
         for step in chain:
-            current = _compose(step.gamma, current)
+            current = mat_mul(step.gamma, current)
             gammas.append(current)
         return cls(chain, tuple(gammas))
 
@@ -342,8 +342,7 @@ class ChainConeSystem:
             row = tuple(-1 if j == i else 0 for j in range(r)) + tuple(pic.deg[i])
             rows += [row, tuple(-x for x in row)]
             b += [0, 0]
-        level = [(row, tuple(1 if i == j else 0 for j in range(len(rows))))
-                 for i, row in enumerate(rows)]
+        level = list(zip(rows, identity(len(rows))))
         for nv in range(r + d, r, -1):
             level = eliminate_last(level, nv)
         gamma = self.gammas[k]
@@ -357,11 +356,6 @@ class ChainConeSystem:
             if key not in best or rhs > best[key]:
                 best[key] = rhs
         return [(c, rhs) for c, rhs in best.items() if any(c) or rhs > 0]
-
-
-def _compose(a, b):
-    bt = list(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
 
 
 @dataclass(frozen=True)

@@ -10,19 +10,19 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 from .intlin import (
     IntMatrix,
     IntVector,
     det,
+    identity,
     invert_unimodular,
-    kernel_basis,
+    kernel_vector,
     mat,
     mat_mul,
     mat_vec,
-    primitive,
     transpose,
     vec_gcd,
 )
@@ -133,17 +133,21 @@ def validate_fan(fan: Fan) -> FanReport:
 
 
 def hull_facets(points, dim):
-    """Facets of conv(points) as (normal w, c, tight index set), w.x >= c."""
+    """Facets of conv(points) as (normal w, c, tight index set), w.x >= c.
+
+    The hull must be full-dimensional.  Each dim-subset of affinely
+    independent points spans a hyperplane whose normal is the cofactor
+    vector of its difference matrix; it is a facet when no point lies
+    strictly on both sides.
+    """
     pts = [tuple(p) for p in points]
     facets = {}
     for subset in itertools.combinations(range(len(pts)), dim):
         base = pts[subset[0]]
-        diffs = [tuple(pts[i][k] - base[k] for k in range(dim)) for i in subset[1:]]
-        ker = kernel_basis(mat(diffs)) if diffs else \
-            [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
-        if len(ker) != 1:
+        w = kernel_vector(tuple(tuple(pts[i][k] - base[k] for k in range(dim))
+                                for i in subset[1:]))
+        if w is None:
             continue
-        w = primitive(ker[0])
         c = sum(a * b for a, b in zip(w, base))
         vals = [sum(a * b for a, b in zip(w, p)) for p in pts]
         if all(v >= c for v in vals):
@@ -194,7 +198,7 @@ class PicBasis:
     def n_rays(self) -> int:
         return len(self.deg[0]) if self.deg else 0
 
-    @property
+    @cached_property
     def free_indices(self) -> tuple[int, ...]:
         """The rays off the basis, in index order."""
         return tuple(ρ for ρ in range(self.n_rays) if ρ not in self.basis_indices)
@@ -234,41 +238,42 @@ class PicBasis:
 
 
 def deg_and_pic(fan: Fan, basis_indices=None) -> PicBasis:
-    """Quotient map of the ray exact sequence, with a pinned or lex-first basis."""
-    d = fan.n_rays
-    n = fan.dim
-    r = d - n
-    a_cols = [[fan.rays[ρ][j] for j in range(n)] for ρ in range(d)]  # d x n
+    """Quotient map of the ray exact sequence, with a pinned or lex-first basis.
 
-    def square(basis):
-        cols = [tuple(a_cols[ρ][j] for ρ in range(d)) for j in range(n)]
-        cols += [tuple(1 if ρ == b else 0 for ρ in range(d)) for b in basis]
-        return tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
+    With A the d x n ray matrix, B the basis rays and F the n rays off it,
+    B is a basis of Pic exactly when |det A_F| = 1, and then deg is I on
+    the B columns and -A_B A_F^-1 on the F columns, so deg A = 0.
+    """
+    d = fan.n_rays
+    r = d - fan.dim
+
+    def free_square(basis):
+        return mat([fan.rays[ρ] for ρ in range(d) if ρ not in basis])
 
     if basis_indices is None:
         for cand in itertools.combinations(range(d), r):
-            if abs(det(square(cand))) == 1:
+            if abs(det(free_square(cand))) == 1:
                 basis_indices = cand
                 break
         else:
             raise FanError("no ray subset gives a unimodular Pic basis")
     else:
         basis_indices = tuple(basis_indices)
-        if abs(det(square(basis_indices))) != 1:
+        if len(basis_indices) != r or len(set(basis_indices)) != r or \
+                any(not 0 <= b < d for b in basis_indices):
+            raise FanError(f"pic_basis {basis_indices} must list {r} distinct "
+                           f"ray indices in 0..{d - 1}")
+        if abs(det(free_square(basis_indices))) != 1:
             raise FanError(f"rays {basis_indices} do not give a Pic basis")
-    sq_inv = invert_unimodular(square(basis_indices))
+    free = [ρ for ρ in range(d) if ρ not in basis_indices]
+    free_part = mat_mul(mat([fan.rays[b] for b in basis_indices]),
+                        invert_unimodular(free_square(basis_indices)))
     deg_rows = [[0] * d for _ in range(r)]
-    for ρ in range(d):
-        col = tuple(sq_inv[i][ρ] for i in range(d))
-        for i in range(r):
-            deg_rows[i][ρ] = col[n + i]
-    pic = PicBasis(basis_indices, mat(deg_rows))
-    # kernel of deg must be exactly the image of M
-    for m_basis in range(n):
-        img = tuple(fan.rays[ρ][m_basis] for ρ in range(d))
-        if pic.deg_of(img) != (0,) * r:
-            raise FanError("deg does not kill the character lattice")
-    return pic
+    for i in range(r):
+        deg_rows[i][basis_indices[i]] = 1
+        for f, x in zip(free, free_part[i]):
+            deg_rows[i][f] = -x
+    return PicBasis(basis_indices, mat(deg_rows))
 
 
 @dataclass(frozen=True)
@@ -357,10 +362,8 @@ def contraction_step(source: Fan, target: Fan, collapsed_ray: int | None,
     """Build and verify the beta/gamma square for a blowdown."""
     if collapsed_ray is None:
         pic = deg_and_pic(source, source_basis)
-        d = source.n_rays
-        ident = tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
-        gid = tuple(tuple(1 if i == j else 0 for j in range(pic.rank)) for i in range(pic.rank))
-        return ContractionStep(source, source, -1, ident, gid, pic, pic)
+        return ContractionStep(source, source, -1, identity(source.n_rays),
+                               identity(pic.rank), pic, pic)
     kept = [i for i in range(source.n_rays) if i != collapsed_ray]
     if tuple(source.rays[i] for i in kept) != target.rays:
         raise FanError("target rays are not the source rays minus the collapsed one")
@@ -380,12 +383,8 @@ def contraction_step(source: Fan, target: Fan, collapsed_ray: int | None,
                 for t in range(target.n_rays)])
     pic_src = deg_and_pic(source, source_basis)
     pic_tgt = deg_and_pic(target, target_basis)
-    gamma_cols = []
-    for i in range(pic_src.rank):
-        cls = tuple(1 if j == i else 0 for j in range(pic_src.rank))
-        gamma_cols.append(pic_tgt.deg_of(mat_vec(beta, pic_src.lift(cls))))
-    gamma = tuple(tuple(gamma_cols[j][i] for j in range(pic_src.rank))
-                  for i in range(pic_tgt.rank))
+    gamma = transpose([pic_tgt.deg_of(mat_vec(beta, pic_src.lift(e)))
+                       for e in identity(pic_src.rank)])
     left = mat_mul(gamma, pic_src.deg)
     right = mat_mul(pic_tgt.deg, beta)
     if left != right:

@@ -7,8 +7,6 @@ numpy: every entry is a Python int, so Frobenius-scale coefficients
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -113,146 +111,45 @@ def rank(a: IntMatrix) -> int:
     return r
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """U @ A @ V == D with U, V unimodular and D diagonal, d_i | d_{i+1}."""
+def kernel_vector(a: IntMatrix) -> IntVector | None:
+    """Primitive generator of the kernel of a k x (k+1) integer matrix.
 
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
-
-    @property
-    def diagonal(self) -> IntVector:
-        return tuple(self.D[i][i] for i in range(min(len(self.D), len(self.D[0]) if self.D else 0)))
-
-
-@lru_cache(maxsize=1024)
-def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with unimodular transforms, total on any shape."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    d = [list(row) for row in a]
-    u = [list(row) for row in identity(rows)]
-    v = [list(row) for row in identity(cols)]
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        d[i] = [x - q * y for x, y in zip(d[i], d[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for r in range(rows):
-            d[r][i] -= q * d[r][j]
-        for r in range(cols):
-            v[r][i] -= q * v[r][j]
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in range(rows):
-            d[r][i], d[r][j] = d[r][j], d[r][i]
-        for r in range(cols):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-
-    t = 0
-    while t < min(rows, cols):
-        # pick the nonzero pivot of least magnitude to limit growth
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if d[i][j] != 0 and (best is None or abs(d[i][j]) < abs(d[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, rows):
-                if d[i][t] != 0:
-                    q = d[i][t] // d[t][t]
-                    row_op(i, t, q)
-                    if d[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, cols):
-                if d[t][j] != 0:
-                    q = d[t][j] // d[t][t]
-                    col_op(j, t, q)
-                    if d[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-        t += 1
-
-    # enforce the divisibility chain d_i | d_{i+1}
-    n = min(rows, cols)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n - 1):
-            a_i, a_j = d[i][i], d[i + 1][i + 1]
-            if a_j % a_i if a_i else a_j:
-                # fold d[j] into position (i, i) and re-clear
-                for r in range(rows):
-                    d[r][i] += d[r][i + 1]
-                for r in range(cols):
-                    v[r][i] += v[r][i + 1]
-                g_done = False
-                while not g_done:
-                    g_done = True
-                    if d[i + 1][i] != 0:
-                        q = d[i + 1][i] // d[i][i] if d[i][i] else 0
-                        row_op(i + 1, i, q)
-                        if d[i + 1][i] != 0:
-                            swap_rows(i, i + 1)
-                            g_done = False
-                    if d[i][i + 1] != 0:
-                        q = d[i][i + 1] // d[i][i] if d[i][i] else 0
-                        col_op(i + 1, i, q)
-                        if d[i][i + 1] != 0:
-                            swap_cols(i, i + 1)
-                            g_done = False
-                changed = True
-
-    for i in range(n):
-        if d[i][i] < 0:
-            for r in range(cols):
-                v[r][i] = -v[r][i]
-            d[i][i] = -d[i][i]
-
-    return SmithDecomposition(mat(u), mat(d), mat(v))
-
-
-@lru_cache(maxsize=4096)
-def kernel_basis(a: IntMatrix) -> tuple[IntVector, ...]:
-    """Basis of the integer kernel {x : A @ x = 0}."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    if cols == 0:
-        return ()
-    if rows == 0:
-        return tuple(tuple(identity(cols)[i]) for i in range(cols))
-    snf = smith_normal_form(a)
-    diag = snf.diagonal
-    basis = []
-    for j in range(cols):
-        if j >= len(diag) or diag[j] == 0:
-            basis.append(tuple(snf.V[i][j] for i in range(cols)))
-    return tuple(basis)
+    The cofactor vector w_j = (-1)^j det(a without column j) satisfies
+    a @ w = 0 (expand the matrix with a repeated row); it is zero exactly
+    when rank(a) < k, and then None is returned.  For k = 0 the empty
+    minor gives (1,).
+    """
+    w = tuple((-1) ** j * det(tuple(row[:j] + row[j + 1:] for row in a))
+              for j in range(len(a) + 1))
+    return primitive(w) if any(w) else None
 
 
 def invert_unimodular(a: IntMatrix) -> IntMatrix:
-    """Exact inverse of a matrix with determinant +-1."""
+    """Exact inverse of a matrix with determinant +-1.
+
+    One fraction-free (Bareiss) Gauss-Jordan pass on [a | I]: after the
+    pivot of column c every entry is a minor of [a | I], so the update
+    (pv*x - f*y) // prev divides exactly.  At the end the left block is
+    D*I and the right block D*a^-1, D = +-det(a).
+    """
     n = len(a)
-    d = det(a)
-    if d not in (1, -1):
+    if any(len(row) != n for row in a):
+        raise ValueError("inverse of a non-square matrix")
+    m = [list(row) + list(e) for row, e in zip(a, identity(n))]
+    prev = 1
+    for c in range(n):
+        piv = next((i for i in range(c, n) if m[i][c]), None)
+        if piv is None:
+            raise ValueError("matrix is not unimodular")
+        m[c], m[piv] = m[piv], m[c]
+        top = m[c]
+        pv = top[c]
+        for i in range(n):
+            if i != c:
+                row = m[i]
+                f = row[c]
+                m[i] = [(x * pv - f * y) // prev for x, y in zip(row, top)]
+        prev = pv
+    if prev not in (1, -1):
         raise ValueError("matrix is not unimodular")
-    # adjugate via cofactors; n <= 9 in this package
-    cof = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [row[:j] + row[j + 1:] for k, row in enumerate(a) if k != i]
-            cof[i][j] = (-1) ** (i + j) * det(mat(minor))
-    return tuple(tuple(cof[j][i] * d for j in range(n)) for i in range(n))
+    return tuple(tuple(x * prev for x in row[n:]) for row in m)

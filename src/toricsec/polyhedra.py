@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import ceil
 from operator import index, mul
 
-from .intlin import vec_gcd
+from .intlin import identity, vec_gcd
 
 
 def eliminate_last(rows, nvars: int):
@@ -78,9 +78,7 @@ class ParametricIntegerFeasibility:
     def __init__(self, rows, nvars: int):
         self.nvars = nvars
         self.base_rows = [tuple(int(c) for c in r) for r in rows]
-        m = len(self.base_rows)
-        level = list(dict.fromkeys((r, tuple(1 if i == j else 0 for j in range(m)))
-                                   for i, r in enumerate(self.base_rows)))
+        level = list(dict.fromkeys(zip(self.base_rows, identity(len(self.base_rows)))))
         levels = [level]
         for k in range(nvars, 0, -1):
             level = eliminate_last(level, k)

@@ -6,7 +6,7 @@ import importlib.resources
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .fans import Fan, PicBasis, deg_and_pic, validate_fan
+from .fans import Fan, FanError, PicBasis, deg_and_pic, validate_fan
 from .files import (
     CollectionFile,
     parse_collection_file,
@@ -73,7 +73,10 @@ def load_workspace(paths=None) -> Workspace:
                 raise WorkspaceError(
                     f"fan {parsed.label!r} fails validation: {report.errors}")
             ws.fans[parsed.label] = parsed.fan
-            ws.pics[parsed.label] = deg_and_pic(parsed.fan, parsed.pic_basis)
+            try:
+                ws.pics[parsed.label] = deg_and_pic(parsed.fan, parsed.pic_basis)
+            except FanError as exc:
+                raise WorkspaceError(f"fan {parsed.label!r}: {exc}")
         elif f.suffix == ".col":
             parsed = parse_collection_file(f)
             if parsed.label in ws.collections:

@@ -21,7 +21,7 @@ from toricsec.fans import (
     validate_fan,
     vertex_divisors,
 )
-from toricsec.intlin import kernel_basis, mat_mul, mat_vec, primitive, transpose
+from toricsec.intlin import kernel_vector, mat_mul, transpose
 from toricsec.workspace import load_workspace
 
 from conftest import RAYS, make_fan
@@ -201,8 +201,7 @@ def wall_relations(label):
             continue
         (ρ,), (ρ2,) = set(σ) - set(τ), set(σ2) - set(τ)
         cols = [ρ, ρ2] + τ
-        (k,) = kernel_basis(transpose([fan.rays[i] for i in cols]))
-        k = primitive(k)
+        k = kernel_vector(transpose([fan.rays[i] for i in cols]))
         if k[0] < 0:
             k = tuple(-x for x in k)
         assert k[:2] == (1, 1)  # smooth walls

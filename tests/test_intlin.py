@@ -1,104 +1,84 @@
 import itertools
-import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricsec.fans import FanError, deg_and_pic
 from toricsec.intlin import (
     det,
     identity,
     invert_unimodular,
-    kernel_basis,
+    kernel_vector,
     mat,
     mat_mul,
     mat_vec,
     rank,
-    smith_normal_form,
+    vec_gcd,
 )
+from toricsec.workspace import load_workspace
 
-E1_RAYS = [
-    (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
-    (-1, 0, 0, 0), (3, -1, -1, -1), (2, -1, -1, -1),
-]
-
-
-def snf_2x2_oracle(a, b):
-    """Divisibility form of diag(a, b) by gcd elimination."""
-    from math import gcd
-    g = gcd(a, b)
-    return (g, abs(a * b) // g if g else 0)
+def cofactor_inverse(a):
+    """The former adjugate-by-cofactors inverse, kept as the reference."""
+    n = len(a)
+    d = det(a)
+    cof = [[(-1) ** (i + j) * det(mat([row[:j] + row[j + 1:]
+                                        for k, row in enumerate(a) if k != i]))
+            for j in range(n)] for i in range(n)]
+    return tuple(tuple(cof[j][i] * d for j in range(n)) for i in range(n))
 
 
-def check_decomposition(a):
-    snf = smith_normal_form(a)
-    assert mat_mul(mat_mul(snf.U, a), snf.V) == snf.D
-    assert abs(det(snf.U)) == 1
-    assert abs(det(snf.V)) == 1
-    diag = snf.diagonal
-    for i in range(len(diag) - 1):
-        if diag[i]:
-            assert diag[i + 1] % diag[i] == 0
-        else:
-            assert diag[i + 1] == 0
-    assert all(d >= 0 for d in diag)
-    return snf
+def square_deg(fan, basis):
+    """The former construction of deg: the last rows of the inverse of the
+    d x d matrix [A | e_b for b in basis], or None when it is not unimodular."""
+    d = fan.n_rays
+    square = mat([list(fan.rays[ρ]) + [1 if ρ == b else 0 for b in basis]
+                  for ρ in range(d)])
+    if abs(det(square)) != 1:
+        return None
+    return cofactor_inverse(square)[fan.dim:]
 
 
-def test_snf_identity():
-    a = identity(3)
-    snf = check_decomposition(a)
-    assert snf.D == a
+@lru_cache(maxsize=None)
+def bundled_workspace():
+    return load_workspace()
 
 
-def test_snf_diag_2_3_matches_gcd_oracle():
-    a = mat([[2, 0], [0, 3]])
-    snf = check_decomposition(a)
-    assert snf.diagonal == snf_2x2_oracle(2, 3) == (1, 6)
-
-
-@pytest.mark.parametrize("entries", [(2, 4), (6, 4), (0, 5), (12, 18)])
-def test_snf_2x2_diagonals_match_oracle(entries):
-    a, b = entries
-    snf = check_decomposition(mat([[a, 0], [0, b]]))
-    assert snf.diagonal == snf_2x2_oracle(a, b)
-
-
-def test_snf_e1_transposed_ray_matrix():
-    # 4x7 matrix of the fourfold ray generators: cokernel is free of rank 3
-    a = mat(list(zip(*E1_RAYS)))
-    snf = check_decomposition(a)
-    assert snf.diagonal == (1, 1, 1, 1)
-
-
-def test_snf_random_matrices():
-    rng = random.Random(0)
-    for _ in range(40):
-        r = rng.randint(1, 4)
-        c = rng.randint(1, 5)
-        a = mat([[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)])
-        check_decomposition(a)
+def test_deg_and_pic_matches_square_construction():
+    ws = bundled_workspace()
+    for label, fan in ws.fans.items():
+        admissible = []
+        for cand in itertools.combinations(range(fan.n_rays), fan.n_rays - fan.dim):
+            expect = square_deg(fan, cand)
+            if expect is None:
+                with pytest.raises(FanError):
+                    deg_and_pic(fan, cand)
+                continue
+            admissible.append(cand)
+            assert deg_and_pic(fan, cand).deg == expect, (label, cand)
+            flipped = cand[::-1]
+            assert deg_and_pic(fan, flipped).deg == square_deg(fan, flipped), (label, flipped)
+        # the loaded basis is the pinned one if the file names one, else lex-first
+        pic = ws.pic(label)
+        assert pic.basis_indices in admissible
+        assert pic.deg == square_deg(fan, pic.basis_indices)
+        assert deg_and_pic(fan).basis_indices == admissible[0]
 
 
 def test_kernel_of_e1_deg_matrix_is_ray_image():
-    # deg matrix of the E1 fourfold in basis {D4, D5, D6}
-    deg = mat([
-        [1, 0, 0, 0, 1, 0, 0],
-        [-3, 1, 1, 1, 0, 1, 0],
-        [-2, 1, 1, 1, 0, 0, 1],
-    ])
-    ker = kernel_basis(deg)
-    assert len(ker) == 4
-    rays = mat(E1_RAYS)  # 7x4, columns span the kernel
-    # a kernel vector v is the ray image of m = A^-1 v_sigma, A the
-    # unimodular ray matrix of the maximal cone sigma = {1, 2, 5, 6}
-    sigma = (1, 2, 5, 6)
-    chart = invert_unimodular(mat([E1_RAYS[i] for i in sigma]))
-    for v in ker:
-        assert mat_vec(deg, v) == (0, 0, 0)
-        m = mat_vec(chart, [v[i] for i in sigma])
-        assert mat_vec(rays, m) == v
+    # On every bundled fan (E1 among them): deg A = 0, deg is the identity
+    # on the basis columns and the free rays form a unimodular square A_F.
+    # Then for v in ker deg, m = A_F^-1 v_F has v - A m in ker deg and
+    # zero on F, hence zero on the basis too: ker deg = A Z^n.
+    ws = bundled_workspace()
+    for label, fan in ws.fans.items():
+        pic = ws.pic(label)
+        assert mat_mul(pic.deg, mat(fan.rays)) == ((0,) * fan.dim,) * pic.rank, label
+        assert tuple(tuple(row[b] for b in pic.basis_indices) for row in pic.deg) == \
+            identity(pic.rank), label
+        assert abs(det(mat([fan.rays[f] for f in pic.free_indices]))) == 1, label
 
 
 def test_invert_unimodular():
@@ -159,3 +139,58 @@ def integer_matrices(draw):
 @given(integer_matrices())
 def test_bareiss_rank_matches_fraction_reference(a):
     assert rank(a) == fraction_rank(a)
+
+
+@st.composite
+def unimodular_matrices(draw):
+    """Products of elementary matrices: row additions, swaps and negations."""
+    n = draw(st.integers(1, 7))
+    m = [list(row) for row in identity(n)]
+    for _ in range(draw(st.integers(0, 3 * n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        op = draw(st.sampled_from(["add", "add", "swap", "negate"]))
+        if op == "add" and i != j:
+            k = draw(st.integers(-4, 4))
+            m[i] = [x + k * y for x, y in zip(m[i], m[j])]
+        elif op == "swap":
+            m[i], m[j] = m[j], m[i]
+        elif op == "negate":
+            m[i] = [-x for x in m[i]]
+    return mat(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(unimodular_matrices())
+def test_invert_unimodular_matches_cofactor_reference(a):
+    inv = invert_unimodular(a)
+    assert inv == cofactor_inverse(a)
+    assert mat_mul(a, inv) == identity(len(a))
+
+
+@settings(max_examples=200, deadline=None)
+@given(unimodular_matrices(), st.sampled_from([0, 2, -2]), st.data())
+def test_invert_unimodular_rejects_other_determinants(a, factor, data):
+    # scaling one row scales the determinant from +-1 to 0 or +-2
+    i = data.draw(st.integers(0, len(a) - 1))
+    b = mat([[factor * x for x in row] if k == i else row for k, row in enumerate(a)])
+    with pytest.raises(ValueError):
+        invert_unimodular(b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda k: st.tuples(
+    st.just(k), st.lists(st.lists(st.integers(-6, 6), min_size=k + 1, max_size=k + 1),
+                         min_size=k, max_size=k),
+    st.lists(st.sampled_from([None, 0, 1, -2]), min_size=k, max_size=k))))
+def test_kernel_vector_is_a_primitive_kernel_generator(case):
+    k, rows, copies = case
+    # rows marked with a multiplier become a multiple of row 0, so some draws
+    # are rank-deficient
+    a = mat([row if c is None or i == 0 else [c * x for x in rows[0]]
+             for i, (row, c) in enumerate(zip(rows, copies))])
+    w = kernel_vector(a)
+    if rank(a) < k:
+        assert w is None
+    else:
+        assert len(w) == k + 1 and vec_gcd(w) == 1
+        assert mat_vec(a, w) == (0,) * k

@@ -184,6 +184,19 @@ def test_cli_malformed_recipe_reports_fail(tmp_path, label, error):
     assert result.output == f"error=PipelineError: {error}\nstatus=fail\n"
 
 
+@pytest.mark.parametrize("basis", [(0, 1), (0, 0), (5,)],
+                         ids=["too-long", "repeated", "out-of-range"])
+def test_cli_malformed_pinned_pic_basis_reports_fail(tmp_path, basis):
+    # a pinned basis of P2 is one ray index in 0..2
+    write_fan_file(tmp_path / "P2.fan", load_workspace().fan("P2"), pic_basis=basis)
+    with pytest.raises(WorkspaceError, match="fan 'P2'"):
+        load_workspace(tmp_path)
+    result = CliRunner().invoke(main, ["--data", str(tmp_path), "validate", "P2"])
+    assert result.exit_code == 2
+    assert result.output == (f"error=WorkspaceError: fan 'P2': pic_basis {basis} must "
+                             "list 1 distinct ray indices in 0..2\nstatus=fail\n")
+
+
 @pytest.mark.parametrize("command", ["strong-exceptional", "method1", "quiver"])
 def test_cli_label_without_collection_reports_fail(command):
     result = CliRunner().invoke(main, [command, "P2"])
