@@ -12,9 +12,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .fans import Fan, PicBasis, ContractionStep, cartier_data
-from .intlin import identity, mat, mat_mul, mat_vec, rank, vec_gcd
+from .intlin import identity, int_vector, mat, mat_mul, mat_vec, rank, vec_gcd
 from .polyhedra import ParametricIntegerFeasibility, eliminate_last
 
 
@@ -143,16 +144,63 @@ def fiber_rhs(pic: PicBasis, cls, neg) -> list[int]:
     return [1 + a[ρ] if ρ in neg else -a[ρ] for ρ in range(pic.n_rays)]
 
 
+@lru_cache(maxsize=None)
+def fiber_refuters(pic: PicBasis, neg: frozenset) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Level-0 emptiness tests of fiber_tower(pic, neg), as pairs (L, c) on Pic.
+
+    fiber_rhs is affine in the class: rhs_rho = 1 + a_rho on neg and
+    -a_rho off neg, where a = pic.lift(cls) is cls on the basis rays and 0
+    on the free ones.  Each pair is a level-0 Farkas multiplier row of the
+    tower pulled back through that map (level0_pullback): the fiber of an
+    integer class cls is empty when some L . cls + c > 0, and these rows
+    are the whole level-0 test of query.  They are the multipliers a
+    certificate of a vanishing answer records.
+    """
+    matrix = [[0] * pic.rank for _ in range(pic.n_rays)]
+    for j, b in enumerate(pic.basis_indices):
+        matrix[b][j] = 1 if b in neg else -1
+    offset = [1 if ρ in neg else 0 for ρ in range(pic.n_rays)]
+    return fiber_tower(pic, neg).level0_pullback(matrix, offset)
+
+
+@lru_cache(maxsize=None)
+def _forbidden_refuters(fan: Fan, pic: PicBasis):
+    """(forbidden set, fiber_refuters rows) in forbidden_sets order."""
+    return tuple((fs, fiber_refuters(pic, fs.ray_indices)) for fs in forbidden_sets(fan))
+
+
+def _refuted(rows, cls) -> bool:
+    return any(sum(map(mul, L, cls)) + c > 0 for L, c in rows)
+
+
+def _integer_class(pic: PicBasis, cls) -> tuple[int, ...]:
+    """cls as ints: the level-0 rows read the fiber only at integer classes."""
+    pic.check_rank(cls)
+    return int_vector(cls, "class entry")
+
+
 def fiber_feasible(pic: PicBasis, cls, neg) -> bool:
-    """Integer point in the deg-fiber with the given negative-support set."""
+    """Integer point in the deg-fiber with the given negative-support set.
+
+    The class must be integral, else ValueError.  The rows of
+    fiber_refuters decide most empty fibers; the rest are searched.
+    """
     neg = frozenset(neg)
+    cls = _integer_class(pic, cls)
+    if _refuted(fiber_refuters(pic, neg), cls):
+        return False
     return fiber_tower(pic, neg).query(fiber_rhs(pic, cls, neg))
 
 
 def has_higher_cohomology(fan: Fan, pic: PicBasis, cls) -> tuple[bool, ForbiddenSet | None]:
-    """Cone-based test: some forbidden fiber admits an integer point."""
-    for fs in forbidden_sets(fan):
-        if fiber_feasible(pic, cls, fs.ray_indices):
+    """Cone-based test: some forbidden fiber admits an integer point.
+
+    The class must be integral, else ValueError.  Forbidden sets whose
+    fiber a level-0 row refutes are skipped without a fiber_feasible call.
+    """
+    cls = _integer_class(pic, cls)
+    for fs, rows in _forbidden_refuters(fan, pic):
+        if not _refuted(rows, cls) and fiber_feasible(pic, cls, fs.ray_indices):
             return True, fs
     return False, None
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import mul
 from types import MappingProxyType
 
 from .intlin import (
@@ -23,6 +24,7 @@ from .intlin import (
     mat,
     mat_mul,
     mat_vec,
+    rank,
     transpose,
     vec_gcd,
 )
@@ -135,12 +137,15 @@ def validate_fan(fan: Fan) -> FanReport:
 def hull_facets(points, dim):
     """Facets of conv(points) as (normal w, c, tight index set), w.x >= c.
 
-    The hull must be full-dimensional.  Each dim-subset of affinely
-    independent points spans a hyperplane whose normal is the cofactor
-    vector of its difference matrix; it is a facet when no point lies
-    strictly on both sides.
+    The points must affinely span dim, else FanError.  Each dim-subset of
+    affinely independent points spans a hyperplane whose normal is the
+    cofactor vector of its difference matrix; it is a facet when no point
+    lies strictly on both sides.
     """
     pts = [tuple(p) for p in points]
+    if not pts or rank(tuple(tuple(x - y for x, y in zip(p, pts[0]))
+                             for p in pts[1:])) != dim:
+        raise FanError("points do not span a full-dimensional hull")
     facets = {}
     for subset in itertools.combinations(range(len(pts)), dim):
         base = pts[subset[0]]
@@ -165,8 +170,6 @@ def hull_facets(points, dim):
 
 def _face_fan_cones(facets) -> tuple[tuple[int, ...], ...]:
     """Maximal cones of the face fan: the tight ray sets of the hull facets."""
-    if not facets:
-        raise FanError("rays do not span a full-dimensional hull")
     for w, c, _ in facets:
         if c >= 0:
             raise FanError("origin is not interior to the hull of the rays")
@@ -206,15 +209,19 @@ class PicBasis:
     def deg_of(self, divisor) -> IntVector:
         return mat_vec(self.deg, divisor)
 
+    def check_rank(self, cls) -> None:
+        """Raise PicRankError unless cls has one entry per basis ray."""
+        if len(cls) != self.rank:
+            raise PicRankError(f"class {tuple(cls)} has {len(cls)} entries, "
+                               f"Pic has rank {self.rank}")
+
     def lift(self, cls, free=None) -> IntVector:
         """The divisor of class cls with exponents `free` on the free rays.
 
         deg is the identity on the basis columns, so the free exponents
         (zero by default) fix the basis ones: x_b = cls_b - sum_f deg[b][f] x_f.
         """
-        if len(cls) != self.rank:
-            raise PicRankError(f"class {tuple(cls)} has {len(cls)} entries, "
-                               f"Pic has rank {self.rank}")
+        self.check_rank(cls)
         x = [0] * self.n_rays
         for b, v in zip(self.basis_indices, cls):
             x[b] = v
@@ -423,16 +430,36 @@ def vertex_divisors(fan: Fan, pic: PicBasis, cls) -> list[IntVector]:
             for m_sigma in cartier_data(fan, pic, cls)]
 
 
+@lru_cache(maxsize=None)
+def nef_rows(fan: Fan, pic: PicBasis) -> tuple[IntVector, ...]:
+    """The distinct class-space rows of the vertex divisors off their cones.
+
+    vertex_divisors is linear in the class (lift with no free exponents
+    is, and the charts are fixed), so its entry at (sigma, rho) is w . cls
+    with w_j the entry at the j-th unit class.  The entries with rho in
+    sigma vanish, as m_sigma is defined by them, and are dropped.  A class
+    is nef iff w . cls >= 0 for every row w, ample iff every w . cls > 0.
+    """
+    units = [vertex_divisors(fan, pic, e) for e in identity(pic.rank)]
+    rows = (tuple(unit[k][ρ] for unit in units)
+            for k, cone in enumerate(fan.max_cones)
+            for ρ in range(fan.n_rays) if ρ not in cone)
+    return tuple(dict.fromkeys(rows))
+
+
 def nef_ample_test(fan: Fan, pic: PicBasis, cls) -> tuple[bool, bool]:
     """Cartier-data criterion on a Pic class; returns (nef, ample).
 
-    Ample needs, besides nef, every vertex divisor positive off its cone.
+    Nef needs every vertex divisor >= 0, ample besides that every one
+    positive off its cone; both read the rows of nef_rows.
     """
+    pic.check_rank(cls)
     ample = True
-    for cone, v in zip(fan.max_cones, vertex_divisors(fan, pic, cls)):
-        if min(v) < 0:
+    for w in nef_rows(fan, pic):
+        x = sum(map(mul, w, cls))
+        if x < 0:
             return False, False
-        if ample and any(x == 0 for ρ, x in enumerate(v) if ρ not in cone):
+        if not x:
             ample = False
     return True, ample
 
@@ -456,8 +483,6 @@ class LatticePolytope:
         vs = [tuple(v) for v in vertices]
         dim = len(vs[0])
         raw = hull_facets(vs, dim)
-        if not raw:
-            raise FanError("polytope is not full-dimensional")
         facets = tuple((w, -int(c)) for w, c, _ in raw)
         hull_vert = set()
         for w, c, tight in raw:

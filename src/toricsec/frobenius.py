@@ -10,10 +10,9 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from operator import index
 
 from .fans import Fan, PicBasis, ContractionStep, cone_charts, nef_ample_test
-from .intlin import IntVector, mat_mul, mat_vec
+from .intlin import IntVector, int_vector, mat_mul, mat_vec
 
 
 @dataclass(frozen=True)
@@ -45,7 +44,7 @@ def frobenius_summands(fan: Fan, pic: PicBasis, m: int, w, sigma=None) -> SplitS
     """
     if m < 1:
         raise ValueError("m must be positive")
-    w = tuple(_twist_entry(x) for x in w)
+    w = int_vector(w, "w entry")
     if len(w) != fan.n_rays:
         raise ValueError("w must have one entry per ray")
     if sigma is None:
@@ -78,13 +77,6 @@ def frobenius_summands(fan: Fan, pic: PicBasis, m: int, w, sigma=None) -> SplitS
         cls = pic.deg_of(divisor)
         mult[cls] = mult.get(cls, 0) + count
     return SplitSet(m, w, mult)
-
-
-def _twist_entry(x) -> int:
-    try:
-        return index(x)
-    except TypeError:
-        raise ValueError(f"w entry {x!r} is not an integer") from None
 
 
 def frobenius_split_classes(fan: Fan, pic: PicBasis, m: int, w,

@@ -8,6 +8,7 @@ numpy: every entry is a Python int, so Frobenius-scale coefficients
 from __future__ import annotations
 
 from math import gcd
+from operator import index
 
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
@@ -36,6 +37,17 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 def mat_vec(a: IntMatrix, v) -> IntVector:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+
+
+def int_vector(v, what: str) -> IntVector:
+    """v's entries as ints; an entry of no integer type raises ValueError naming it."""
+    out = []
+    for x in v:
+        try:
+            out.append(index(x))
+        except TypeError:
+            raise ValueError(f"{what} {x!r} is not an integer") from None
+    return tuple(out)
 
 
 def vec_gcd(v) -> int:

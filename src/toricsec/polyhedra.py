@@ -105,6 +105,30 @@ class ParametricIntegerFeasibility:
                 self._cols[j].append(tuple(c[j] // g for g, (c, _) in zip(contents, rows)))
             self._cols.append([])
 
+    def level0_pullback(self, matrix, offset) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """The level-0 rows pulled back through rhs = matrix . theta + offset.
+
+        A level-0 row is a multiplier y >= 0 with y . base_rows = 0, so the
+        system has no integer point once y . ceil(rhs) > 0 (the rows are
+        integral, so rounding rhs up keeps every integer point): a Farkas
+        certificate (Schrijver 1986, section 7).  For an integral
+        matrix (one row per base row) and offset and an integer theta,
+        ceil(rhs) = rhs and the row reads L . theta + c > 0 with L =
+        y . matrix and c = y . offset.  Returns the distinct pairs (L, c),
+        the largest c per L (it fires whenever a smaller one does), and
+        without those that never fire (L = 0, c <= 0).  For integer theta,
+        some L . theta + c > 0 exactly when query's level-0 test refutes
+        matrix . theta + offset, so query then returns False.
+        """
+        columns = tuple(zip(*matrix))
+        best = {}
+        for mult in self._level0:
+            key = tuple(sum(m * col[i] for i, m in mult) for col in columns)
+            c = sum(m * offset[i] for i, m in mult)
+            if (any(key) or c > 0) and (key not in best or c > best[key]):
+                best[key] = c
+        return tuple(best.items())
+
     @staticmethod
     def _sparse(mult):
         return tuple((i, m) for i, m in enumerate(mult) if m)

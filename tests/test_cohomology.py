@@ -1,6 +1,9 @@
 import itertools
+from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -10,13 +13,19 @@ from toricsec.cohomology import (
     cohomology_dims,
     cohomology_dims_oracle,
     dual_forbidden,
+    fiber_feasible,
+    fiber_refuters,
+    fiber_rhs,
+    fiber_tower,
     forbidden_sets,
     has_higher_cohomology,
     is_effective,
     strong_exceptional_along_chain,
     strong_exceptional_check,
 )
+from toricsec.cli import main
 from toricsec.fans import deg_and_pic, star_subdivision
+from toricsec.workspace import load_workspace
 
 from conftest import make_fan
 
@@ -181,6 +190,60 @@ def test_cone_method_agrees_with_oracle_on_random_blowups(case):
         assume(False)
     bad, _ = has_higher_cohomology(fan, pic, cls)
     assert bad == any(d != 0 for d in dims[1:]), (fan.rays, fan.max_cones, cls, dims)
+
+
+@lru_cache(maxsize=None)
+def bundled_workspace():
+    return load_workspace()
+
+
+def searched_feasible(pic, cls, neg):
+    """Reference: the tower's own query, with no pulled-back rows first."""
+    neg = frozenset(neg)
+    return fiber_tower(pic, neg).query(fiber_rhs(pic, cls, neg))
+
+
+@st.composite
+def classes_on_every_fan(draw):
+    ws = bundled_workspace()
+    label = draw(st.sampled_from(sorted(ws.fans)))
+    rank = ws.pic(label).rank
+    return label, tuple(draw(st.lists(st.integers(-6, 6), min_size=rank, max_size=rank)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(classes_on_every_fan())
+def test_refuted_fibers_match_the_searched_ones(query):
+    label, cls = query
+    ws = bundled_workspace()
+    fan, pic = ws.fan(label), ws.pic(label)
+    expected_hit = None
+    for neg in [frozenset()] + [fs.ray_indices for fs in forbidden_sets(fan)]:
+        expected = searched_feasible(pic, cls, neg)
+        assert fiber_feasible(pic, cls, neg) == expected, (label, cls, sorted(neg))
+        if expected:
+            # no pulled-back row fires on a fiber the search finds nonempty
+            assert all(sum(a * b for a, b in zip(L, cls)) + c <= 0
+                       for L, c in fiber_refuters(pic, neg))
+            if neg and expected_hit is None:
+                expected_hit = neg
+    bad, fs = has_higher_cohomology(fan, pic, cls)
+    assert bad == (expected_hit is not None)
+    assert (fs.ray_indices if bad else None) == expected_hit
+
+
+def test_non_integer_classes_are_rejected():
+    fan = make_fan("E1")
+    pic = deg_and_pic(fan, (4, 5, 6))
+    for cls in ((Fraction(1, 2), 0, 0), (0.5, 0, 0)):
+        with pytest.raises(ValueError, match="not an integer"):
+            has_higher_cohomology(fan, pic, cls)
+        for neg in (frozenset(), frozenset({0, 4})):
+            with pytest.raises(ValueError, match="not an integer"):
+                fiber_feasible(pic, cls, neg)
+    result = CliRunner().invoke(main, ["cohomology", "E1", "--", "1/2,0,0"])
+    assert result.exit_code == 2
+    assert "status=fail" in result.output
 
 
 def test_effectivity_predicate():

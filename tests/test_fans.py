@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -13,7 +14,9 @@ from toricsec.fans import (
     contraction_step,
     deg_and_pic,
     fan_from_rays,
+    hull_facets,
     nef_ample_test,
+    nef_rows,
     polytope_fan_roundtrip,
     primitive_collections,
     star_subdivision,
@@ -21,7 +24,7 @@ from toricsec.fans import (
     validate_fan,
     vertex_divisors,
 )
-from toricsec.intlin import kernel_vector, mat_mul, transpose
+from toricsec.intlin import identity, kernel_vector, mat_mul, transpose
 from toricsec.workspace import load_workspace
 
 from conftest import RAYS, make_fan
@@ -233,6 +236,63 @@ def test_nef_ample_test_agrees_with_kleiman_on_wall_curves(query):
     assert nef_ample_test(fan, pic, cls) == expect
 
 
+def vertex_loop_nef_ample(fan, pic, cls):
+    """Reference: the per-cone loop over the vertex divisors of cls."""
+    ample = True
+    for cone, v in zip(fan.max_cones, vertex_divisors(fan, pic, cls)):
+        if min(v) < 0:
+            return False, False
+        if ample and any(x == 0 for ρ, x in enumerate(v) if ρ not in cone):
+            ample = False
+    return True, ample
+
+
+@st.composite
+def classes_on_every_fan(draw):
+    """A bundled row and a class with entries in [-6, 6], a tenth of them
+    divided by 2 or 3 entrywise into Fractions."""
+    ws = bundled_workspace()
+    label = draw(st.sampled_from(sorted(ws.fans)))
+    rank = ws.pic(label).rank
+    cls = draw(st.lists(st.integers(-6, 6), min_size=rank, max_size=rank))
+    if draw(st.integers(0, 9)) == 0:
+        den = draw(st.sampled_from([2, 3]))
+        cls = [Fraction(x, den) for x in cls]
+    return label, tuple(cls)
+
+
+@settings(max_examples=400, deadline=None)
+@given(classes_on_every_fan())
+def test_nef_ample_test_matches_vertex_divisor_loop(query):
+    label, cls = query
+    ws = bundled_workspace()
+    fan, pic = ws.fan(label), ws.pic(label)
+    assert nef_ample_test(fan, pic, cls) == vertex_loop_nef_ample(fan, pic, cls)
+    # nef_rows reads every off-cone vertex-divisor entry
+    entries = {x for cone, v in zip(fan.max_cones, vertex_divisors(fan, pic, cls))
+               for ρ, x in enumerate(v) if ρ not in cone}
+    assert {sum(w * c for w, c in zip(row, cls)) for row in nef_rows(fan, pic)} == entries
+
+
+def test_vertex_divisors_vanish_on_their_own_cone():
+    # why nef_rows keeps only the off-cone entries; by linearity the unit
+    # classes cover every class
+    ws = bundled_workspace()
+    for label in sorted(ws.fans):
+        fan, pic = ws.fan(label), ws.pic(label)
+        for cls in identity(pic.rank) + (pic.canonical_class(),):
+            for cone, v in zip(fan.max_cones, vertex_divisors(fan, pic, cls)):
+                assert all(v[ρ] == 0 for ρ in cone), (label, cls, cone)
+
+
+def test_nef_ample_test_rejects_a_class_of_the_wrong_length():
+    fan = make_fan("P2")
+    pic = deg_and_pic(fan)
+    for cls in ((), (1, 2)):
+        with pytest.raises(PicRankError):
+            nef_ample_test(fan, pic, cls)
+
+
 @st.composite
 def nef_families(draw):
     """A row with a nef collection and a few nef classes on it: its bundles
@@ -320,3 +380,15 @@ def test_nonreflexive_rejected():
 def test_contraction_step_rejects_mismatch():
     with pytest.raises(FanError):
         contraction_step(make_fan("E1"), make_fan("P3"), collapsed_ray=6)
+
+
+@pytest.mark.parametrize("points", [
+    [(0, 0), (1, 0), (2, 0)],
+    [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)],
+])
+def test_hull_of_a_lower_dimensional_point_set_is_rejected(points):
+    dim = len(points[0])
+    with pytest.raises(FanError):
+        hull_facets(points, dim)
+    with pytest.raises(FanError):
+        LatticePolytope.from_vertices(points)

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import ceil
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +11,11 @@ from toricsec.polyhedra import (
     ParametricIntegerFeasibility,
     UnboundedSearch,
     conjunction_forbid,
+    eliminate_last,
     polytope_lattice_points,
     simplex_feasible,
 )
+from toricsec.intlin import identity
 from toricsec.workspace import load_workspace
 
 
@@ -344,3 +347,33 @@ def test_engine_forbid_hook_matches_box_enumeration(system, data):
     engine = ParametricIntegerFeasibility(rows, n)
     assert engine.points(rhs, forbid=forbid) == kept
     assert engine.points(rhs, forbid=forbid, first=True) == kept[:1]
+
+
+def level0_refutes(rows, rhs, n):
+    """Reference: Fourier-Motzkin down to no variables; some multiplier
+    row y (with y . rows = 0) has y . ceil(rhs) > 0."""
+    level = list(zip(rows, identity(len(rows))))
+    for k in range(n, 0, -1):
+        level = eliminate_last(level, k)
+    b = [ceil(r) for r in rhs]
+    return any(dot(mult, b) > 0 for _, mult in level)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bounded_systems(), st.data())
+def test_level0_pullback_matches_query(system, data):
+    # small entries and few parameters, so many multipliers share one L
+    rows, _, n = system
+    p = data.draw(st.integers(0, 2))
+    matrix = data.draw(st.lists(st.lists(st.integers(-1, 1), min_size=p, max_size=p),
+                                min_size=len(rows), max_size=len(rows)))
+    offset = data.draw(st.lists(st.integers(-6, 6), min_size=len(rows), max_size=len(rows)))
+    engine = ParametricIntegerFeasibility(rows, n)
+    pairs = engine.level0_pullback(matrix, offset)
+    assert len({L for L, _ in pairs}) == len(pairs)
+    for theta in itertools.product(range(-3, 4), repeat=p):
+        rhs = [dot(row, theta) + e for row, e in zip(matrix, offset)]
+        fires = any(dot(L, theta) + c > 0 for L, c in pairs)
+        assert fires == level0_refutes(rows, rhs, n), (theta, pairs)
+        if fires:
+            assert not engine.query(rhs)
