@@ -20,7 +20,7 @@ from .cohomology import (
     higher_cohomology_witness,
     strong_exceptional_check,
 )
-from .diagonal import diagonal_resolution_verdict, serialize_complex
+from .diagonal import DiagonalError, diagonal_resolution_verdict, serialize_complex
 from .fans import validate_fan
 from .files import ParseError
 from .frobenius import frobenius_gen_support, frobenius_split_classes
@@ -92,7 +92,7 @@ class _Main(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (ParseError, PipelineError, QuiverError, WorkspaceError) as exc:
+        except (DiagonalError, ParseError, PipelineError, QuiverError, WorkspaceError) as exc:
             Report(ctx.params.get("out")).reject(f"{type(exc).__name__}: {exc}")
 
 

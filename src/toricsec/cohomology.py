@@ -363,15 +363,6 @@ class ChainConeSystem:
         image = mat_vec(self.gammas[k], v)
         return fiber_feasible(pic, image, fs.ray_indices)
 
-    def hit_any(self, v, up_to_level: int):
-        """First (level, forbidden set) whose pulled-back cone contains v."""
-        for k in range(up_to_level + 1):
-            fan, _ = self.level_fan_pic(k)
-            for fs in forbidden_sets(fan):
-                if self.member(v, k, fs):
-                    return k, fs
-        return None
-
     def preimage_halfspaces(self, k: int, fs: ForbiddenSet):
         """Halfspace presentation of the level-k cone preimage in Pic(X_0)_R.
 
@@ -415,29 +406,36 @@ class ChainVerdict:
 
 
 def strong_exceptional_along_chain(chain, bundles) -> ChainVerdict:
-    """Difference classes must avoid the pulled-back cones of every level."""
+    """Difference classes must avoid the pulled-back cones of every level.
+
+    Levels are scanned in order; the witness is the first sorted difference
+    class whose image has higher cohomology at the first level where any
+    does, and that level and every later one fail.
+    """
     system = ChainConeSystem.from_chain(chain)
     bundles = [tuple(b) for b in bundles]
     diffs = sorted({tuple(t - s for s, t in zip(a, b))
                     for a in bundles for b in bundles if a != b})
-    worst = -1
+
+    def first_hit(k):
+        for v in diffs:
+            bad, fs = has_higher_cohomology(*system.level_fan_pic(k),
+                                            mat_vec(system.gammas[k], v))
+            if bad:
+                return v, k, tuple(sorted(fs.ray_indices))
+        return None
+
     witness = None
-    for v in diffs:
-        hit = system.hit_any(v, system.levels - 1)
-        if hit is not None:
-            k, fs = hit
-            if worst == -1 or k < worst:
-                worst, witness = k, (v, k, tuple(sorted(fs.ray_indices)))
     per_level = []
     for k in range(system.levels):
-        ok_k = worst == -1 or worst > k
+        witness = witness or first_hit(k)
         image = []
         for b in bundles:
             img = tuple(mat_vec(system.gammas[k], b))
             if img not in image:
                 image.append(img)
-        per_level.append((k, tuple(image), ok_k))
-    overall = worst == -1
-    return ChainVerdict(overall, tuple(per_level),
-                        failure="" if overall else "difference class meets a pulled-back cone",
+        per_level.append((k, tuple(image), witness is None))
+    return ChainVerdict(witness is None, tuple(per_level),
+                        failure="" if witness is None
+                        else "difference class meets a pulled-back cone",
                         witness=witness)

@@ -11,11 +11,20 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
+from operator import add
 
-from .fans import Fan, PicBasis
+from .fans import Fan, PicBasis, nef_ample_test
 from .intlin import IntVector
-from .quiver import QuiverOfSections
+from .quiver import (
+    QuiverOfSections,
+    build_quiver_of_sections,
+    check_theta_generic,
+    covering_quiver_on_y,
+    minkowski_embedding_check,
+    theta_fiber_surjectivity_check,
+)
 
 Path = tuple[int, ...]  # arrow indices in traversal order
 
@@ -26,7 +35,6 @@ class DiagonalError(ValueError):
 
 @dataclass(frozen=True)
 class Cell:
-    level: int
     key: tuple
     paths: tuple[Path, ...]
     tail: int
@@ -36,9 +44,6 @@ class Cell:
 
 @dataclass
 class CellComplexData:
-    quiver: QuiverOfSections
-    n: int                      # dimension of X
-    cycles: tuple[Path, ...]    # rooted anticanonical cycles (the superpotential)
     levels: tuple[tuple[Cell, ...], ...]   # Gamma'_0 .. Gamma'_{n+1}
 
 
@@ -48,10 +53,6 @@ def _path_div(quiver, path: Path) -> IntVector:
         for i, x in enumerate(quiver.arrows[idx].div):
             total[i] += x
     return tuple(total)
-
-
-def _path_ends(quiver, path: Path) -> tuple[int, int]:
-    return quiver.arrows[path[0]].tail, quiver.arrows[path[-1]].head
 
 
 def superpotential(quiver: QuiverOfSections) -> tuple[Path, ...]:
@@ -90,78 +91,59 @@ def _suffix_map(cycles) -> dict[Path, list[Path]]:
     return out
 
 
-def cell_sets(quiver: QuiverOfSections, n: int,
-              cycles=None) -> CellComplexData:
-    """The cell families Gamma'_0 .. Gamma'_{n+1} of the covering quiver."""
-    if cycles is None:
-        cycles = superpotential(quiver)
+def cell_sets(quiver: QuiverOfSections, n: int) -> CellComplexData:
+    """The cell families Gamma'_0 .. Gamma'_{n+1} of the covering quiver.
+
+    Every path of a cell beyond the vertices completes one fixed path to an
+    anticanonical cycle, so all of a cell's paths share their ends and
+    divisor; the cell takes them from its first path.
+    """
+    cycles = superpotential(quiver)
     if not cycles:
         raise DiagonalError("no anticanonical cycles; is the base Fano?")
-    ones = (1,) * quiver.n_variables
+    if n < 2:
+        raise DiagonalError("cell calculus needs dim >= 2")
+    if n > 4:
+        raise DiagonalError("cell calculus implemented for dim <= 4")
     suffix = _suffix_map(cycles)
 
-    def cell(level, key, paths):
+    def cell(key, paths):
         paths = tuple(sorted(set(paths)))
-        tails = {_path_ends(quiver, p)[0] for p in paths if p}
-        heads = {_path_ends(quiver, p)[1] for p in paths if p}
-        divs = {_path_div(quiver, p) for p in paths}
-        if len(tails) > 1 or len(heads) > 1 or len(divs) > 1:
-            raise DiagonalError(f"cell {key} mixes tails/heads/divisors")
-        t = tails.pop() if tails else key[1]
-        h = heads.pop() if heads else key[1]
-        return Cell(level, key, paths, t, h, divs.pop() if divs else (0,) * quiver.n_variables)
+        if not paths:
+            raise DiagonalError(f"empty derivative cell {key}")
+        first = paths[0]
+        return Cell(key, paths, quiver.arrows[first[0]].tail,
+                    quiver.arrows[first[-1]].head, _path_div(quiver, first))
 
-    verts = tuple(
-        Cell(0, ("v", i), ((),), i, i, (0,) * quiver.n_variables)
-        for i in range(quiver.n_vertices))
-    arrow_cells = tuple(
-        cell(1, ("a", idx), ((idx,),)) for idx in range(len(quiver.arrows)))
+    verts = tuple(Cell(("v", i), ((),), i, i, (0,) * quiver.n_variables)
+                  for i in range(quiver.n_vertices))
+    arrow_cells = tuple(cell(("a", idx), ((idx,),)) for idx in range(len(quiver.arrows)))
 
-    pairs = set()
-    for q, rs in suffix.items():
-        if len(rs) != 2:
-            continue
-        r1, r2 = sorted(rs)
-        if not r1 or not r2:
-            continue
-        if r1[0] == r2[0] or r1[-1] == r2[-1]:
-            continue
-        pairs.add((r1, r2))
-    j_cells = tuple(cell(2, ("j", pr), pr) for pr in sorted(pairs))
+    # pairs: the two nonempty completions of one path, differing at both ends
+    pairs = sorted({tuple(sorted(rs)) for rs in suffix.values() if len(rs) == 2})
+    j_cells = tuple(cell(("j", (r1, r2)), (r1, r2)) for r1, r2 in pairs
+                    if r1 and r2 and r1[0] != r2[0] and r1[-1] != r2[-1])
 
-    dj = tuple(cell(n - 1, ("dj", c.key[1]),
-                    tuple(r for p in c.paths for r in suffix.get(p, ()) if r))
-               for c in j_cells)
-    da = tuple(cell(n, ("da", idx),
-                    tuple(r for r in suffix.get((idx,), ()) if r))
-               for idx in range(len(quiver.arrows)))
-    dv = tuple(cell(n + 1, ("dv", i),
-                    tuple(c for c in cycles if _path_ends(quiver, c)[1] == i))
-               for i in range(quiver.n_vertices))
-
-    if n >= 4:
-        if n > 4:
-            raise DiagonalError("cell calculus implemented for dim <= 4")
-        levels = (verts, arrow_cells, j_cells, dj, da, dv)
-    elif n == 3:
-        levels = (verts, arrow_cells, j_cells, da, dv)
-    elif n == 2:
-        levels = (verts, arrow_cells, j_cells, dv)
-    else:
-        raise DiagonalError("cell calculus needs dim >= 2")
-    for lv in levels[2:]:
-        for c in lv:
-            if not c.paths:
-                raise DiagonalError(f"empty derivative cell {c.key}")
-    return CellComplexData(quiver, n, cycles, levels)
+    # the derivative levels dj (dim 4), da (dim >= 3) and dv, built only when kept
+    derived = (
+        lambda: tuple(cell(("dj", c.key[1]),
+                           [r for p in c.paths for r in suffix.get(p, ()) if r])
+                      for c in j_cells),
+        lambda: tuple(cell(("da", idx), [r for r in suffix.get((idx,), ()) if r])
+                      for idx in range(len(quiver.arrows))),
+        lambda: tuple(cell(("dv", i), [c for c in cycles if quiver.arrows[c[-1]].head == i])
+                      for i in range(quiver.n_vertices)),
+    )[4 - n:]
+    return CellComplexData((verts, arrow_cells, j_cells) + tuple(build() for build in derived))
 
 
 def restrict_cells(data: CellComplexData, rho_tot: int) -> tuple[tuple[Cell, ...], ...]:
-    """Cells whose divisor avoids the extra total-space coordinate."""
-    filtered = [tuple(c for c in lv if c.div[rho_tot] == 0) for lv in data.levels]
-    if filtered[-1]:
-        raise DiagonalError("top-level cells must carry the total-space variable")
-    return tuple(filtered[:-1])
+    """Cells whose divisor avoids the extra total-space coordinate.
+
+    The top level is dropped whole: it holds the cycles, whose divisor is
+    all ones.
+    """
+    return tuple(tuple(c for c in lv if c.div[rho_tot] == 0) for lv in data.levels[:-1])
 
 
 # ------------------------------------------------------ derivative complex
@@ -183,67 +165,39 @@ class GradedChainComplex:
     def ranks(self) -> tuple[int, ...]:
         return tuple(len(lv) for lv in self.levels)
 
-    def bidegrees(self, k: int):
-        return [(self.bundles[c.tail], self.bundles[c.head]) for c in self.levels[k]]
-
-
-def _subpath_positions(haystack: Path, needle: Path):
-    if not needle:
-        return []
-    out = []
-    for s in range(len(haystack) - len(needle) + 1):
-        if haystack[s: s + len(needle)] == needle:
-            out.append(s)
-    return out
-
 
 def _entry_terms(quiver, small: Cell, big: Cell):
-    """Equivalence classes of (alpha, beta) flank divisors, or None.
+    """The derivative classes (alpha, beta) of big against small, or None.
 
-    Requires every path of the small cell to embed in some path of the big
-    cell; classes are keyed by the left flank divisor, and a key carrying
-    two different right flanks is a degenerate collision.
+    A class splits a path q of big as alpha . p . beta around a path p of
+    small; the trivial path of a vertex cell occurs wherever q passes that
+    vertex.  None unless every path of small occurs in some path of big.
+    Classes are sorted by alpha, which determines beta: all paths of a
+    cell share one divisor.
     """
-    classes: dict[IntVector, IntVector] = {}
-    matched = set()
+    classes = set()
     for p in small.paths:
-        if not p:
-            # trivial path of a vertex cell: flanks split each big path
-            for q in big.paths:
-                splits = []
-                pos = [i for i in range(len(q) + 1)]
-                for i in pos:
-                    t = quiver.arrows[q[i]].tail if i < len(q) else quiver.arrows[q[-1]].head
-                    if t == small.tail:
-                        splits.append(i)
-                for i in splits:
-                    alpha = _path_div(quiver, q[:i]) if i else (0,) * quiver.n_variables
-                    beta = _path_div(quiver, q[i:]) if i < len(q) else (0,) * quiver.n_variables
-                    classes.setdefault(alpha, beta)
-                    if classes[alpha] != beta:
-                        raise DiagonalError(
-                            f"derivative collision between {small.key} and {big.key}")
-                    matched.add(p)
-            continue
+        m = len(p)
+        found = False
         for q in big.paths:
-            for s in _subpath_positions(q, p):
-                alpha = _path_div(quiver, q[:s]) if s else (0,) * quiver.n_variables
-                rest = q[s + len(p):]
-                beta = _path_div(quiver, rest) if rest else (0,) * quiver.n_variables
-                classes.setdefault(alpha, beta)
-                if classes[alpha] != beta:
-                    raise DiagonalError(
-                        f"derivative collision between {small.key} and {big.key}")
-                matched.add(p)
-    if len(matched) < len(small.paths):
-        return None
-    return sorted(classes.items())
+            for s in range(len(q) - m + 1):
+                if q[s:s + m] == p and (
+                        quiver.arrows[q[s]].tail if s < len(q) else big.head) == small.tail:
+                    classes.add((_path_div(quiver, q[:s]), _path_div(quiver, q[s + m:])))
+                    found = True
+        if not found:
+            return None
+    return sorted(classes)
 
 
 def derivative_complex(levels: tuple[tuple[Cell, ...], ...],
                        quiver: QuiverOfSections, rho_tot: int,
                        bundles) -> GradedChainComplex:
-    """Unsigned complex; d1 terms carry their fixed signs, the rest +1."""
+    """Unsigned complex; d1 terms carry their fixed signs, the rest +1.
+
+    Restricted cells have divisor 0 at rho_tot and divisors are >= 0, so
+    dropping that coordinate from the flanks loses nothing.
+    """
     matrices = []
     for k in range(1, len(levels)):
         mat: dict[tuple[int, int], list] = {}
@@ -252,34 +206,47 @@ def derivative_complex(levels: tuple[tuple[Cell, ...], ...],
                 terms = _entry_terms(quiver, small, big)
                 if terms is None:
                     continue
-                signed = []
-                for alpha, beta in terms:
-                    sign = 1
-                    if k == 1:
-                        # d1: +x^div on the head vertex, -w^div on the tail
-                        sign = 1 if not any(beta) else -1
-                    signed.append((sign, _strip(alpha, rho_tot), _strip(beta, rho_tot)))
-                mat[(row, col)] = signed
+                # d1: +x^div on the head vertex, -w^div on the tail
+                mat[(row, col)] = [
+                    (-1 if k == 1 and any(beta) else 1,
+                     alpha[:rho_tot] + alpha[rho_tot + 1:], beta[:rho_tot] + beta[rho_tot + 1:])
+                    for alpha, beta in terms]
         matrices.append(mat)
     return GradedChainComplex(tuple(tuple(b) for b in bundles), levels, matrices,
                               quiver.n_variables - 1)
 
 
-def _strip(vec: IntVector, rho_tot: int) -> IntVector:
-    if vec[rho_tot] != 0:
-        raise DiagonalError("restricted entry carries the total-space variable")
-    return vec[:rho_tot] + vec[rho_tot + 1:]
+def _first_terms(complex_: GradedChainComplex) -> list[dict]:
+    """Per matrix, entry key -> number of its first term.
+
+    Terms are numbered in order through all matrices, entries and terms.
+    """
+    starts = accumulate((len(terms) for mat in complex_.matrices for terms in mat.values()),
+                        initial=0)
+    return [{key: next(starts) for key in mat} for mat in complex_.matrices]
 
 
-def _compose_terms(left, right):
-    """Products grouped by total monomial; values are signed counts."""
-    acc: dict[tuple[IntVector, IntVector], int] = {}
-    for s1, a1, b1 in left:
-        for s2, a2, b2 in right:
-            key = (tuple(x + y for x, y in zip(a1, a2)),
-                   tuple(x + y for x, y in zip(b1, b2)))
-            acc[key] = acc.get(key, 0) + s1 * s2
-    return acc
+def _product_groups(complex_: GradedChainComplex):
+    """The products of consecutive matrices, grouped by (row, column, monomial).
+
+    Yields, per group of matrices[k] . matrices[k + 1], its list of
+    (left term, right term, sign) products: terms by their _first_terms
+    numbers, sign the product of the two term signs.
+    """
+    first = _first_terms(complex_)
+    for k in range(len(complex_.matrices) - 1):
+        by_mid: dict[int, list] = {}
+        for (row, mid), terms in complex_.matrices[k].items():
+            by_mid.setdefault(mid, []).append((row, first[k][(row, mid)], terms))
+        groups: dict[tuple, list] = {}
+        for (mid, col), right_terms in complex_.matrices[k + 1].items():
+            r0 = first[k + 1][(mid, col)]
+            for row, l0, left_terms in by_mid.get(mid, ()):
+                for li, (ls, la, lb) in enumerate(left_terms, l0):
+                    for ri, (rs, ra, rb) in enumerate(right_terms, r0):
+                        key = (row, col, tuple(map(add, la, ra)), tuple(map(add, lb, rb)))
+                        groups.setdefault(key, []).append((li, ri, ls * rs))
+        yield from groups.values()
 
 
 def sign_solve(complex_: GradedChainComplex) -> GradedChainComplex | None:
@@ -289,67 +256,42 @@ def sign_solve(complex_: GradedChainComplex) -> GradedChainComplex | None:
     pair cells whose two paths share a middle arrow force opposite signs
     on the two classes of one entry, so entry-level signs are too coarse.
     Monomial cancellations pair products two at a time; each pairing is an
-    XOR constraint over GF(2).  Returns the signed complex or None when
-    the system is infeasible.
+    XOR constraint over GF(2) on the terms' numbers.  Returns the signed
+    complex or None when the system is infeasible.
     """
-    variables: dict[tuple, int] = {}
-    for k in range(1, len(complex_.matrices)):
-        for key, terms in complex_.matrices[k].items():
-            for t in range(len(terms)):
-                variables[(k, key, t)] = len(variables)
-    rows = []  # (bitmask over variables, constant bit)
+    fixed = sum(len(terms) for terms in complex_.matrices[0].values())  # d1's terms
+    rows = []  # (bitmask over terms, constant bit)
+    for group in _product_groups(complex_):
+        if len(group) != 2:
+            return None  # non-pairable cancellation pattern
+        bits = 0
+        const = 1  # the two products must carry opposite signs
+        for left, right, sign in group:
+            if left >= fixed:
+                bits ^= 1 << left
+            bits ^= 1 << right
+            if sign < 0:
+                const ^= 1
+        rows.append((bits, const))
 
-    for k in range(len(complex_.matrices) - 1):
-        left = complex_.matrices[k]
-        right = complex_.matrices[k + 1]
-        cols_right: dict[int, list] = {}
-        for (row, col), terms in right.items():
-            cols_right.setdefault(col, []).append((row, terms))
-        rows_left: dict[int, list] = {}
-        for (row, col), terms in left.items():
-            rows_left.setdefault(col, []).append((row, terms))
-        for col, mids in cols_right.items():
-            per_target: dict = {}
-            for mid, right_terms in mids:
-                for (row, left_terms) in rows_left.get(mid, ()):
-                    for li, (ls, la, lb) in enumerate(left_terms):
-                        for ri, (rs, ra, rb) in enumerate(right_terms):
-                            mono = (tuple(x + y for x, y in zip(la, ra)),
-                                    tuple(x + y for x, y in zip(lb, rb)))
-                            per_target.setdefault((row, mono), []).append(
-                                (k, (row, mid), li, (mid, col), ri, ls * rs))
-            for (row, mono), contribs in per_target.items():
-                if len(contribs) != 2:
-                    return None  # non-pairable cancellation pattern
-                bits = 0
-                const = 1  # the two products must carry opposite signs
-                for lvl, lkey, li, rkey, ri, fixed in contribs:
-                    if lvl != 0:
-                        bits ^= 1 << variables[(lvl, lkey, li)]
-                    bits ^= 1 << variables[(lvl + 1, rkey, ri)]
-                    if fixed < 0:
-                        const ^= 1
-                rows.append((bits, const))
-
-    solution = _gf2_solve(rows, len(variables))
+    solution = _gf2_solve(rows)
     if solution is None:
         return None
-    signed = [dict(complex_.matrices[0])]
-    for k in range(1, len(complex_.matrices)):
-        mat = {}
-        for key, terms in complex_.matrices[k].items():
-            new_terms = []
-            for t, (sign, a, b) in enumerate(terms):
-                s = -1 if (solution >> variables[(k, key, t)]) & 1 else 1
-                new_terms.append((s * sign, a, b))
-            mat[key] = new_terms
-        signed.append(mat)
+    first = _first_terms(complex_)
+    signed = [{key: [(-sign if solution >> t & 1 else sign, a, b)
+                     for t, (sign, a, b) in enumerate(terms, first[k][key])]
+               for key, terms in mat.items()}
+              for k, mat in enumerate(complex_.matrices)]
     return GradedChainComplex(complex_.bundles, complex_.levels, signed,
                               complex_.n_variables)
 
 
-def _gf2_solve(rows, nv):
-    """Gaussian elimination on (mask, const) rows; None if inconsistent."""
+def _gf2_solve(rows):
+    """Gaussian elimination on (mask, const) rows; None if inconsistent.
+
+    Returns the solution with every free variable zero.  The pivot columns
+    and that solution depend only on the solution set, not on row order.
+    """
     pivots: dict[int, tuple[int, int]] = {}
     for mask, const in rows:
         while mask:
@@ -365,40 +307,17 @@ def _gf2_solve(rows, nv):
             if const:
                 return None
     x = 0
-    for p in sorted(pivots):
+    for p in sorted(pivots):  # x holds no bit >= p yet
         mask, const = pivots[p]
-        val = const
-        rest = mask & ~(1 << p)
-        while rest:
-            q = rest.bit_length() - 1
-            val ^= (x >> q) & 1
-            rest &= ~(1 << q)
-        if val:
+        if (const + (x & mask).bit_count()) % 2:
             x |= 1 << p
     return x
 
 
 def check_dd_zero(complex_: GradedChainComplex) -> bool:
     """Symbolic verification that consecutive matrices compose to zero."""
-    for k in range(len(complex_.matrices) - 1):
-        left = complex_.matrices[k]
-        right = complex_.matrices[k + 1]
-        mids: dict[int, list] = {}
-        for (row, col), terms in left.items():
-            mids.setdefault(col, []).append((row, terms))
-        by_col: dict[int, list] = {}
-        for (row, col), terms in right.items():
-            by_col.setdefault(col, []).append((row, terms))
-        for col, entries in by_col.items():
-            acc: dict = {}
-            for mid, right_terms in entries:
-                for row, left_terms in mids.get(mid, ()):
-                    for mono, coeff in _compose_terms(left_terms, right_terms).items():
-                        key = (row, mono)
-                        acc[key] = acc.get(key, 0) + coeff
-            if any(v != 0 for v in acc.values()):
-                return False
-    return True
+    return all(sum(sign for _, _, sign in group) == 0
+               for group in _product_groups(complex_))
 
 
 def check_bidegrees(complex_: GradedChainComplex, pic: PicBasis) -> bool:
@@ -496,6 +415,47 @@ def _rank_profile(complex_: GradedChainComplex, xs, ws, p, top: int):
     ]
 
 
+# Miller-Rabin with the first 13 prime bases is exact below this bound
+# (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin primality test for p < _MR_BOUND."""
+    if p < 2:
+        return False
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _check_fiber_parameters(trials: int, diagonal_trials: int, prime: int) -> None:
+    """DiagonalError unless the fiber test draws points over a prime field."""
+    for name, value in (("trials", trials), ("diagonal_trials", diagonal_trials)):
+        if value < 1:
+            raise DiagonalError(f"{name} must be at least 1, got {value}")
+    if prime >= _MR_BOUND:
+        raise DiagonalError(f"prime {prime} is beyond the exact primality test "
+                            f"(must be below {_MR_BOUND})")
+    if not _is_prime(prime):
+        raise DiagonalError(f"prime {prime} is not prime")
+
+
 def fiber_exactness_check(complex_: GradedChainComplex, n: int,
                           trials: int = 32, diagonal_trials: int = 8,
                           seed: int = 0, prime: int = 2147483647) -> FiberReport:
@@ -506,8 +466,10 @@ def fiber_exactness_check(complex_: GradedChainComplex, n: int,
     profile.  Any rank deviation rejects with the offending point, and no
     later point is evaluated; the diagonal points are evaluated only once
     every off-diagonal point has passed.  All trial points are drawn up
-    front from the seed.
+    front from the seed.  Raises DiagonalError unless both trial counts
+    are at least 1 and prime is a prime.
     """
+    _check_fiber_parameters(trials, diagonal_trials, prime)
     rng = random.Random(seed)
     d = complex_.n_variables
     ranks = complex_.ranks
@@ -523,29 +485,20 @@ def fiber_exactness_check(complex_: GradedChainComplex, n: int,
                    for _ in range(diagonal_trials)]
 
     top = _max_exponent(complex_)
-    off_ranks = None
     for t, (xs, ws) in enumerate(off_points):
         profile = _rank_profile(complex_, xs, ws, prime, top)
         if profile != expected:
             return FiberReport(False, tuple(profile), (),
                                f"off-diagonal rank deviation at trial {t}: "
                                f"{profile} != {expected}")
-        off_ranks = profile
     want_diag = [comb(n, k) for k in range(n + 1)]
-    diag_hom = None
     for t, point in enumerate(diag_points):
-        profile = _rank_profile(complex_, point, point, prime, top)
-        hom = []
-        prev = 0
-        for k, r in enumerate(ranks):
-            nxt = profile[k] if k < len(profile) else 0
-            hom.append(r - prev - nxt)
-            prev = nxt
+        padded = [0] + _rank_profile(complex_, point, point, prime, top) + [0]
+        hom = [r - padded[k] - padded[k + 1] for k, r in enumerate(ranks)]
         if hom != want_diag:
-            return FiberReport(False, tuple(off_ranks or ()), tuple(hom),
+            return FiberReport(False, tuple(expected), tuple(hom),
                                f"diagonal homology {hom} != {want_diag} at trial {t}")
-        diag_hom = hom
-    return FiberReport(True, tuple(off_ranks or ()), tuple(diag_hom or ()))
+    return FiberReport(True, tuple(expected), tuple(want_diag))
 
 
 @dataclass(frozen=True)
@@ -571,13 +524,10 @@ def diagonal_resolution_verdict(fan: Fan, pic: PicBasis, bundles, theta=None,
     fiberwise exactness profile, and an embedding certificate: the nef
     Minkowski route when every bundle is nef, otherwise the Y_theta route
     with the supplied weight.  Every verdict past sign solving carries the
-    signed complex.
+    signed complex.  Raises DiagonalError on the fiber test's parameters
+    as fiber_exactness_check does, before any work.
     """
-    from .fans import nef_ample_test as _nef
-    from .quiver import (build_quiver_of_sections, covering_quiver_on_y,
-                         check_theta_generic, minkowski_embedding_check,
-                         theta_fiber_surjectivity_check)
-
+    _check_fiber_parameters(trials, diagonal_trials, prime)
     bundles = [tuple(b) for b in bundles]
     n = fan.dim
     try:
@@ -601,8 +551,7 @@ def diagonal_resolution_verdict(fan: Fan, pic: PicBasis, bundles, theta=None,
                                   seed=seed, prime=prime)
     if not fiber.ok:
         return verdict("fiber exactness", fiber)
-    all_nef = all(_nef(fan, pic, b)[0] for b in bundles)
-    if all_nef:
+    if all(nef_ample_test(fan, pic, b)[0] for b in bundles):
         emb = minkowski_embedding_check(fan, pic, bundles)
         if not emb.ok:
             return verdict(f"nef embedding: {emb.detail}", fiber, emb)

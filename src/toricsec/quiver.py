@@ -239,20 +239,12 @@ def torus_fixed_bits(quiver: QuiverOfSections, fan: Fan, cone) -> tuple[int, ...
     return tuple(bits)
 
 
-def _closure(quiver, bits, start):
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for idx, a in enumerate(quiver.arrows):
-            if bits[idx] and a.tail == v and a.head not in seen:
-                seen.add(a.head)
-                stack.append(a.head)
-    return seen
-
-
 def _path_to(quiver, bits, start, targets):
-    """A nonzero-arrow path from start into `targets`, as arrow indices."""
+    """A nonzero-arrow path from start into `targets` and the vertices seen.
+
+    The path is a tuple of arrow indices, or None; then the vertices seen
+    are every vertex that start reaches.
+    """
     prev = {start: None}
     queue = [start]
     while queue:
@@ -263,12 +255,12 @@ def _path_to(quiver, bits, start, targets):
                 idx = prev[v]
                 path.append(idx)
                 v = quiver.arrows[idx].tail
-            return tuple(reversed(path))
+            return tuple(reversed(path)), prev.keys()
         for idx, a in enumerate(quiver.arrows):
             if bits[idx] and a.tail == v and a.head not in prev:
                 prev[a.head] = idx
                 queue.append(a.head)
-    return None
+    return None, prev.keys()
 
 
 def check_theta_generic(quiver: QuiverOfSections, fan: Fan, theta) -> StabilityReport:
@@ -296,7 +288,7 @@ def check_theta_generic(quiver: QuiverOfSections, fan: Fan, theta) -> StabilityR
         cone_cert = {"cone": cone, "from_source": {}, "to_positive": {}}
         bad = None
         for t in sorted(positives):
-            path = _path_to(quiver, bits, 0, {t})
+            path, _ = _path_to(quiver, bits, 0, {t})
             if path is None:
                 bad = (cone, "source does not reach the positive vertex", t)
                 break
@@ -304,10 +296,9 @@ def check_theta_generic(quiver: QuiverOfSections, fan: Fan, theta) -> StabilityR
         for v in range(1, quiver.n_vertices):
             if bad:
                 break
-            path = _path_to(quiver, bits, v, positives)
+            path, reached = _path_to(quiver, bits, v, positives)
             if path is None:
-                bad = (cone, "closed set with nonpositive weight",
-                       sorted(_closure(quiver, bits, v)))
+                bad = (cone, "closed set with nonpositive weight", sorted(reached))
                 break
             cone_cert["to_positive"][v] = path
         if bad:

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 from functools import lru_cache
 
@@ -338,3 +339,47 @@ def test_chain_preimage_halfspaces_drop_exceptional_coordinate():
         by_half = all(sum(c * x for c, x in zip(coeffs, v)) >= rhs
                       for coeffs, rhs in half)
         assert by_fiber == by_half, v
+
+
+def scan_classes_first(chain, bundles):
+    """The former chain scan, kept as the reference: per difference class its
+    first (level, forbidden set) by membership, and the least level wins."""
+    system = ChainConeSystem.from_chain(chain)
+    bundles = [tuple(b) for b in bundles]
+    diffs = sorted({tuple(t - s for s, t in zip(a, b))
+                    for a in bundles for b in bundles if a != b})
+    worst, witness = -1, None
+    for v in diffs:
+        hit = next(((k, fs) for k in range(system.levels)
+                    for fs in forbidden_sets(system.level_fan_pic(k)[0])
+                    if system.member(v, k, fs)), None)
+        if hit is not None and (worst == -1 or hit[0] < worst):
+            worst, witness = hit[0], (v, hit[0], tuple(sorted(hit[1].ray_indices)))
+    return witness, [worst == -1 or worst > k for k in range(system.levels)]
+
+
+def test_chain_scan_by_level_matches_scan_by_class():
+    ws = load_workspace()
+    rng = random.Random(2)
+    failing_levels = set()
+    for source, target in [("E1", "B1"), ("S3", "S1"), ("S3", "P2"), ("D1_3", "B1_3")]:
+        chain = ws.poset.chain(source, target)
+        bundles = [tuple(b) for b in ws.poset.nodes[source].bundles]
+        rank = len(bundles[0])
+        samples = [bundles, bundles + [tuple(2 * x for x in b) for b in bundles]]
+        if target == "P2":  # first hits at levels 2 and 3, alone and mixed
+            samples += [[(0,) * 4, (-1, -4, 0, -4)], [(0,) * 4, (-3, -3, 2, -3)],
+                        [(0,) * 4, (-3, -3, 2, -3), (-1, -4, 0, -4)],
+                        [(0,) * 4, (-1, -4, 0, -4), (-3, -1, 0, -3)]]
+        samples += [[(0,) * rank] + [tuple(rng.randint(-3, 3) for _ in range(rank))
+                                     for _ in range(rng.randint(1, 3))]
+                    for _ in range(40)]
+        for sample in samples:
+            verdict = strong_exceptional_along_chain(chain, sample)
+            witness, oks = scan_classes_first(chain, sample)
+            assert verdict.witness == witness
+            assert [ok for _, _, ok in verdict.per_level] == oks
+            assert verdict.ok == (witness is None)
+            if witness is not None:
+                failing_levels.add(witness[1])
+    assert failing_levels == {0, 1, 2, 3}

@@ -302,3 +302,100 @@ def test_fiber_check_stops_at_the_first_off_diagonal_deviation(e1_signed, monkey
     assert not rep.ok
     assert rep.detail.startswith("off-diagonal rank deviation at trial 2:")
     assert calls == [False] * 3
+
+
+# ------------------------------------------------ cell levels and parameters
+
+@pytest.mark.parametrize("label, bundles, kinds", [
+    ("P2", [(0,), (1,), (2,)], ["v", "a", "j", "dv"]),
+    ("D1_3", [(0, 0, 0), (0, 1, 1), (0, 2, 2), (1, 0, 0), (1, 0, 1),
+              (1, 1, 1), (1, 1, 2), (1, 2, 2)], ["v", "a", "j", "da", "dv"]),
+])
+def test_cell_sets_keep_n_plus_two_levels(label, bundles, kinds):
+    fan = make_fan(label)
+    pic = deg_and_pic(fan, (3, 4, 5) if label == "D1_3" else None)
+    qy = covering_quiver_on_y(fan, pic, bundles)
+    data = cell_sets(qy, fan.dim)
+    assert len(data.levels) == fan.dim + 2
+    assert [{c.key[0] for c in lv} for lv in data.levels] == [{k} for k in kinds]
+
+
+def test_cell_sets_levels_of_e1(e1_signed):
+    _, _, _, data, _ = e1_signed
+    assert [{c.key[0] for c in lv} for lv in data.levels] == \
+        [{"v"}, {"a"}, {"j"}, {"dj"}, {"da"}, {"dv"}]
+
+
+@pytest.mark.parametrize("n, message", [
+    (1, "cell calculus needs dim >= 2"),
+    (5, "cell calculus implemented for dim <= 4"),
+])
+def test_cell_sets_reject_unsupported_dimension(e1_signed, n, message):
+    _, _, qy, _, _ = e1_signed
+    with pytest.raises(DiagonalError, match=message):
+        cell_sets(qy, n)
+
+
+def test_cells_share_ends_and_divisor_across_paths(e1_signed):
+    _, _, qy, data, _ = e1_signed
+    for lv in data.levels[1:]:
+        for c in lv:
+            for p in c.paths:
+                assert qy.arrows[p[0]].tail == c.tail
+                assert qy.arrows[p[-1]].head == c.head
+                assert diagonal._path_div(qy, p) == c.div
+
+
+def trial_division_prime(p):
+    return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10, 200_000))
+def test_is_prime_matches_trial_division(p):
+    assert diagonal._is_prime(p) == trial_division_prime(p)
+
+
+@pytest.mark.parametrize("p, prime", [
+    (561, False),                      # Carmichael number
+    (3215031751, False),               # strong pseudoprime to bases 2, 3, 5, 7
+    (3825123056546413051, False),      # strong pseudoprime to bases 2 .. 23
+    (318665857834031151167461, False),  # strong pseudoprime to bases 2 .. 37
+    (2147483647, True),
+    (2 ** 61 - 1, True),
+    (2147483649, False),
+])
+def test_is_prime_on_pseudoprimes_and_large_primes(p, prime):
+    assert diagonal._is_prime(p) == prime
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"trials": 0}, "trials must be at least 1, got 0"),
+    ({"trials": -5}, "trials must be at least 1, got -5"),
+    ({"diagonal_trials": 0}, "diagonal_trials must be at least 1, got 0"),
+    ({"prime": 1}, "prime 1 is not prime"),
+    ({"prime": 9}, "prime 9 is not prime"),
+    ({"prime": 2147483649}, "prime 2147483649 is not prime"),
+    ({"prime": 2 ** 89 - 1}, "beyond the exact primality test"),
+])
+def test_fiber_parameters_rejected(e1_signed, monkeypatch, kwargs, message):
+    fan, pic, _, _, signed = e1_signed
+    with pytest.raises(DiagonalError, match=message):
+        fiber_exactness_check(signed, 4, **kwargs)
+
+    def no_quiver(*args):
+        raise AssertionError("parameters must be checked before any work")
+
+    monkeypatch.setattr(diagonal, "covering_quiver_on_y", no_quiver)
+    with pytest.raises(DiagonalError, match=message):
+        diagonal_resolution_verdict(fan, pic, E1_BUNDLES, **kwargs)
+
+
+def test_fiber_report_carries_the_checked_profiles():
+    fan = make_fan("P2")
+    pic = deg_and_pic(fan)
+    verdict = diagonal_resolution_verdict(fan, pic, [(0,), (1,), (2,)],
+                                          trials=1, diagonal_trials=1, seed=0)
+    assert verdict.full
+    assert verdict.fiber.off_diagonal_ranks == (3, 3)
+    assert verdict.fiber.diagonal_homology == (1, 2, 1)

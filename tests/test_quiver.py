@@ -249,6 +249,55 @@ def test_a2_quiver_stability_depends_on_arrow():
     assert len(report.failures) == 1
 
 
+
+def closure(q, bits, start):
+    """Every vertex reachable from start along nonzero arrows, by DFS."""
+    seen, stack = {start}, [start]
+    while stack:
+        v = stack.pop()
+        for idx, a in enumerate(q.arrows):
+            if bits[idx] and a.tail == v and a.head not in seen:
+                seen.add(a.head)
+                stack.append(a.head)
+    return seen
+
+
+def test_theta_failure_names_the_closed_set():
+    # vertices 2 and 3 only reach each other; vertex 1 carries the weight,
+    # and at the cone (1,) the arrow 2 -> 3 vanishes
+    arrows = (Arrow(0, 1, (0, 0)), Arrow(0, 2, (0, 0)), Arrow(2, 3, (0, 1)),
+              Arrow(3, 2, (0, 0)))
+    q = QuiverOfSections(((0,), (1,), (2,), (3,)), arrows, False, 2)
+    report = check_theta_generic(q, make_fan("P1"), (-1, 1, 0, 0))
+    assert report.failures == (((0,), "closed set with nonpositive weight", [2, 3]),
+                               ((1,), "closed set with nonpositive weight", [2]))
+
+
+def test_theta_closed_sets_match_closure():
+    """On random quivers every closed-set failure lists the DFS closure."""
+    rng = random.Random(11)
+    fan = make_fan("P1")
+    closed = 0
+    for _ in range(300):
+        nv = rng.randint(2, 6)
+        arrows = tuple(Arrow(rng.randrange(nv), rng.randrange(nv),
+                             (rng.randint(0, 1), rng.randint(0, 1)))
+                       for _ in range(rng.randint(1, 2 * nv)))
+        q = QuiverOfSections(tuple((i,) for i in range(nv)), arrows, False, 2)
+        theta = [0] * nv
+        for _ in range(rng.randint(1, 3)):
+            theta[rng.randrange(1, nv)] += 1
+        theta[0] = -sum(theta)
+        for cone, kind, detail in check_theta_generic(q, fan, theta).failures:
+            if kind == "closed set with nonpositive weight":
+                closed += 1
+                bits = torus_fixed_bits(q, fan, cone)
+                positives = {v for v, t in enumerate(theta) if t > 0}
+                first = next(v for v in range(1, nv)
+                             if not closure(q, bits, v) & positives)
+                assert detail == sorted(closure(q, bits, first))
+    assert closed > 20
+
 def test_minkowski_p1():
     fan = make_fan("P1")
     pic = deg_and_pic(fan)

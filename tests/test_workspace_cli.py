@@ -284,3 +284,16 @@ def test_cli_exit_status_tracks_report():
     assert ok.exit_code == 0 and "status=pass" in ok.output
     bad = runner.invoke(main, ["recipe", "K3"])
     assert bad.exit_code == 1
+
+
+@pytest.mark.parametrize("command", ["method2", "recipe"])
+@pytest.mark.parametrize("option, error", [
+    (["--trials", "0"], "trials must be at least 1, got 0"),
+    (["--trials", "-1"], "trials must be at least 1, got -1"),
+    (["--prime", "1"], "prime 1 is not prime"),
+    (["--prime", "9"], "prime 9 is not prime"),
+])
+def test_cli_fiber_parameters_rejected(command, option, error):
+    result = CliRunner().invoke(main, option + [command, "S3"])
+    assert result.exit_code == 2
+    assert result.output == f"error=DiagonalError: {error}\nstatus=fail\n"
