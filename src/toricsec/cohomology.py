@@ -293,7 +293,7 @@ def hom_nonzero(pic: PicBasis, src, dst) -> bool:
 
 
 def strong_exceptional_check(fan: Fan, pic: PicBasis, bundles) -> StrongExceptionalVerdict:
-    """Higher-Ext vanishing for all ordered pairs plus an acyclic Hom order."""
+    """Higher-Ext vanishing for all ordered pairs, and the Hom order."""
     bundles = [tuple(b) for b in bundles]
     if len(set(bundles)) != len(bundles):
         return StrongExceptionalVerdict(False, failure="bundles are not pairwise distinct")
@@ -308,20 +308,16 @@ def strong_exceptional_check(fan: Fan, pic: PicBasis, bundles) -> StrongExceptio
                 return StrongExceptionalVerdict(
                     False, failure="higher cohomology of a difference class",
                     witness_pair=(s, t), witness_set=fs.ray_indices)
+    # Hom classes effective around a cycle of distinct bundles would sum to
+    # a nonzero effective divisor of class 0, which a complete X does not
+    # have; so the Hom digraph is acyclic and some vertex is always free.
     edges = {(s, t) for s in range(r) for t in range(r)
              if s != t and hom_nonzero(pic, bundles[s], bundles[t])}
-    for s, t in edges:
-        if (t, s) in edges:
-            return StrongExceptionalVerdict(
-                False, failure="Hom nonzero in both directions", witness_pair=(s, t))
     order = []
     remaining = set(range(r))
     while remaining:
-        free = sorted(v for v in remaining
-                      if not any((u, v) in edges for u in remaining if u != v))
-        if not free:
-            return StrongExceptionalVerdict(False, failure="Hom digraph has a cycle")
-        pick = min(free, key=lambda v: (bundles[v], v))
+        pick = min((v for v in remaining if not any((u, v) in edges for u in remaining)),
+                   key=lambda v: (bundles[v], v))
         order.append(pick)
         remaining.remove(pick)
     return StrongExceptionalVerdict(True, ordering=tuple(order))

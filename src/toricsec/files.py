@@ -42,6 +42,17 @@ def _int_row(tokens, path, ln):
         raise ParseError(f"{path}:{ln}: expected integers, got {tokens!r}")
 
 
+def _one_value(tokens, path, ln) -> str:
+    if len(tokens) != 2:
+        raise ParseError(f"{path}:{ln}: {tokens[0]} needs exactly one value, "
+                         f"got {tokens[1:]!r}")
+    return tokens[1]
+
+
+def _one_int(tokens, path, ln) -> int:
+    return _int_row([_one_value(tokens, path, ln)], path, ln)[0]
+
+
 def parse_fan_file(path) -> FanFile:
     path = Path(path)
     label = ""
@@ -60,7 +71,7 @@ def parse_fan_file(path) -> FanFile:
             label = tokens[1] if len(tokens) > 1 else ""
             mode = None
         elif head == "dim":
-            dim = int(tokens[1])
+            dim = _one_int(tokens, path, ln)
             mode = None
         elif head == "pic_basis":
             pic_basis = _int_row(tokens[1:], path, ln)
@@ -115,10 +126,10 @@ def parse_collection_file(path) -> CollectionFile:
         tokens = line.split()
         head = tokens[0]
         if head == "label":
-            label = tokens[1]
+            label = tokens[1] if len(tokens) > 1 else ""
             mode = None
         elif head == "fan":
-            fan_label = tokens[1]
+            fan_label = _one_value(tokens, path, ln)
             mode = None
         elif head == "basis":
             basis = _int_row(tokens[1:], path, ln)
@@ -127,7 +138,10 @@ def parse_collection_file(path) -> CollectionFile:
             theta = _int_row(tokens[1:], path, ln)
             mode = None
         elif head == "frobenius_m":
-            frobenius_m = int(tokens[1])
+            frobenius_m = _one_int(tokens, path, ln)
+            if frobenius_m < 1:
+                raise ParseError(f"{path}:{ln}: frobenius_m must be at least 1, "
+                                 f"got {frobenius_m}")
             mode = None
         elif head == "bundles":
             mode = "bundles"

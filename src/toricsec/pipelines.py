@@ -175,10 +175,6 @@ class TiltingReport:
     threshold: int
     failures: tuple = ()
 
-    @property
-    def T(self) -> int:
-        return self.threshold
-
 
 def tilting_total_space_check(fan: Fan, pic: PicBasis, bundles,
                               cap: int = 10) -> TiltingReport:
@@ -241,6 +237,8 @@ def verify_variety_recipe(workspace, label: str, m: int | None = None,
                           seed: int = 0, trials: int = 32,
                           prime: int = 2147483647) -> RecipeVerdict:
     """Dispatch one database row through its stated verification route."""
+    if m is not None and m < 1:
+        raise PipelineError(f"m must be at least 1, got {m}")
     poset = workspace.poset
     if label not in poset.nodes:
         return RecipeVerdict(label, "", "fail", "label missing from the database")

@@ -65,39 +65,6 @@ def _dominates_some(e, staircase) -> bool:
     return False
 
 
-def build_quiver_of_sections(fan: Fan, pic: PicBasis, bundles) -> QuiverOfSections:
-    """Acyclic quiver of sections of an ordered effective collection.
-
-    An arrow is a section monomial that dominates no section through an
-    intermediate bundle (the complement factor is then automatically a
-    section, so dominance is exactly reducibility).
-    """
-    bundles = [tuple(b) for b in bundles]
-    r = len(bundles)
-    secs: dict[tuple[int, int], list[IntVector]] = {}
-    for i in range(r):
-        for j in range(r):
-            if i == j:
-                continue
-            diff = tuple(b - a for a, b in zip(bundles[i], bundles[j]))
-            s = sections(pic, diff)
-            if s and j < i:
-                raise QuiverError(
-                    f"collection is not Hom-ordered: sections from {i} to {j}")
-            if s:
-                secs[(i, j)] = s
-    arrows = []
-    for (i, j), s_ij in sorted(secs.items()):
-        vias = [secs[(i, k)] for k in range(r)
-                if k != i and k != j and (i, k) in secs and (k, j) in secs]
-        for e in s_ij:
-            if not any(_dominates_some(e, via) for via in vias):
-                arrows.append(Arrow(i, j, e))
-    arrows.sort(key=lambda a: (a.tail, a.head, a.div))
-    return QuiverOfSections(tuple(bundles), tuple(arrows), cyclic=False,
-                            n_variables=pic.n_rays)
-
-
 def _pruned_fiber(pic: PicBasis, cls, staircase) -> list[IntVector]:
     """Fiber lattice points of {x >= 0, deg x = cls} under the staircase.
 
@@ -138,57 +105,76 @@ def _minimal(monomials) -> list[IntVector]:
             if not _dominates_some(e, (f for f in monomials if f != e))]
 
 
-def covering_quiver_on_y(fan: Fan, pic: PicBasis, bundles,
-                         level_cap: int = 3) -> QuiverOfSections:
-    """Quiver of sections of the pulled-back collection on tot(omega).
+# The covering quiver searches levels 1..LEVELS; the last must come up empty.
+LEVELS = 3
 
-    A section at level p is a section of the p-th anticanonical twist on
-    the base; its exponent vector gains a final rho_tot coordinate p.
-    Every composite section dominates the divisor of the first arrow of
-    any factorization, so candidates are enumerated under the staircase of
-    the lower-level arrows out of their tail (its minimal monomials; one
-    that dominates another prunes nothing more) and then reduced against
-    same-level arrows in order of total degree.  Levels at the cap must
-    come up empty.
+
+def _level_arrows(pic: PicBasis, bundles, top: int) -> list[tuple]:
+    """Irreducible sections (tail, head, div, level) of levels 0..top.
+
+    A level-p section from bundle i to bundle j is a section of
+    L_j - L_i - p K_X.  Taken out of each tail in order of degree, a
+    section is an arrow unless it dominates an arrow found before it: if
+    e dominates an arrow a to k, then e - a is a section from k to j, and
+    k != j since a nonzero effective divisor on a complete variety never
+    has class 0; if e = f + g factors, e dominates f, which is or
+    dominates an earlier arrow.  Level 0 has no loops and must run up the
+    vertex order; above it, the search skips every monomial dominating a
+    lower-level arrow out of its tail.  The list is in the order found.
     """
     bundles = [tuple(b) for b in bundles]
     r = len(bundles)
     minus_omega = tuple(-w for w in pic.canonical_class())
-    base = build_quiver_of_sections(fan, pic, bundles)
-    arrows = [Arrow(a.tail, a.head, a.div + (0,)) for a in base.arrows]
-
-    def level_class(i, j, p):
-        return tuple(bj - bi + p * w
-                     for bi, bj, w in zip(bundles[i], bundles[j], minus_omega))
-
-    for p in range(1, level_cap + 1):
-        out_divs = [_minimal(a.div[:-1] for a in arrows if a.tail == i)
-                    for i in range(r)]
+    out_divs = [[] for _ in range(r)]
+    found = []
+    for p in range(top + 1):
+        staircases = [_minimal(divs) for divs in out_divs]
         survivors = []
         for i in range(r):
             for j in range(r):
-                for e in _pruned_fiber(pic, level_class(i, j, p), out_divs[i]):
-                    survivors.append((sum(e), i, j, e))
+                cls = tuple(bj - bi + p * w
+                            for bi, bj, w in zip(bundles[i], bundles[j], minus_omega))
+                if p > 0:
+                    fiber = _pruned_fiber(pic, cls, staircases[i])
+                elif i == j:
+                    continue
+                else:
+                    fiber = sections(pic, cls)
+                    if fiber and j < i:
+                        raise QuiverError(
+                            f"collection is not Hom-ordered: sections from {i} to {j}")
+                survivors.extend((sum(e), i, j, e) for e in fiber)
         survivors.sort()
-        new_by_tail: dict[int, list] = {i: [] for i in range(r)}
-        added = []
+        level_divs = [[] for _ in range(r)]
         for _, i, j, e in survivors:
-            reduced = False
-            for head_k, div_k in new_by_tail[i]:
-                if all(x >= y for x, y in zip(e, div_k)) and not (head_k == j and div_k == e):
-                    reduced = True
-                    break
-            if not reduced:
-                new_by_tail[i].append((j, e))
-                added.append(Arrow(i, j, tuple(e) + (p,)))
-        if p >= level_cap and added:
-            raise QuiverError(
-                f"irreducible sections at level {level_cap}; raise level_cap: "
-                f"{[(a.tail, a.head, a.div) for a in added[:3]]}")
-        arrows.extend(added)
-    arrows.sort(key=lambda a: (a.tail, a.head, a.div))
-    return QuiverOfSections(tuple(bundles), tuple(arrows), cyclic=True,
-                            n_variables=pic.n_rays + 1)
+            if not _dominates_some(e, level_divs[i]):
+                level_divs[i].append(e)
+                found.append((i, j, e, p))
+        for i in range(r):
+            out_divs[i].extend(level_divs[i])
+    return found
+
+
+def build_quiver_of_sections(fan: Fan, pic: PicBasis, bundles) -> QuiverOfSections:
+    """Acyclic quiver of sections of a Hom-ordered collection: level 0."""
+    arrows = (Arrow(i, j, e) for i, j, e, _ in sorted(_level_arrows(pic, bundles, 0)))
+    return QuiverOfSections(tuple(tuple(b) for b in bundles), tuple(arrows),
+                            cyclic=False, n_variables=pic.n_rays)
+
+
+def covering_quiver_on_y(fan: Fan, pic: PicBasis, bundles) -> QuiverOfSections:
+    """Quiver of sections of the pulled-back collection on tot(omega).
+
+    Its arrows are those of levels 0..LEVELS; the level is an arrow's
+    final exponent, that of rho_tot.
+    """
+    found = _level_arrows(pic, bundles, LEVELS)
+    top = [(i, j, e) for i, j, e, p in found if p == LEVELS]
+    if top:
+        raise QuiverError(f"irreducible sections at level {LEVELS}: {top[:3]}")
+    arrows = (Arrow(i, j, tuple(e) + (p,)) for i, j, e, p in sorted(found))
+    return QuiverOfSections(tuple(tuple(b) for b in bundles), tuple(arrows),
+                            cyclic=True, n_variables=pic.n_rays + 1)
 
 
 def parallel_path_relations(quiver: QuiverOfSections, max_len: int | None = None):
@@ -319,17 +305,6 @@ class EmbeddingVerdict:
     vertex_matrix: tuple | None = None
 
 
-def section_polytope_vertices(fan: Fan, pic: PicBasis, cls) -> list[IntVector]:
-    """Vertices of P_L for nef L: one Cartier vertex per maximal cone."""
-    out = []
-    for v in vertex_divisors(fan, pic, cls):
-        if any(x < 0 for x in v):
-            raise QuiverError("Cartier vertex is not a lattice section; class not nef")
-        if v not in out:
-            out.append(v)
-    return out
-
-
 def minkowski_embedding_check(fan: Fan, pic: PicBasis, bundles) -> EmbeddingVerdict:
     """Nef route: product ample and Minkowski sum of section polytopes full."""
     bundles = [tuple(b) for b in bundles]
@@ -342,7 +317,8 @@ def minkowski_embedding_check(fan: Fan, pic: PicBasis, bundles) -> EmbeddingVerd
     if not ample:
         return EmbeddingVerdict(False, "nef", detail="product bundle is not ample",
                                 product_class=product)
-    big_vertices = section_polytope_vertices(fan, pic, product)
+    # one Cartier vertex per maximal cone; all are sections, as product is ample
+    big_vertices = list(dict.fromkeys(vertex_divisors(fan, pic, product)))
     d = pic.n_rays
     r = len(bundles)
     # v in sum of the P_{L_i} iff the block system {x_i >= 0, deg x_i = L_i,
@@ -398,11 +374,12 @@ def theta_fiber_surjectivity_check(quiver: QuiverOfSections, fan: Fan,
         raise QuiverError("theta must be supported as (-k; nonnegative)")
     d = pic.n_rays
     zero = (0,) * d
-    # path-divisor sets from the source
-    order = _topological_order(quiver)
+    if any(a.tail >= a.head for a in quiver.arrows):
+        raise QuiverError("arrows must run up the vertex order")
+    # path-divisor sets from the source, in vertex order
     path_divs: list[set[IntVector]] = [set() for _ in range(quiver.n_vertices)]
     path_divs[0] = {zero}
-    for v in order:
+    for v in range(quiver.n_vertices):
         for a in quiver.arrows_from(v):
             for s in path_divs[v]:
                 path_divs[a.head].add(tuple(x + y for x, y in zip(s, a.div)))
@@ -427,20 +404,3 @@ def theta_fiber_surjectivity_check(quiver: QuiverOfSections, fan: Fan,
     return EmbeddingVerdict(True, "theta", product_class=cls,
                             detail=f"{len(fiber)} section monomials realized")
 
-
-def _topological_order(quiver: QuiverOfSections) -> list[int]:
-    indeg = [0] * quiver.n_vertices
-    for a in quiver.arrows:
-        indeg[a.head] += 1
-    queue = sorted(v for v in range(quiver.n_vertices) if indeg[v] == 0)
-    out = []
-    while queue:
-        v = queue.pop(0)
-        out.append(v)
-        for a in quiver.arrows_from(v):
-            indeg[a.head] -= 1
-            if indeg[a.head] == 0:
-                queue.append(a.head)
-    if len(out) != quiver.n_vertices:
-        raise QuiverError("quiver has a directed cycle; flow polytope unbounded")
-    return out

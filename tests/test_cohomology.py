@@ -284,6 +284,29 @@ def test_strong_exceptional_detects_failure():
     assert not v.ok and v.witness_pair is not None
 
 
+def test_hom_digraph_of_distinct_classes_is_acyclic():
+    # effective differences around a cycle would sum to a nonzero effective
+    # divisor of class 0, which no complete variety has; strong_exceptional_check
+    # relies on this for its Hom order
+    ws = load_workspace()
+    rng = random.Random(12)
+    for label in sorted(ws.fans):
+        pic = ws.pic(label)
+        for _ in range(60):
+            size = rng.randint(2, 5)
+            classes = set()
+            while len(classes) < size:
+                classes.add(tuple(rng.randint(-3, 3) for _ in range(pic.rank)))
+            edges = {(s, t) for s in classes for t in classes if s != t and
+                     is_effective(pic, tuple(b - a for a, b in zip(s, t)))}
+            remaining = set(classes)
+            while remaining:
+                sources = {v for v in remaining
+                           if not any((u, v) in edges for u in remaining)}
+                assert sources, (label, sorted(remaining))
+                remaining -= sources
+
+
 def test_dual_collection_symmetry():
     fan = make_fan("S2")
     pic = deg_and_pic(fan)

@@ -157,7 +157,7 @@ def test_pruned_fiber_is_the_fiber_minus_the_staircase_upset(label, monkeypatch)
         return found
 
     monkeypatch.setattr(quiver, "_pruned_fiber", recording)
-    q = covering_quiver_on_y(fan, pic, bundles, level_cap=3)
+    q = covering_quiver_on_y(fan, pic, bundles)
     r = len(bundles)
     minus_omega = tuple(-w for w in pic.canonical_class())
     visits = [(i, j, p) for p in range(1, 4) for i in range(r) for j in range(r)]
@@ -185,6 +185,65 @@ def test_total_space_quiver_report_is_pinned(label):
     assert result.exit_code == 0
     assert hashlib.sha256(result.output.encode()).hexdigest() == \
         TOTAL_SPACE_REPORT_SHA256[label]
+
+
+# the bundled collections whose Hom order runs up the vertex order
+HOM_ORDERED = ("P1xP1", "S3", "D1_3", "E1", "J1", "M1", "R3", "V4")
+
+
+def arrows_by_factorization(pic, bundles):
+    """The definition: e : i -> j is an arrow unless e - f is a section from k
+    to j for some k outside {i, j} and some section f from i to k."""
+    r = len(bundles)
+    secs = {(i, j): set(sections(pic, tuple(b - a for a, b in zip(bundles[i], bundles[j]))))
+            for i in range(r) for j in range(r) if i != j}
+    return {(i, j, e) for (i, j), s in secs.items() for e in s
+            if not any(tuple(x - y for x, y in zip(e, f)) in secs[k, j]
+                       for k in range(r) if k not in (i, j) for f in secs[i, k])}
+
+
+@pytest.mark.parametrize("label", HOM_ORDERED)
+def test_quiver_of_sections_matches_the_factorization_definition(label):
+    ws = bundled_workspace()
+    fan, pic = ws.fan(label), ws.pic(label)
+    bundles = [tuple(b) for b in ws.collection_for(label).bundles]
+    q = build_quiver_of_sections(fan, pic, bundles)
+    arrows = [(a.tail, a.head, a.div) for a in q.arrows]
+    assert len(set(arrows)) == len(arrows)
+    assert set(arrows) == arrows_by_factorization(pic, bundles)
+
+
+@pytest.mark.parametrize("label", ["P1xP1", "S3", "D1_3", "E1"])
+def test_covering_quiver_level_zero_is_the_quiver_of_sections(label):
+    ws = bundled_workspace()
+    fan, pic = ws.fan(label), ws.pic(label)
+    bundles = ws.collection_for(label).bundles
+    base = build_quiver_of_sections(fan, pic, bundles)
+    cover = covering_quiver_on_y(fan, pic, bundles)
+    assert [(a.tail, a.head, a.div[:-1]) for a in cover.arrows if a.div[-1] == 0] == \
+        [(a.tail, a.head, a.div) for a in base.arrows]
+
+
+# sha256 of the full `toricsec quiver <row>` report; I1 is not Hom-ordered
+QUIVER_REPORT_SHA256 = {
+    "P1xP1": "9f8f38478aa411a41e66cc7d1a6acb2714073427c729aacb7944aa0f53624344",
+    "S3": "5699b5c72ef95d7a87cbaccd56d07911e271f5a6190a016f4029a8215d988476",
+    "D1_3": "7437aef64955a6a16aa8a83ca18cdb055c6c120c1376c9f085a65f5c05d470fb",
+    "E1": "9cbbb3da4406fd05bdc26f2ea51904b1ac66a2e492e7190d298f4a592c73b982",
+    "I1": "b04fbd9f795283a4c40bb884bf44fb727951a11d3a1cd067394c43195a7e479b",
+    "J1": "2e58ff040e41dd03a68938fe9506c4885e543b0ced03fda01636a89a64cec4ce",
+    "M1": "1fb940056eab2b6d1b3da8d8046878a6f6789daea14b31741215af7931adda39",
+    "R3": "efa4f25755d67114f0fb1404f6d1e277aa5dbca796060fdc5f9ebd29135d2270",
+    "V4": "d96f7b3c2efa0523d17d30ba11e334b5b746e4bb6ba0beae0f135226c5b713fb",
+}
+
+
+@pytest.mark.parametrize("label", sorted(QUIVER_REPORT_SHA256))
+def test_quiver_report_is_pinned(label):
+    result = CliRunner().invoke(main, ["quiver", label])
+    assert result.exit_code == (2 if label == "I1" else 0)
+    assert hashlib.sha256(result.output.encode()).hexdigest() == \
+        QUIVER_REPORT_SHA256[label]
 
 
 def test_parallel_relations_share_endpoints_and_div():

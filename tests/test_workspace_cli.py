@@ -234,6 +234,50 @@ def test_cli_frobenius_level_must_be_positive(args):
     assert result.output.endswith("error=ValueError: m must be positive\nstatus=fail\n")
 
 
+@pytest.mark.parametrize("label, m", [("P2", "0"), ("B1", "0"), ("P2", "-1"), ("I1", "-2")])
+def test_cli_recipe_level_must_be_positive(label, m):
+    result = CliRunner().invoke(main, ["recipe", label, "--m", m])
+    assert result.exit_code == 2
+    assert result.output == f"error=PipelineError: m must be at least 1, got {m}\nstatus=fail\n"
+
+
+def test_cli_recipe_uses_the_level_given():
+    result = CliRunner().invoke(main, ["recipe", "P2", "--m", "3"])
+    assert result.exit_code == 0
+    assert "at m=3\n" in result.output
+
+
+@pytest.mark.parametrize("name, text, error", [
+    ("bad.fan", "label bad\ndim x\n", "bad.fan:2: expected integers, got ['x']"),
+    ("bad.fan", "label bad\ndim\n", "bad.fan:2: dim needs exactly one value, got []"),
+    ("bad.fan", "label bad\ndim 2 3\n", "bad.fan:2: dim needs exactly one value, got ['2', '3']"),
+    ("bad.col", "label c\nfan\n", "bad.col:2: fan needs exactly one value, got []"),
+    ("bad.col", "label c\nfan P1xP1\nfrobenius_m x\n",
+     "bad.col:3: expected integers, got ['x']"),
+    ("bad.col", "label c\nfan P1xP1\nfrobenius_m 0\n",
+     "bad.col:3: frobenius_m must be at least 1, got 0"),
+    ("bad.col", "label c\nfan P1xP1\nfrobenius_m\n",
+     "bad.col:3: frobenius_m needs exactly one value, got []"),
+], ids=["dim-not-int", "dim-missing", "dim-two-values", "fan-missing",
+        "m-not-int", "m-zero", "m-missing"])
+def test_cli_malformed_scalar_field_reports_fail(tmp_path, name, text, error):
+    write_fan_file(tmp_path / "P1xP1.fan", load_workspace().fan("P1xP1"))
+    (tmp_path / name).write_text(text + "rays\n" if name.endswith(".fan") else
+                                 text + "bundles\n0 0\n")
+    result = CliRunner().invoke(main, ["--data", str(tmp_path), "validate", "P1xP1"])
+    assert result.exit_code == 2
+    assert result.output == f"error=ParseError: {tmp_path / error}\nstatus=fail\n"
+
+
+def test_label_without_value_falls_back_to_the_file_stem(tmp_path):
+    write_fan_file(tmp_path / "unlabeled.fan", load_workspace().fan("P1"))
+    (tmp_path / "cut.col").write_text("label\nfan P1\nbundles\n0\n1\n")
+    assert parse_fan_file(tmp_path / "unlabeled.fan").label == "P1"
+    assert parse_collection_file(tmp_path / "cut.col").label == "cut"
+    (tmp_path / "bare.fan").write_text("label\ndim 1\nrays\n1\n-1\nmax_cones\n0\n1\n")
+    assert parse_fan_file(tmp_path / "bare.fan").label == "bare"
+
+
 def test_cli_frobenius_sizes():
     runner = CliRunner()
     result = runner.invoke(main, ["frobenius", "I1", "--m", "10", "--gen"])
