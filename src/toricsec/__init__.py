@@ -19,10 +19,10 @@ from .fans import (
 )
 from .cohomology import (
     ChainConeSystem,
+    FanNotComplete,
     ForbiddenSet,
     cohomology_dims,
     cohomology_dims_oracle,
-    dual_forbidden,
     forbidden_sets,
     has_higher_cohomology,
     strong_exceptional_along_chain,

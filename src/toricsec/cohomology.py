@@ -14,13 +14,17 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .fans import Fan, PicBasis, ContractionStep, cartier_data
+from .fans import Fan, FanError, PicBasis, ContractionStep, cartier_data
 from .intlin import identity, int_vector, mat, mat_mul, mat_vec, rank, vec_gcd
 from .polyhedra import ParametricIntegerFeasibility, eliminate_last
 
 
 class BoxTooSmall(ValueError):
     """The character search box clips a nonzero contribution."""
+
+
+class FanNotComplete(FanError):
+    """forbidden_sets needs the faces of a complete fan, an (n-1)-sphere."""
 
 
 @dataclass(frozen=True)
@@ -41,36 +45,27 @@ def _fan_faces(fan: Fan) -> frozenset[frozenset[int]]:
 
 @lru_cache(maxsize=None)
 def subcomplex_betti(fan: Fan, subset: frozenset[int]) -> tuple[int, ...]:
-    """Reduced Betti numbers over Q of the full subcomplex on `subset`."""
-    faces = [f for f in _fan_faces(fan) if f <= subset]
-    if not faces:
-        return ()
+    """Reduced Betti numbers over Q of the full subcomplex on `subset`.
+
+    Its faces are closed under taking subsets, so every dimension up to
+    the top one has faces.
+    """
     by_dim: dict[int, list[tuple[int, ...]]] = {}
-    for f in faces:
-        by_dim.setdefault(len(f) - 1, []).append(tuple(sorted(f)))
-    for v in by_dim.values():
-        v.sort()
-    top = max(by_dim)
-    ranks = {}
-    for k in range(1, top + 1):
-        if k not in by_dim or (k - 1) not in by_dim:
-            ranks[k] = 0
-            continue
+    for f in _fan_faces(fan):
+        if f <= subset:
+            by_dim.setdefault(len(f) - 1, []).append(tuple(sorted(f)))
+    ranks = [1]  # the augmentation onto the empty face, on a nonempty complex
+    for k in range(1, len(by_dim)):
         index = {f: i for i, f in enumerate(by_dim[k - 1])}
         rows = []
         for f in by_dim[k]:
-            row = [0] * len(by_dim[k - 1])
+            row = [0] * len(index)
             for j in range(len(f)):
-                sub = f[:j] + f[j + 1:]
-                row[index[sub]] = (-1) ** j
+                row[index[f[:j] + f[j + 1:]]] = (-1) ** j
             rows.append(row)
-        ranks[k] = rank(mat(rows)) if rows else 0
-    # augmentation: rank of the map to the empty face is 1 on a nonempty complex
-    ranks[0] = 1
-    betti = []
-    for k in range(0, top + 1):
-        nk = len(by_dim.get(k, []))
-        betti.append(nk - ranks.get(k, 0) - ranks.get(k + 1, 0))
+        ranks.append(rank(mat(rows)))
+    ranks.append(0)
+    betti = [len(by_dim[k]) - ranks[k] - ranks[k + 1] for k in range(len(by_dim))]
     while betti and betti[-1] == 0:
         betti.pop()
     return tuple(betti)
@@ -78,30 +73,30 @@ def subcomplex_betti(fan: Fan, subset: frozenset[int]) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def forbidden_sets(fan: Fan) -> tuple[ForbiddenSet, ...]:
-    """All nonempty ray subsets whose full subcomplex has reduced cohomology."""
-    d = fan.n_rays
-    out = []
-    for bits in range(1, 1 << d):
-        subset = frozenset(i for i in range(d) if bits >> i & 1)
-        betti = subcomplex_betti(fan, subset)
-        degrees = tuple(j + 1 for j, b in enumerate(betti) if b)
+    """All nonempty ray subsets whose full subcomplex has reduced cohomology.
+
+    The cones of a complete simplicial fan triangulate the unit sphere of
+    N_R, so the faces form an (n-1)-sphere S; a face spans an acyclic
+    simplex.  By Alexander duality in S (Bjorner-Tancer 2009), a proper I
+    feeds H^q iff its complement feeds H^{n-q}.  So only the non-faces of
+    at most d/2 rays are ranked, each forbidden one is mirrored, and the
+    full set must feed exactly H^n, as S does, else FanNotComplete.
+    """
+    d, n = fan.n_rays, fan.dim
+    full = frozenset(range(d))
+    if subcomplex_betti(fan, full) != (0,) * (n - 1) + (1,):
+        raise FanNotComplete(f"the fan is not complete: its faces are no {n - 1}-sphere")
+    found = {full: (n,)}
+    small = {frozenset(c) for k in range(1, d // 2 + 1)
+             for c in itertools.combinations(range(d), k)}
+    for subset in small - _fan_faces(fan):
+        degrees = tuple(j + 1 for j, b in enumerate(subcomplex_betti(fan, subset)) if b)
         if degrees:
-            out.append(ForbiddenSet(subset, degrees))
+            found[subset] = degrees
+            found[full - subset] = tuple(n - q for q in reversed(degrees))
+    out = [ForbiddenSet(s, q) for s, q in found.items()]
     out.sort(key=lambda f: (min(f.degrees), len(f.ray_indices), tuple(sorted(f.ray_indices))))
     return tuple(out)
-
-
-def dual_forbidden(fan: Fan, forbidden: ForbiddenSet) -> ForbiddenSet:
-    """Complement of a proper forbidden set; forbidden again by Serre duality."""
-    full = frozenset(range(fan.n_rays))
-    if forbidden.ray_indices == full:
-        raise ValueError("duality does not apply to the full ray set")
-    comp = full - forbidden.ray_indices
-    betti = subcomplex_betti(fan, comp)
-    degrees = tuple(j + 1 for j, b in enumerate(betti) if b)
-    if not degrees:
-        raise ValueError(f"complement {sorted(comp)} is not forbidden")
-    return ForbiddenSet(comp, degrees)
 
 
 @lru_cache(maxsize=None)
@@ -165,8 +160,20 @@ def fiber_refuters(pic: PicBasis, neg: frozenset) -> tuple[tuple[tuple[int, ...]
 
 @lru_cache(maxsize=None)
 def _forbidden_refuters(fan: Fan, pic: PicBasis):
-    """(forbidden set, fiber_refuters rows) in forbidden_sets order."""
-    return tuple((fs, fiber_refuters(pic, fs.ray_indices)) for fs in forbidden_sets(fan))
+    """The distinct L of all forbidden sets' fiber_refuters rows, and per
+    set, in forbidden_sets order, (set, its rows as (index of L, c))."""
+    index: dict[tuple[int, ...], int] = {}
+    table = tuple((fs, tuple((index.setdefault(L, len(index)), c)
+                             for L, c in fiber_refuters(pic, fs.ray_indices)))
+                  for fs in forbidden_sets(fan))
+    return tuple(index), table
+
+
+def _unrefuted(fan: Fan, pic: PicBasis, cls):
+    """forbidden_sets in order, less those a level-0 row refutes at cls."""
+    functionals, table = _forbidden_refuters(fan, pic)
+    values = [sum(map(mul, L, cls)) for L in functionals]
+    return (fs for fs, rows in table if all(values[i] + c <= 0 for i, c in rows))
 
 
 def _refuted(rows, cls) -> bool:
@@ -199,10 +206,9 @@ def has_higher_cohomology(fan: Fan, pic: PicBasis, cls) -> tuple[bool, Forbidden
     fiber a level-0 row refutes are skipped without a fiber_feasible call.
     """
     cls = _integer_class(pic, cls)
-    for fs, rows in _forbidden_refuters(fan, pic):
-        if not _refuted(rows, cls) and fiber_feasible(pic, cls, fs.ray_indices):
-            return True, fs
-    return False, None
+    hit = next((fs for fs in _unrefuted(fan, pic, cls)
+                if fiber_feasible(pic, cls, fs.ray_indices)), None)
+    return hit is not None, hit
 
 
 def fiber_witness(pic: PicBasis, cls, neg):
@@ -215,10 +221,12 @@ def fiber_witness(pic: PicBasis, cls, neg):
 def higher_cohomology_witness(fan: Fan, pic: PicBasis, cls):
     """has_higher_cohomology's forbidden set together with a point of its fiber.
 
-    One first-point search per forbidden set, in the same order; returns
+    One first-point search per forbidden set, in the same order, skipping
+    the fibers a level-0 row refutes (they are empty); returns
     (ForbiddenSet, ray exponents), or (None, None) without higher cohomology.
     """
-    for fs in forbidden_sets(fan):
+    cls = _integer_class(pic, cls)
+    for fs in _unrefuted(fan, pic, cls):
         point = fiber_witness(pic, cls, fs.ray_indices)
         if point is not None:
             return fs, point

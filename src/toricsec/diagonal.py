@@ -445,7 +445,7 @@ def _is_prime(p: int) -> bool:
 
 
 def _check_fiber_parameters(trials: int, diagonal_trials: int, prime: int) -> None:
-    """DiagonalError unless the fiber test draws points over a prime field."""
+    """DiagonalError unless the fiber test draws points over an odd prime field."""
     for name, value in (("trials", trials), ("diagonal_trials", diagonal_trials)):
         if value < 1:
             raise DiagonalError(f"{name} must be at least 1, got {value}")
@@ -454,6 +454,8 @@ def _check_fiber_parameters(trials: int, diagonal_trials: int, prime: int) -> No
                             f"(must be below {_MR_BOUND})")
     if not _is_prime(prime):
         raise DiagonalError(f"prime {prime} is not prime")
+    if prime == 2:
+        raise DiagonalError("prime 2 is too small: over F_2 no point lies off the diagonal")
 
 
 def fiber_exactness_check(complex_: GradedChainComplex, n: int,
@@ -467,7 +469,7 @@ def fiber_exactness_check(complex_: GradedChainComplex, n: int,
     later point is evaluated; the diagonal points are evaluated only once
     every off-diagonal point has passed.  All trial points are drawn up
     front from the seed.  Raises DiagonalError unless both trial counts
-    are at least 1 and prime is a prime.
+    are at least 1 and prime is an odd prime.
     """
     _check_fiber_parameters(trials, diagonal_trials, prime)
     rng = random.Random(seed)

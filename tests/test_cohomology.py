@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from toricsec.cohomology import (
     BoxTooSmall,
     ChainConeSystem,
+    FanNotComplete,
+    ForbiddenSet,
     cohomology_dims,
     cohomology_dims_oracle,
-    dual_forbidden,
     fiber_feasible,
     fiber_refuters,
     fiber_rhs,
@@ -23,9 +24,10 @@ from toricsec.cohomology import (
     is_effective,
     strong_exceptional_along_chain,
     strong_exceptional_check,
+    subcomplex_betti,
 )
 from toricsec.cli import main
-from toricsec.fans import deg_and_pic, star_subdivision
+from toricsec.fans import deg_and_pic, star_subdivision, total_space_fan
 from toricsec.workspace import load_workspace
 
 from conftest import make_fan
@@ -72,28 +74,57 @@ def test_forbidden_sets_b1_match_paper_tables():
     assert sorted(map(sorted, table[4])) == sorted(map(sorted, B1_FORBIDDEN[4]))
 
 
-def test_duality_closure_all_bundled(fans):
+@st.composite
+def blown_up_classes(draw):
+    """A class on one or two star subdivisions of P3 or P4 at random faces."""
+    fan = make_fan(draw(st.sampled_from(["P3", "P4"])))
+    for _ in range(draw(st.integers(1, 2))):
+        cone = draw(st.sampled_from(fan.max_cones))
+        face = draw(st.lists(st.sampled_from(cone), min_size=2, max_size=len(cone), unique=True))
+        fan, _ = star_subdivision(fan, face)
+    pic = deg_and_pic(fan)
+    cls = tuple(draw(st.lists(st.integers(-3, 2), min_size=pic.rank, max_size=pic.rank)))
+    return fan, pic, cls
+
+
+def full_scan_forbidden_sets(fan):
+    """Reference: the reduced Betti numbers of every nonempty ray subset."""
+    out = []
+    for bits in range(1, 1 << fan.n_rays):
+        subset = frozenset(i for i in range(fan.n_rays) if bits >> i & 1)
+        degrees = tuple(j + 1 for j, b in enumerate(subcomplex_betti(fan, subset)) if b)
+        if degrees:
+            out.append(ForbiddenSet(subset, degrees))
+    out.sort(key=lambda f: (min(f.degrees), len(f.ray_indices), tuple(sorted(f.ray_indices))))
+    return tuple(out)
+
+
+def test_forbidden_sets_match_the_full_scan_on_every_bundled_fan(fans):
     for label, fan in fans.items():
-        all_rays = frozenset(range(fan.n_rays))
-        sets = {fs.ray_indices for fs in forbidden_sets(fan)}
-        assert all_rays in sets  # top cohomology of omega
-        for s in sets:
-            if s != all_rays:
-                assert (all_rays - s) in sets, (label, sorted(s))
+        assert forbidden_sets(fan) == full_scan_forbidden_sets(fan), label
+
+
+@settings(max_examples=25, deadline=None)
+@given(blown_up_classes())
+def test_forbidden_sets_match_the_full_scan_on_random_blowups(case):
+    fan = case[0]
+    assert forbidden_sets(fan) == full_scan_forbidden_sets(fan), (fan.rays, fan.max_cones)
+
+
+def test_forbidden_sets_reject_an_incomplete_fan():
+    with pytest.raises(FanNotComplete, match="not complete"):
+        forbidden_sets(total_space_fan(make_fan("P2"))[0])
 
 
 def test_dual_forbidden_e1():
-    fan = make_fan("E1")
-    fs = next(f for f in forbidden_sets(fan) if f.ray_indices == frozenset({0, 4}))
-    dual = dual_forbidden(fan, fs)
-    assert dual.ray_indices == frozenset({1, 2, 3, 5, 6})
-    assert 3 in dual.degrees
+    sets = {fs.ray_indices: fs.degrees for fs in forbidden_sets(make_fan("E1"))}
+    assert sets[frozenset({0, 4})] == (1,)
+    assert sets[frozenset({1, 2, 3, 5, 6})] == (3,)
 
 
 def test_dual_forbidden_p1xp1():
-    fan = make_fan("P1xP1")
-    fs = next(f for f in forbidden_sets(fan) if f.ray_indices == frozenset({0, 2}))
-    assert dual_forbidden(fan, fs).ray_indices == frozenset({1, 3})
+    sets = {fs.ray_indices: fs.degrees for fs in forbidden_sets(make_fan("P1xP1"))}
+    assert sets[frozenset({0, 2})] == sets[frozenset({1, 3})] == (1,)
 
 
 def test_blowup_forbidden_monotonicity_e1_b1():
@@ -166,19 +197,6 @@ def test_cone_method_agrees_with_oracle_radius2(label):
         dims = cohomology_dims(fan, pic, cls)
         bad, _ = has_higher_cohomology(fan, pic, cls)
         assert bad == any(d != 0 for d in dims[1:]), (label, cls, dims)
-
-
-@st.composite
-def blown_up_classes(draw):
-    """A class on one or two star subdivisions of P3 or P4 at random faces."""
-    fan = make_fan(draw(st.sampled_from(["P3", "P4"])))
-    for _ in range(draw(st.integers(1, 2))):
-        cone = draw(st.sampled_from(fan.max_cones))
-        face = draw(st.lists(st.sampled_from(cone), min_size=2, max_size=len(cone), unique=True))
-        fan, _ = star_subdivision(fan, face)
-    pic = deg_and_pic(fan)
-    cls = tuple(draw(st.lists(st.integers(-3, 2), min_size=pic.rank, max_size=pic.rank)))
-    return fan, pic, cls
 
 
 @settings(max_examples=12, deadline=None)

@@ -377,6 +377,7 @@ def test_is_prime_on_pseudoprimes_and_large_primes(p, prime):
     ({"prime": 9}, "prime 9 is not prime"),
     ({"prime": 2147483649}, "prime 2147483649 is not prime"),
     ({"prime": 2 ** 89 - 1}, "beyond the exact primality test"),
+    ({"prime": 2}, "prime 2 is too small"),
 ])
 def test_fiber_parameters_rejected(e1_signed, monkeypatch, kwargs, message):
     fan, pic, _, _, signed = e1_signed

@@ -4,7 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from toricsec.cli import main
-from toricsec.cohomology import fiber_feasible, forbidden_sets
+from toricsec.cohomology import _refuted, fiber_feasible, fiber_refuters, forbidden_sets
 from toricsec.files import (
     ParseError,
     parse_collection_file,
@@ -110,12 +110,15 @@ def test_cli_cohomology():
 
 
 def test_cli_cohomology_searches_each_forbidden_fiber_once(monkeypatch):
-    # the witness set and its point come from the same first-point search
+    # the witness set and its point come from the same first-point search;
+    # fibers that a level-0 row refutes are empty and are not searched
     ws = load_workspace()
-    fan, pic = ws.fan("D1_3"), ws.pic("D1_3")
-    tried = 1 + next(n for n, fs in enumerate(forbidden_sets(fan))
-                     if fiber_feasible(pic, (2, 1, -3), fs.ray_indices))
-    assert tried == 7
+    fan, pic, cls = ws.fan("D1_3"), ws.pic("D1_3"), (2, 1, -3)
+    sets = forbidden_sets(fan)
+    hit = next(n for n, fs in enumerate(sets) if fiber_feasible(pic, cls, fs.ray_indices))
+    assert hit == 6 and sorted(sets[hit].ray_indices) == [1, 2, 5]
+    tried = sum(not _refuted(fiber_refuters(pic, fs.ray_indices), cls) for fs in sets[:hit + 1])
+    assert tried == 1
     searches = []
     points = ParametricIntegerFeasibility.points
 
@@ -126,7 +129,7 @@ def test_cli_cohomology_searches_each_forbidden_fiber_once(monkeypatch):
     monkeypatch.setattr(ParametricIntegerFeasibility, "points", counting)
     result = CliRunner().invoke(main, ["cohomology", "D1_3", "--", "2,1,-3"])
     assert result.exit_code == 0
-    assert "witness_point=" in result.output
+    assert "witness=1,2,5\n" in result.output and "witness_point=" in result.output
     assert len(searches) == tried
 
 
@@ -336,6 +339,7 @@ def test_cli_exit_status_tracks_report():
     (["--trials", "-1"], "trials must be at least 1, got -1"),
     (["--prime", "1"], "prime 1 is not prime"),
     (["--prime", "9"], "prime 9 is not prime"),
+    (["--prime", "2"], "prime 2 is too small: over F_2 no point lies off the diagonal"),
 ])
 def test_cli_fiber_parameters_rejected(command, option, error):
     result = CliRunner().invoke(main, option + [command, "S3"])
