@@ -14,7 +14,6 @@ from .fans import (
     polytope_fan_roundtrip,
     primitive_collections,
     star_subdivision,
-    total_space_fan,
     validate_fan,
 )
 from .cohomology import (

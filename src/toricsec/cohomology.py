@@ -203,11 +203,12 @@ def has_higher_cohomology(fan: Fan, pic: PicBasis, cls) -> tuple[bool, Forbidden
     """Cone-based test: some forbidden fiber admits an integer point.
 
     The class must be integral, else ValueError.  Forbidden sets whose
-    fiber a level-0 row refutes are skipped without a fiber_feasible call.
+    fiber a level-0 row refutes are skipped; only the others are searched.
     """
     cls = _integer_class(pic, cls)
     hit = next((fs for fs in _unrefuted(fan, pic, cls)
-                if fiber_feasible(pic, cls, fs.ray_indices)), None)
+                if fiber_tower(pic, fs.ray_indices).query(fiber_rhs(pic, cls, fs.ray_indices))),
+               None)
     return hit is not None, hit
 
 

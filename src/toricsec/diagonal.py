@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import accumulate
-from math import comb
+from math import comb, prod
 from operator import add
 
 from .fans import Fan, PicBasis, nef_ample_test
@@ -322,6 +322,9 @@ def check_dd_zero(complex_: GradedChainComplex) -> bool:
 
 def check_bidegrees(complex_: GradedChainComplex, pic: PicBasis) -> bool:
     """Every term's flank degrees must match the generator bidegrees."""
+    flanks = {flank for mat in complex_.matrices for terms in mat.values()
+              for _, alpha, beta in terms for flank in (alpha, beta)}
+    deg = {flank: pic.deg_of(flank) for flank in flanks}  # few distinct flanks
     for k, mat in enumerate(complex_.matrices):
         small_cells = complex_.levels[k]
         big_cells = complex_.levels[k + 1]
@@ -332,7 +335,7 @@ def check_bidegrees(complex_: GradedChainComplex, pic: PicBasis) -> bool:
             want_beta = tuple(a - b for a, b in zip(
                 complex_.bundles[big.head], complex_.bundles[small.head]))
             for _, alpha, beta in terms:
-                if pic.deg_of(alpha) != want_alpha or pic.deg_of(beta) != want_beta:
+                if deg[alpha] != want_alpha or deg[beta] != want_beta:
                     return False
     return True
 
@@ -347,27 +350,36 @@ class FiberReport:
     detail: str = ""
 
 
-def _rank_mod_p(rows, p) -> int:
-    """Rank over F_p by row echelon form: only entries below a pivot clear."""
-    m = list(rows)
-    n_rows = len(m)
-    n_cols = len(m[0]) if m else 0
-    r = 0
-    for c in range(n_cols):
-        piv = next((i for i in range(r, n_rows) if m[i][c] % p), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        top = m[r]
-        inv = pow(top[c], -1, p)
-        for i in range(r + 1, n_rows):
-            f = m[i][c] * inv % p
-            if f:
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], top)]
-        r += 1
-        if r == n_rows:
-            break
-    return r
+def _rank_pivots(rows, p):
+    """Pivot rows and columns of sparse rows over F_p: col -> entry in [1, p).
+
+    Each row in turn is cleared by the normalised pivot row of its leading
+    column, on that row's support, until it is zero or leads at a new
+    column and becomes a pivot row.  Each pivot row is its input row less
+    multiples of earlier ones, and sorted by leading column the pivot rows
+    are in echelon form; so the pivot rows and columns index a nonsingular
+    minor whose size is the rank.  Consumes rows.
+    """
+    pivots = {}
+    pivot_rows, pivot_cols = [], []
+    for i, row in enumerate(rows):
+        while row:
+            c = min(row)
+            top = pivots.get(c)
+            if top is None:
+                inv = pow(row[c], -1, p)
+                pivots[c] = [(j, x * inv % p) for j, x in row.items()]
+                pivot_rows.append(i)
+                pivot_cols.append(c)
+                break
+            f = row[c]
+            for j, y in top:
+                x = (row.get(j, 0) - f * y) % p
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+    return pivot_rows, pivot_cols
 
 
 def _max_exponent(complex_: GradedChainComplex) -> int:
@@ -376,43 +388,123 @@ def _max_exponent(complex_: GradedChainComplex) -> int:
                 for terms in mat.values() for _, alpha, beta in terms), default=0)
 
 
-def _power_table(values, top: int, p: int) -> list[list[int]]:
-    """Per value x, the list x^0, x^1, ..., x^top mod p."""
+def _power_table(values, top: int, p: int) -> list[int]:
+    """x^0, x^1, ..., x^top mod p for each x of values in turn, in one list."""
     table = []
     for x in values:
-        powers = [1] * (top + 1)
-        for e in range(1, top + 1):
-            powers[e] = powers[e - 1] * x % p
-        table.append(powers)
+        power = 1
+        for _ in range(top + 1):
+            table.append(power)
+            power = power * x % p
     return table
 
 
-def _evaluate(complex_: GradedChainComplex, k: int, x_powers, w_powers, p: int):
-    """matrices[k] over F_p at the point whose power tables are given."""
-    n_rows = len(complex_.levels[k])
-    n_cols = len(complex_.levels[k + 1])
-    rows = [[0] * n_cols for _ in range(n_rows)]
-    for (row, col), terms in complex_.matrices[k].items():
-        total = 0
-        for sign, alpha, beta in terms:
-            val = sign
-            for powers, e in zip(x_powers, alpha):
-                val *= powers[e]
-            for powers, e in zip(w_powers, beta):
-                val *= powers[e]
-            total += val % p
-        rows[row][col] = total % p
+def _compile(complex_: GradedChainComplex, top: int):
+    """The matrices as sums of signed monomials over one _power_table of xs + ws.
+
+    Returns the distinct signed monomials, each a sign and the table
+    indices of its variables with nonzero exponent (top bounds the
+    exponents), and per matrix its shape and its entries as (row, col) ->
+    indices into those monomials.
+    """
+    stride = top + 1
+    ids: dict[tuple, int] = {}  # (sign, alpha, beta) -> monomial number
+    matrices = [((len(complex_.levels[k]), len(complex_.levels[k + 1])),
+                 {key: tuple(ids.setdefault(term, len(ids)) for term in terms)
+                  for key, terms in mat.items()})
+                for k, mat in enumerate(complex_.matrices)]
+    monomials = tuple((sign, tuple(v * stride + e for v, e in enumerate(alpha + beta) if e))
+                      for sign, alpha, beta in ids)
+    return monomials, matrices
+
+
+def _monomial_values(monomials, point, p: int, top: int) -> list[int]:
+    """The signed monomials of _compile over F_p at point = xs + ws."""
+    table = _power_table(point, top, p).__getitem__
+    return [sign * prod(map(table, mono)) % p for sign, mono in monomials]
+
+
+def _evaluate(shape, entries, values, p: int):
+    """Sparse rows of a compiled matrix over F_p, given its monomials' values."""
+    rows = [{} for _ in range(shape[0])]
+    get = values.__getitem__
+    for (row, col), ids in entries.items():
+        x = sum(map(get, ids)) % p
+        if x:
+            rows[row][col] = x
     return rows
 
 
-def _rank_profile(complex_: GradedChainComplex, xs, ws, p, top: int):
-    """Ranks of every matrix at (xs, ws); top bounds the complex's exponents."""
-    x_powers = _power_table(xs, top, p)
-    w_powers = _power_table(ws, top, p)
-    return [
-        _rank_mod_p(_evaluate(complex_, k, x_powers, w_powers, p), p)
-        for k in range(len(complex_.matrices))
-    ]
+def _minor(entries, rows, cols):
+    """The square minor of a compiled matrix on paired pivot rows and
+    columns, with its elimination schedule.
+
+    Row i of the minor is rows[i] and its column i is cols[i], in the
+    order _rank_pivots found them.  At the point that found them, every
+    leading principal minor in this order is nonsingular (the first i
+    pivot rows, cleared, are in echelon form on the first i pivot
+    columns), so elimination without row exchanges runs through.  The
+    schedule fixes it: per step k, the flat index of the pivot and, per
+    row below with an entry in column k, that entry's index and the
+    (target, source) index pairs the step updates, fill included.
+    """
+    size = len(rows)
+    at_row = {r: i for i, r in enumerate(rows)}
+    at_col = {c: j for j, c in enumerate(cols)}
+    positions = []
+    support = [set() for _ in range(size)]
+    for (r, c), ids in entries.items():
+        if r in at_row and c in at_col:
+            i, j = at_row[r], at_col[c]
+            positions.append((i * size + j, ids))
+            support[i].add(j)
+    schedule = []
+    for k in range(size):
+        upper = [j for j in sorted(support[k]) if j > k]
+        lower = []
+        for i in range(k + 1, size):
+            if k in support[i]:
+                support[i].update(upper)
+                lower.append((i * size + k, [(i * size + j, k * size + j) for j in upper]))
+        schedule.append((k * size + k, lower))
+    return size, positions, schedule
+
+
+def _nonsingular(minor, values, p: int) -> bool:
+    """True if the minor's scheduled elimination over F_p meets no zero
+    pivot, which makes it nonsingular; False otherwise."""
+    size, positions, schedule = minor
+    a = [0] * (size * size)
+    get = values.__getitem__
+    for q, ids in positions:
+        a[q] = sum(map(get, ids)) % p
+    for kk, lower in schedule:
+        if not a[kk]:
+            return False
+        inv = pow(a[kk], -1, p)
+        for ik, pairs in lower:
+            f = a[ik] * inv % p
+            if f:
+                for ij, kj in pairs:
+                    a[ij] = (a[ij] - f * a[kj]) % p
+    return True
+
+
+def _point_profile(compiled, xs, ws, p: int, top: int, minors=None):
+    """Rank profile of the compiled complex at (xs, ws), and its pivots.
+
+    Given minors that are all nonsingular at the point, returns their
+    sizes and None, with no full rank; that is the profile only of a
+    complex (see fiber_exactness_check).  Otherwise ranks every matrix in
+    full and returns, per matrix, its pivot rows and columns.
+    """
+    monomials, matrices = compiled
+    values = _monomial_values(monomials, xs + ws, p, top)
+    if minors is not None and all(_nonsingular(minor, values, p) for minor in minors):
+        return [minor[0] for minor in minors], None
+    pivots = [_rank_pivots(_evaluate(shape, entries, values, p), p)
+              for shape, entries in matrices]
+    return [len(rows) for rows, _ in pivots], pivots
 
 
 # Miller-Rabin with the first 13 prime bases is exact below this bound
@@ -469,9 +561,24 @@ def fiber_exactness_check(complex_: GradedChainComplex, n: int,
     later point is evaluated; the diagonal points are evaluated only once
     every off-diagonal point has passed.  All trial points are drawn up
     front from the seed.  Raises DiagonalError unless both trial counts
-    are at least 1 and prime is an odd prime.
+    are at least 1 and prime is an odd prime, and unless the squared
+    differential is zero (check_dd_zero), before any point is evaluated.
+
+    Only the first off-diagonal point with the expected profile e pays
+    for full ranks; it records, per matrix d_k, the pivot rows and
+    columns of a nonsingular e_k x e_k minor.  A later off-diagonal point
+    where every recorded minor is nonsingular has rank d_k = e_k for all
+    k: the minor gives r_k >= e_k, and d_k d_{k+1} = 0 at every point, so
+    im d_{k+1} lies in ker d_k and r_{k+1} <= ranks[k+1] - r_k
+    <= ranks[k+1] - e_k = e_{k+1}, starting from r_0 <= ranks[0] = e_0.
+    A point where some minor's scheduled elimination meets a zero pivot
+    (as it must when the minor is singular) is ranked in full, like every
+    diagonal point, and on the expected profile its minors replace the
+    recorded ones; so every report equals that of full ranks everywhere.
     """
     _check_fiber_parameters(trials, diagonal_trials, prime)
+    if not check_dd_zero(complex_):
+        raise DiagonalError("squared differential nonzero")
     rng = random.Random(seed)
     d = complex_.n_variables
     ranks = complex_.ranks
@@ -487,15 +594,20 @@ def fiber_exactness_check(complex_: GradedChainComplex, n: int,
                    for _ in range(diagonal_trials)]
 
     top = _max_exponent(complex_)
+    compiled = _compile(complex_, top)
+    minors = None
     for t, (xs, ws) in enumerate(off_points):
-        profile = _rank_profile(complex_, xs, ws, prime, top)
+        profile, pivots = _point_profile(compiled, xs, ws, prime, top, minors)
         if profile != expected:
             return FiberReport(False, tuple(profile), (),
                                f"off-diagonal rank deviation at trial {t}: "
                                f"{profile} != {expected}")
+        if pivots is not None:
+            minors = [_minor(entries, rows, cols)
+                      for (_, entries), (rows, cols) in zip(compiled[1], pivots)]
     want_diag = [comb(n, k) for k in range(n + 1)]
     for t, point in enumerate(diag_points):
-        padded = [0] + _rank_profile(complex_, point, point, prime, top) + [0]
+        padded = [0] + _point_profile(compiled, point, point, prime, top)[0] + [0]
         hom = [r - padded[k] - padded[k + 1] for k, r in enumerate(ranks)]
         if hom != want_diag:
             return FiberReport(False, tuple(expected), tuple(hom),
@@ -522,8 +634,10 @@ def diagonal_resolution_verdict(fan: Fan, pic: PicBasis, bundles, theta=None,
                                 seed: int = 0, prime: int = 2147483647) -> ResolutionVerdict:
     """Assemble and certify the Method-2 chain for one collection.
 
-    "full" needs the signed complex with squared differential zero, the
-    fiberwise exactness profile, and an embedding certificate: the nef
+    "full" needs every term's flank degrees to match its generators'
+    bidegrees (check_bidegrees), the signed complex with squared
+    differential zero (checked by fiber_exactness_check), the fiberwise
+    exactness profile, and an embedding certificate: the nef
     Minkowski route when every bundle is nef, otherwise the Y_theta route
     with the supplied weight.  Every verdict past sign solving carries the
     signed complex.  Raises DiagonalError on the fiber test's parameters
@@ -539,6 +653,8 @@ def diagonal_resolution_verdict(fan: Fan, pic: PicBasis, bundles, theta=None,
         cx = derivative_complex(rest, qy, pic.n_rays, bundles)
     except DiagonalError as exc:
         return ResolutionVerdict("inconclusive", f"cell assembly: {exc}")
+    if not check_bidegrees(cx, pic):
+        return ResolutionVerdict("inconclusive", "term bidegrees off the generators", cx.ranks)
     signed = sign_solve(cx)
     if signed is None:
         return ResolutionVerdict("inconclusive", "no sign assignment", cx.ranks)
@@ -546,11 +662,12 @@ def diagonal_resolution_verdict(fan: Fan, pic: PicBasis, bundles, theta=None,
     def verdict(stage, fiber=None, emb=None, status="inconclusive"):
         return ResolutionVerdict(status, stage, cx.ranks, fiber, emb, signed)
 
-    if not check_dd_zero(signed):
-        return verdict("squared differential nonzero")
-    fiber = fiber_exactness_check(signed, n, trials=trials,
-                                  diagonal_trials=diagonal_trials,
-                                  seed=seed, prime=prime)
+    try:
+        fiber = fiber_exactness_check(signed, n, trials=trials,
+                                      diagonal_trials=diagonal_trials,
+                                      seed=seed, prime=prime)
+    except DiagonalError as exc:  # d^2 != 0: the parameters were checked above
+        return verdict(str(exc))
     if not fiber.ok:
         return verdict("fiber exactness", fiber)
     if all(nef_ample_test(fan, pic, b)[0] for b in bundles):
@@ -590,16 +707,3 @@ def serialize_complex(complex_: GradedChainComplex) -> str:
                               f"{','.join(str(x) for x in beta)}")
             lines.append(f"entry {row} {col} {' '.join(blocks)}")
     return "\n".join(lines) + "\n"
-
-
-def torus_rescale(xs, ws, fan: Fan, exponents, prime: int):
-    """Act by a torus element: multiplies both coordinate sets consistently."""
-    out_x = list(xs)
-    out_w = list(ws)
-    for ρ in range(fan.n_rays):
-        f = 1
-        for j, e in enumerate(exponents):
-            f = f * pow(pow(2, e, prime), fan.rays[ρ][j], prime) % prime
-        out_x[ρ] = out_x[ρ] * f % prime
-        out_w[ρ] = out_w[ρ] * f % prime
-    return out_x, out_w

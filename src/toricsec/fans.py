@@ -464,15 +464,6 @@ def nef_ample_test(fan: Fan, pic: PicBasis, cls) -> tuple[bool, bool]:
     return True, ample
 
 
-def total_space_fan(fan: Fan) -> tuple[Fan, int]:
-    """Fan of tot(omega_X) in dimension n+1, plus the index of the extra ray."""
-    n = fan.dim
-    rays = tuple(tuple(r) + (1,) for r in fan.rays) + ((0,) * n + (1,),)
-    rho_tot = fan.n_rays
-    cones = tuple(tuple(sorted(c + (rho_tot,))) for c in fan.max_cones)
-    return Fan(n + 1, rays, cones, label=f"tot(w_{fan.label})" if fan.label else ""), rho_tot
-
-
 @dataclass(frozen=True)
 class LatticePolytope:
     vertices: tuple[IntVector, ...]

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from toricsec import cohomology
 from toricsec.cohomology import (
     BoxTooSmall,
     ChainConeSystem,
@@ -27,10 +28,10 @@ from toricsec.cohomology import (
     subcomplex_betti,
 )
 from toricsec.cli import main
-from toricsec.fans import deg_and_pic, star_subdivision, total_space_fan
+from toricsec.fans import deg_and_pic, star_subdivision
 from toricsec.workspace import load_workspace
 
-from conftest import make_fan
+from conftest import make_fan, total_space_fan
 
 E1_FORBIDDEN = {
     1: [{0, 4}, {4, 5}, {0, 4, 5}, {0, 6}, {0, 4, 6}],
@@ -249,6 +250,22 @@ def test_refuted_fibers_match_the_searched_ones(query):
     bad, fs = has_higher_cohomology(fan, pic, cls)
     assert bad == (expected_hit is not None)
     assert (fs.ray_indices if bad else None) == expected_hit
+
+
+def test_higher_cohomology_refutes_each_forbidden_fiber_once(monkeypatch):
+    # _unrefuted has read the level-0 rows; the fibers it leaves are searched
+    # straight away, with no second refuter test through fiber_feasible
+    ws = load_workspace()
+    fan, pic = ws.fan("D1_3"), ws.pic("D1_3")
+
+    def refuted_again(*args):
+        raise AssertionError("a fiber was refuted twice")
+
+    monkeypatch.setattr(cohomology, "fiber_feasible", refuted_again)
+    monkeypatch.setattr(cohomology, "_refuted", refuted_again)
+    bad, fs = has_higher_cohomology(fan, pic, (2, 1, -3))
+    assert bad and fs == forbidden_sets(fan)[6]
+    assert has_higher_cohomology(fan, pic, (0, 0, 0)) == (False, None)
 
 
 def test_non_integer_classes_are_rejected():

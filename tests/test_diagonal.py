@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -8,10 +9,12 @@ from toricsec import diagonal
 from toricsec.diagonal import (
     DiagonalError,
     GradedChainComplex,
+    _compile,
     _evaluate,
     _max_exponent,
-    _power_table,
-    _rank_mod_p,
+    _monomial_values,
+    _point_profile,
+    _rank_pivots,
     cell_sets,
     check_bidegrees,
     check_dd_zero,
@@ -24,6 +27,7 @@ from toricsec.diagonal import (
 )
 from toricsec.fans import deg_and_pic
 from toricsec.quiver import QuiverOfSections, Arrow, covering_quiver_on_y
+from toricsec.workspace import load_workspace
 
 from conftest import make_fan
 
@@ -139,17 +143,30 @@ def test_fiber_exactness_e1(e1_signed):
     assert rep.diagonal_homology == (1, 4, 6, 4, 1)
 
 
+def torus_rescale(xs, ws, fan, exponents, prime: int):
+    """Act by a torus element: multiplies both coordinate sets consistently."""
+    out_x = list(xs)
+    out_w = list(ws)
+    for ρ in range(fan.n_rays):
+        f = 1
+        for j, e in enumerate(exponents):
+            f = f * pow(pow(2, e, prime), fan.rays[ρ][j], prime) % prime
+        out_x[ρ] = out_x[ρ] * f % prime
+        out_w[ρ] = out_w[ρ] * f % prime
+    return out_x, out_w
+
+
 def test_torus_orbit_invariance(e1_signed):
-    from toricsec.diagonal import _rank_profile, torus_rescale
     fan, _, _, _, signed = e1_signed
     rng = random.Random(5)
     p = 2147483647
     xs = [rng.randrange(1, p) for _ in range(7)]
     ws = [rng.randrange(1, p) for _ in range(7)]
     top = _max_exponent(signed)
-    base = _rank_profile(signed, xs, ws, p, top)
+    compiled = _compile(signed, top)
+    base = _point_profile(compiled, xs, ws, p, top)[0]
     xs2, ws2 = torus_rescale(xs, ws, fan, (3, -2, 5, 1), p)
-    assert _rank_profile(signed, xs2, ws2, p, top) == base
+    assert _point_profile(compiled, xs2, ws2, p, top)[0] == base
 
 
 def test_alternating_sums_of_paper_complexes():
@@ -252,13 +269,42 @@ def matrices_mod_p(draw):
     return rows, p
 
 
+def dense_pivots(rows, p):
+    """_rank_pivots of a dense matrix with entries in [0, p)."""
+    return _rank_pivots([{j: x for j, x in enumerate(row) if x} for row in rows], p)
+
+
+def pivot_rank(rows, p):
+    return len(dense_pivots(rows, p)[0])
+
+
 @settings(max_examples=300, deadline=None)
 @given(matrices_mod_p())
 def test_row_echelon_rank_matches_full_reduction(case):
     rows, p = case
-    before = [row[:] for row in rows]
-    assert _rank_mod_p(rows, p) == full_reduction_rank(rows, p)
-    assert rows == before
+    rank = full_reduction_rank(rows, p)
+    pivot_rows, pivot_cols = dense_pivots(rows, p)
+    assert len(set(pivot_rows)) == len(set(pivot_cols)) == len(pivot_rows) == rank
+    # the pivots index a nonsingular minor of that size
+    minor = [[rows[i][j] for j in pivot_cols] for i in pivot_rows]
+    assert full_reduction_rank(minor, p) == rank
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices_mod_p(), st.randoms(use_true_random=False))
+def test_scheduled_minor_elimination_certifies_nonsingular_minors(case, rng):
+    rows, p = case
+    # one monomial per nonzero entry: the values are the matrix itself
+    entries = {(i, j): (i * len(row) + j,)
+               for i, row in enumerate(rows) for j, x in enumerate(row) if x}
+    pivot_rows, pivot_cols = dense_pivots(rows, p)
+    minor = diagonal._minor(entries, pivot_rows, pivot_cols)
+    assert diagonal._nonsingular(minor, [x for row in rows for x in row], p)
+    # at other values on the same support, True still means nonsingular
+    other = [[rng.randrange(p) if x else 0 for x in row] for row in rows]
+    if diagonal._nonsingular(minor, [x for row in other for x in row], p):
+        sub = [[other[i][j] for j in pivot_cols] for i in pivot_rows]
+        assert full_reduction_rank(sub, p) == len(pivot_rows)
 
 
 def test_power_tables_match_pow_beyond_exponent_one():
@@ -282,26 +328,172 @@ def test_power_tables_match_pow_beyond_exponent_one():
     assert top == 4
     xs = [rng.randrange(1, p) for _ in range(nv)]
     ws = [rng.randrange(1, p) for _ in range(nv)]
-    for k in range(2):
-        got = _evaluate(cx, k, _power_table(xs, top, p), _power_table(ws, top, p), p)
+    monomials, matrices = _compile(cx, top)
+    values = _monomial_values(monomials, xs + ws, p, top)
+    for k, (shape, entries) in enumerate(matrices):
+        rows = _evaluate(shape, entries, values, p)
+        got = [[row.get(col, 0) for col in range(shape[1])] for row in rows]
         assert got == pow_evaluate(cx, k, xs, ws, p)
 
 
 def test_fiber_check_stops_at_the_first_off_diagonal_deviation(e1_signed, monkeypatch):
     _, _, _, _, signed = e1_signed
-    real = diagonal._rank_profile
+    real = diagonal._point_profile
     calls = []  # per evaluated point: is it on the diagonal?
 
-    def third_point_deviates(complex_, xs, ws, p, top):
+    def third_point_deviates(compiled, xs, ws, p, top, minors=None):
         calls.append(xs is ws)
-        profile = real(complex_, xs, ws, p, top)
-        return [0] * len(profile) if len(calls) == 3 else profile
+        profile, found = real(compiled, xs, ws, p, top, minors)
+        return ([0] * len(profile) if len(calls) == 3 else profile), found
 
-    monkeypatch.setattr(diagonal, "_rank_profile", third_point_deviates)
+    monkeypatch.setattr(diagonal, "_point_profile", third_point_deviates)
     rep = fiber_exactness_check(signed, 4, trials=8, diagonal_trials=4, seed=3)
     assert not rep.ok
     assert rep.detail.startswith("off-diagonal rank deviation at trial 2:")
     assert calls == [False] * 3
+
+
+def test_later_off_diagonal_points_check_only_the_recorded_minors(e1_signed, monkeypatch):
+    _, _, _, _, signed = e1_signed
+    rank, nonsingular = diagonal._rank_pivots, diagonal._nonsingular
+    seen = []  # per matrix ranked in full or minor checked, in order: kind and rows
+
+    def rank_spy(rows, p):
+        seen.append(("rank", len(rows)))
+        return rank(rows, p)
+
+    def minor_spy(minor, values, p):
+        seen.append(("minor", minor[0]))
+        return nonsingular(minor, values, p)
+
+    monkeypatch.setattr(diagonal, "_rank_pivots", rank_spy)
+    monkeypatch.setattr(diagonal, "_nonsingular", minor_spy)
+    rep = fiber_exactness_check(signed, 4, trials=8, diagonal_trials=2, seed=3)
+    assert rep.ok
+    full = [("rank", n) for n in signed.ranks[:-1]]
+    minors = [("minor", e) for e in rep.off_diagonal_ranks]
+    assert seen == full + minors * 7 + full * 2
+
+
+def reference_fiber_exactness_check(complex_, n, trials=32, diagonal_trials=8,
+                                    seed=0, prime=2147483647):
+    """The former check, full ranks at every point, kept as the reference."""
+    rng = random.Random(seed)
+    d = complex_.n_variables
+    ranks = complex_.ranks
+    alternating = sum((-1) ** i * r for i, r in enumerate(ranks))
+    if alternating != 0:
+        return diagonal.FiberReport(False, (), (), f"alternating rank sum {alternating} != 0")
+    expected = [ranks[0]]
+    for k in range(1, len(ranks) - 1):
+        expected.append(ranks[k] - expected[k - 1])
+    off_points = [([rng.randrange(1, prime) for _ in range(d)],
+                   [rng.randrange(1, prime) for _ in range(d)]) for _ in range(trials)]
+    diag_points = [[rng.randrange(1, prime) for _ in range(d)]
+                   for _ in range(diagonal_trials)]
+
+    def profile(xs, ws):
+        return [pivot_rank(pow_evaluate(complex_, k, xs, ws, prime), prime)
+                for k in range(len(complex_.matrices))]
+
+    for t, (xs, ws) in enumerate(off_points):
+        got = profile(xs, ws)
+        if got != expected:
+            return diagonal.FiberReport(False, tuple(got), (),
+                                        f"off-diagonal rank deviation at trial {t}: "
+                                        f"{got} != {expected}")
+    want_diag = [comb(n, k) for k in range(n + 1)]
+    for t, point in enumerate(diag_points):
+        padded = [0] + profile(point, point) + [0]
+        hom = [r - padded[k] - padded[k + 1] for k, r in enumerate(ranks)]
+        if hom != want_diag:
+            return diagonal.FiberReport(False, tuple(expected), tuple(hom),
+                                        f"diagonal homology {hom} != {want_diag} at trial {t}")
+    return diagonal.FiberReport(True, tuple(expected), tuple(want_diag))
+
+
+@pytest.fixture(scope="module")
+def grid_complexes():
+    """The signed complexes of the bundled S3, D1_3 and E1 collections."""
+    ws = load_workspace()
+    out = {}
+    for label in ("S3", "D1_3", "E1"):
+        fan, pic = ws.fan(label), ws.pic(label)
+        bundles = [tuple(b) for b in ws.collection_for(label).bundles]
+        qy = covering_quiver_on_y(fan, pic, bundles)
+        rest = restrict_cells(cell_sets(qy, fan.dim), rho_tot=pic.n_rays)
+        out[label] = sign_solve(derivative_complex(rest, qy, pic.n_rays, bundles))
+    return out
+
+
+@pytest.mark.parametrize("label, n, trials", [("S3", 2, 32), ("D1_3", 3, 32), ("E1", 4, 8)])
+@pytest.mark.parametrize("prime", [3, 5, 7, 11, 101, 2147483647])
+def test_fiber_reports_match_full_ranks_everywhere(grid_complexes, label, n, trials, prime):
+    signed = grid_complexes[label]
+    for seed in range(6):
+        args = dict(trials=trials, diagonal_trials=trials // 4, seed=seed, prime=prime)
+        assert fiber_exactness_check(signed, n, **args) == \
+            reference_fiber_exactness_check(signed, n, **args), seed
+
+
+def doctored_first_matrix(signed):
+    """signed plus x_0 - w_0 in d1 at its last column: zero on the diagonal."""
+    d1 = dict(signed.matrices[0])
+    col = len(signed.levels[1]) - 1
+    row = next(r for r in range(len(signed.levels[0])) if (r, col) not in d1)
+    unit = (1,) + (0,) * (signed.n_variables - 1)
+    zero = (0,) * signed.n_variables
+    d1[(row, col)] = [(1, unit, zero), (-1, zero, unit)]
+    return GradedChainComplex(signed.bundles, signed.levels, [d1] + signed.matrices[1:],
+                              signed.n_variables), col
+
+
+def test_fiber_check_rejects_a_nonzero_square_that_no_rank_sees(e1_signed):
+    _, _, _, _, signed = e1_signed
+    broken, col = doctored_first_matrix(signed)
+    assert not check_dd_zero(broken)
+    # the extra entry lies outside the minor recorded at the first point
+    rng, p = random.Random(3), 2147483647
+    xs = [rng.randrange(1, p) for _ in range(broken.n_variables)]
+    ws = [rng.randrange(1, p) for _ in range(broken.n_variables)]
+    top = _max_exponent(broken)
+    monomials, matrices = _compile(broken, top)
+    values = _monomial_values(monomials, xs + ws, p, top)
+    assert col not in _rank_pivots(_evaluate(*matrices[0], values, p), p)[1]
+    # d1 has full row rank off the diagonal and the entry vanishes on it
+    assert reference_fiber_exactness_check(broken, 4, trials=4, diagonal_trials=2, seed=3).ok
+    with pytest.raises(DiagonalError, match="squared differential nonzero"):
+        fiber_exactness_check(broken, 4, trials=4, diagonal_trials=2, seed=3)
+
+
+def test_verdict_reports_a_nonzero_square_before_any_fiber(monkeypatch):
+    fan = make_fan("P2")
+    pic = deg_and_pic(fan)
+    real = diagonal.sign_solve
+    monkeypatch.setattr(diagonal, "sign_solve", lambda cx: doctored_first_matrix(real(cx))[0])
+    verdict = diagonal_resolution_verdict(fan, pic, [(0,), (1,), (2,)], trials=2,
+                                          diagonal_trials=1, seed=0)
+    assert (verdict.status, verdict.stage, verdict.fiber) == \
+        ("inconclusive", "squared differential nonzero", None)
+
+
+def test_verdict_rejects_a_term_off_the_generator_bidegrees(monkeypatch):
+    fan = make_fan("P2")
+    pic = deg_and_pic(fan)
+    real = diagonal.derivative_complex
+
+    def shifted(*args):
+        cx = real(*args)
+        terms = next(iter(cx.matrices[0].values()))
+        sign, alpha, beta = terms[0]
+        terms[0] = (sign, (alpha[0] + 1,) + alpha[1:], beta)
+        return cx
+
+    monkeypatch.setattr(diagonal, "derivative_complex", shifted)
+    verdict = diagonal_resolution_verdict(fan, pic, [(0,), (1,), (2,)], trials=2,
+                                          diagonal_trials=1, seed=0)
+    assert (verdict.status, verdict.stage, verdict.fiber) == \
+        ("inconclusive", "term bidegrees off the generators", None)
 
 
 # ------------------------------------------------ cell levels and parameters

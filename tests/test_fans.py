@@ -20,14 +20,13 @@ from toricsec.fans import (
     polytope_fan_roundtrip,
     primitive_collections,
     star_subdivision,
-    total_space_fan,
     validate_fan,
     vertex_divisors,
 )
 from toricsec.intlin import identity, kernel_vector, mat_mul, transpose
 from toricsec.workspace import load_workspace
 
-from conftest import RAYS, make_fan
+from conftest import RAYS, make_fan, total_space_fan
 
 
 def test_p2_is_smooth_complete_fano():
