@@ -11,12 +11,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from operator import mul
 
 from .fans import Fan, FanError, PicBasis, ContractionStep, cartier_data
 from .intlin import identity, int_vector, mat, mat_mul, mat_vec, rank, vec_gcd
-from .polyhedra import ParametricIntegerFeasibility, eliminate_last
+from .polyhedra import (
+    ParametricIntegerFeasibility,
+    eliminate_last,
+    fourier_motzkin,
+    level0_pullback,
+)
 
 
 class BoxTooSmall(ValueError):
@@ -99,6 +104,20 @@ def forbidden_sets(fan: Fan) -> tuple[ForbiddenSet, ...]:
     return tuple(out)
 
 
+def _fiber_rows(pic: PicBasis, neg) -> list[tuple[int, ...]]:
+    """fiber_tower's rows: each ray's exponent in the free ones, negated on neg."""
+    free = pic.free_indices
+    rows = []
+    for ρ in range(pic.n_rays):
+        if ρ in free:
+            row = tuple(1 if f == ρ else 0 for f in free)
+        else:
+            deg_row = pic.deg[pic.basis_indices.index(ρ)]
+            row = tuple(-deg_row[f] for f in free)
+        rows.append(tuple(-x for x in row) if ρ in neg else row)
+    return rows
+
+
 @lru_cache(maxsize=None)
 def fiber_tower(pic: PicBasis, neg: frozenset) -> ParametricIntegerFeasibility:
     """The lattice-point engine of the deg-fibers with negative support neg.
@@ -121,22 +140,26 @@ def fiber_tower(pic: PicBasis, neg: frozenset) -> ParametricIntegerFeasibility:
     bounds its coordinate from both sides.  Any other support may have
     an unbounded fiber, and its search raises UnboundedSearch.
     """
-    free = pic.free_indices
-    rows = []
-    for ρ in range(pic.n_rays):
-        if ρ in free:
-            row = tuple(1 if f == ρ else 0 for f in free)
-        else:
-            deg_row = pic.deg[pic.basis_indices.index(ρ)]
-            row = tuple(-deg_row[f] for f in free)
-        rows.append(tuple(-x for x in row) if ρ in neg else row)
-    return ParametricIntegerFeasibility(rows, len(free))
+    return ParametricIntegerFeasibility(_fiber_rows(pic, neg), len(pic.free_indices))
 
 
 def fiber_rhs(pic: PicBasis, cls, neg) -> list[int]:
     """Right-hand sides of fiber_tower(pic, neg) for the class cls."""
     a = pic.lift(cls)
     return [1 + a[ρ] if ρ in neg else -a[ρ] for ρ in range(pic.n_rays)]
+
+
+@lru_cache(maxsize=None)
+def _level0_multipliers(pic: PicBasis, neg: frozenset) -> tuple[tuple[int, ...], ...]:
+    """The level-0 Fourier-Motzkin multipliers of the fiber rows of neg.
+
+    The rows of the complement are the rows of neg negated, and
+    eliminating from negated rows swaps the lower and upper rows of each
+    step, so it yields the same multipliers: one elimination serves both
+    sets, and neg must be the one without ray 0.
+    """
+    levels = fourier_motzkin(_fiber_rows(pic, neg), len(pic.free_indices))
+    return tuple(mult for _, mult in levels[0])
 
 
 @lru_cache(maxsize=None)
@@ -149,13 +172,16 @@ def fiber_refuters(pic: PicBasis, neg: frozenset) -> tuple[tuple[tuple[int, ...]
     tower pulled back through that map (level0_pullback): the fiber of an
     integer class cls is empty when some L . cls + c > 0, and these rows
     are the whole level-0 test of query.  They are the multipliers a
-    certificate of a vanishing answer records.
+    certificate of a vanishing answer records.  The multipliers come from
+    one elimination per complementary pair {neg, V - neg}, and no tower
+    is built.
     """
     matrix = [[0] * pic.rank for _ in range(pic.n_rays)]
     for j, b in enumerate(pic.basis_indices):
         matrix[b][j] = 1 if b in neg else -1
     offset = [1 if ρ in neg else 0 for ρ in range(pic.n_rays)]
-    return fiber_tower(pic, neg).level0_pullback(matrix, offset)
+    pair = neg if 0 not in neg else frozenset(range(pic.n_rays)) - neg
+    return level0_pullback(_level0_multipliers(pic, pair), matrix, offset)
 
 
 @lru_cache(maxsize=None)
@@ -297,22 +323,26 @@ class StrongExceptionalVerdict:
     witness_set: frozenset[int] | None = None
 
 
-def hom_nonzero(pic: PicBasis, src, dst) -> bool:
-    return is_effective(pic, tuple(t - s for s, t in zip(src, dst)))
-
-
 def strong_exceptional_check(fan: Fan, pic: PicBasis, bundles) -> StrongExceptionalVerdict:
-    """Higher-Ext vanishing for all ordered pairs, and the Hom order."""
+    """Higher-Ext vanishing for all ordered pairs, and the Hom order.
+
+    Pairs with the same difference class ask each question once.
+    """
     bundles = [tuple(b) for b in bundles]
     if len(set(bundles)) != len(bundles):
         return StrongExceptionalVerdict(False, failure="bundles are not pairwise distinct")
     r = len(bundles)
+    ext = cache(lambda cls: has_higher_cohomology(fan, pic, cls))
+    hom = cache(lambda cls: is_effective(pic, cls))
+
+    def diff(s, t):
+        return tuple(bt - bs for bs, bt in zip(bundles[s], bundles[t]))
+
     for s in range(r):
         for t in range(r):
             if s == t:
                 continue
-            diff = tuple(bt - bs for bs, bt in zip(bundles[s], bundles[t]))
-            bad, fs = has_higher_cohomology(fan, pic, diff)
+            bad, fs = ext(diff(s, t))
             if bad:
                 return StrongExceptionalVerdict(
                     False, failure="higher cohomology of a difference class",
@@ -320,8 +350,7 @@ def strong_exceptional_check(fan: Fan, pic: PicBasis, bundles) -> StrongExceptio
     # Hom classes effective around a cycle of distinct bundles would sum to
     # a nonzero effective divisor of class 0, which a complete X does not
     # have; so the Hom digraph is acyclic and some vertex is always free.
-    edges = {(s, t) for s in range(r) for t in range(r)
-             if s != t and hom_nonzero(pic, bundles[s], bundles[t])}
+    edges = {(s, t) for s in range(r) for t in range(r) if s != t and hom(diff(s, t))}
     order = []
     remaining = set(range(r))
     while remaining:
@@ -423,9 +452,10 @@ def strong_exceptional_along_chain(chain, bundles) -> ChainVerdict:
                     for a in bundles for b in bundles if a != b})
 
     def first_hit(k):
+        # distinct classes may share an image; each image is asked once
+        ext = cache(lambda img: has_higher_cohomology(*system.level_fan_pic(k), img))
         for v in diffs:
-            bad, fs = has_higher_cohomology(*system.level_fan_pic(k),
-                                            mat_vec(system.gammas[k], v))
+            bad, fs = ext(mat_vec(system.gammas[k], v))
             if bad:
                 return v, k, tuple(sorted(fs.ray_indices))
         return None

@@ -121,17 +121,27 @@ def validate_fan(fan: Fan) -> FanReport:
             bad = [f for f, v in counts.items() if v != 2][:3]
             if bad:
                 errors.append(f"codim-1 faces not paired: {bad}")
-    fano = False
-    if smooth and complete:
-        # Fano iff the fan is the face fan of conv(rays) and every facet
-        # w.x >= c of that hull sits at lattice distance 1 from 0 (c = -1)
-        facets = hull_facets(fan.rays, fan.dim)
-        try:
-            fano = set(_face_fan_cones(facets)) == set(fan.max_cones) and \
-                all(c == -1 for _, c, _ in facets)
-        except FanError:
-            fano = False
+    fano = smooth and complete and _anticanonical_ample(fan)
     return FanReport(smooth, complete, fano, tuple(errors))
+
+
+def _anticanonical_ample(fan: Fan) -> bool:
+    """-K is ample: <m_sigma, u_rho> >= 0 for every sigma and rho off it.
+
+    m_sigma = chart . (-1, ..., -1) is the Cartier vertex of -K on sigma,
+    and the ampleness criterion <m_sigma, u_rho> > -1 reads >= 0 on
+    integers (Cox-Little-Schenck, Toric Varieties, 2011, 6.1).  Then
+    conv(sigma's rays) is a facet of conv(rays) at lattice distance 1,
+    with no other ray on it, for every sigma, and as the codim-1 faces
+    pair up these facets close up into the whole boundary: the same
+    verdict as asking the fan to be the face fan of a reflexive hull.
+    """
+    for cone, chart in cone_charts(fan).items():
+        m = [-sum(row) for row in chart]
+        if any(sum(map(mul, m, fan.rays[ρ])) < 0
+               for ρ in range(fan.n_rays) if ρ not in cone):
+            return False
+    return True
 
 
 def hull_facets(points, dim):

@@ -4,6 +4,7 @@ tilting, and per-variety verification dispatch."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from .cohomology import (
     ChainVerdict,
@@ -182,15 +183,20 @@ def tilting_total_space_check(fan: Fan, pic: PicBasis, bundles,
 
     T is the least t making every difference class nef after t
     anticanonical twists; all lower twists must have vanishing higher
-    cohomology for every ordered pair.
+    cohomology for every ordered pair.  Twists and pairs with the same
+    class ask each question once.
     """
     bundles = [tuple(b) for b in bundles]
     omega = pic.canonical_class()
+    nef = cache(lambda cls: nef_ample_test(fan, pic, cls)[0])
+    ext = cache(lambda cls: has_higher_cohomology(fan, pic, cls))
+
+    def twisted(x, y, t):
+        return tuple(b - a - t * w for a, b, w in zip(x, y, omega))
+
     threshold = None
     for t in range(cap + 1):
-        if all(nef_ample_test(fan, pic,
-                              tuple(b - a - t * w for a, b, w in zip(x, y, omega)))[0]
-               for x in bundles for y in bundles):
+        if all(nef(twisted(x, y, t)) for x in bundles for y in bundles):
             threshold = t
             break
     if threshold is None:
@@ -201,8 +207,7 @@ def tilting_total_space_check(fan: Fan, pic: PicBasis, bundles,
             for j, y in enumerate(bundles):
                 if i == j:
                     continue
-                cls = tuple(b - a - t * w for a, b, w in zip(x, y, omega))
-                bad, fs = has_higher_cohomology(fan, pic, cls)
+                bad, fs = ext(twisted(x, y, t))
                 if bad:
                     failures.append((i, j, t, tuple(sorted(fs.ray_indices))))
     return TiltingReport(not failures, threshold, tuple(failures))

@@ -48,6 +48,48 @@ def eliminate_last(rows, nvars: int):
     return list(dict.fromkeys(out))
 
 
+def fourier_motzkin(rows, nvars: int):
+    """Every level of the elimination of x_{nvars-1}, ..., x_0 from rows.
+
+    levels[k] holds the rows over x_0..x_{k-1} as (coefficients,
+    multipliers), levels[nvars] the distinct base rows with unit
+    multipliers; levels[0] is the Farkas part, multipliers y >= 0 with
+    y . rows = 0.
+    """
+    level = list(dict.fromkeys(zip(rows, identity(len(rows)))))
+    levels = [level]
+    for k in range(nvars, 0, -1):
+        level = eliminate_last(level, k)
+        levels.append(level)
+    levels.reverse()
+    return levels
+
+
+def level0_pullback(multipliers, matrix, offset) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Level-0 multipliers pulled back through rhs = matrix . theta + offset.
+
+    A level-0 multiplier y >= 0 has y . rows = 0, so the system rows . x
+    >= rhs has no integer point once y . ceil(rhs) > 0 (the rows are
+    integral, so rounding rhs up keeps every integer point): a Farkas
+    certificate (Schrijver 1986, section 7).  For an integral matrix (one
+    row per base row) and offset and an integer theta, ceil(rhs) = rhs
+    and the row reads L . theta + c > 0 with L = y . matrix and c =
+    y . offset.  Returns the distinct pairs (L, c), the largest c per L
+    (it fires whenever a smaller one does), and without those that never
+    fire (L = 0, c <= 0).  For integer theta, some L . theta + c > 0
+    exactly when the level-0 test of ParametricIntegerFeasibility.query
+    refutes matrix . theta + offset, so query then returns False.
+    """
+    columns = tuple(zip(*matrix))
+    best = {}
+    for y in multipliers:
+        key = tuple(sum(map(mul, y, col)) for col in columns)
+        c = sum(map(mul, y, offset))
+        if (any(key) or c > 0) and (key not in best or c > best[key]):
+            best[key] = c
+    return tuple(best.items())
+
+
 def polytope_lattice_points(tower, rhs) -> list[tuple[int, ...]]:
     """Exactly the integer points of tower's rows at right-hand sides rhs.
 
@@ -78,12 +120,7 @@ class ParametricIntegerFeasibility:
     def __init__(self, rows, nvars: int):
         self.nvars = nvars
         self.base_rows = [tuple(int(c) for c in r) for r in rows]
-        level = list(dict.fromkeys(zip(self.base_rows, identity(len(self.base_rows)))))
-        levels = [level]
-        for k in range(nvars, 0, -1):
-            level = eliminate_last(level, k)
-            levels.append(level)
-        levels.reverse()
+        levels = fourier_motzkin(self.base_rows, nvars)
         # Level k + 1 bounds x_k through its rows with a nonzero x_k
         # coefficient; the others repeat level k, which the search has
         # already satisfied.  Lower-bound rows come first.
@@ -104,30 +141,6 @@ class ParametricIntegerFeasibility:
             for j in range(k - 1):
                 self._cols[j].append(tuple(c[j] // g for g, (c, _) in zip(contents, rows)))
             self._cols.append([])
-
-    def level0_pullback(self, matrix, offset) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """The level-0 rows pulled back through rhs = matrix . theta + offset.
-
-        A level-0 row is a multiplier y >= 0 with y . base_rows = 0, so the
-        system has no integer point once y . ceil(rhs) > 0 (the rows are
-        integral, so rounding rhs up keeps every integer point): a Farkas
-        certificate (Schrijver 1986, section 7).  For an integral
-        matrix (one row per base row) and offset and an integer theta,
-        ceil(rhs) = rhs and the row reads L . theta + c > 0 with L =
-        y . matrix and c = y . offset.  Returns the distinct pairs (L, c),
-        the largest c per L (it fires whenever a smaller one does), and
-        without those that never fire (L = 0, c <= 0).  For integer theta,
-        some L . theta + c > 0 exactly when query's level-0 test refutes
-        matrix . theta + offset, so query then returns False.
-        """
-        columns = tuple(zip(*matrix))
-        best = {}
-        for mult in self._level0:
-            key = tuple(sum(m * col[i] for i, m in mult) for col in columns)
-            c = sum(m * offset[i] for i, m in mult)
-            if (any(key) or c > 0) and (key not in best or c > best[key]):
-                best[key] = c
-        return tuple(best.items())
 
     @staticmethod
     def _sparse(mult):

@@ -46,6 +46,19 @@ def total_space_fan(fan: Fan) -> tuple[Fan, int]:
     return Fan(n + 1, rays, cones, label=f"tot(w_{fan.label})" if fan.label else ""), rho_tot
 
 
+def spy(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call's arguments."""
+    calls = []
+    real = getattr(module, name)
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def fans() -> dict[str, Fan]:
     return {label: make_fan(label) for label in RAYS}

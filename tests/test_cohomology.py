@@ -29,9 +29,11 @@ from toricsec.cohomology import (
 )
 from toricsec.cli import main
 from toricsec.fans import deg_and_pic, star_subdivision
+from toricsec.intlin import identity
+from toricsec.polyhedra import fourier_motzkin, level0_pullback
 from toricsec.workspace import load_workspace
 
-from conftest import make_fan, total_space_fan
+from conftest import make_fan, spy, total_space_fan
 
 E1_FORBIDDEN = {
     1: [{0, 4}, {4, 5}, {0, 4, 5}, {0, 6}, {0, 4, 6}],
@@ -266,6 +268,69 @@ def test_higher_cohomology_refutes_each_forbidden_fiber_once(monkeypatch):
     bad, fs = has_higher_cohomology(fan, pic, (2, 1, -3))
     assert bad and fs == forbidden_sets(fan)[6]
     assert has_higher_cohomology(fan, pic, (0, 0, 0)) == (False, None)
+
+
+def tower_pullback(pic, neg):
+    """Reference: neg's own tower's level-0 rows pulled back through
+    fiber_rhs, whose matrix and offset are read off fiber_rhs itself."""
+    tower = fiber_tower(pic, neg)
+    offset = fiber_rhs(pic, (0,) * pic.rank, neg)
+    columns = [[x - y for x, y in zip(fiber_rhs(pic, e, neg), offset)]
+               for e in identity(pic.rank)]
+    multipliers = [mult for _, mult in fourier_motzkin(tower.base_rows, tower.nvars)[0]]
+    return dict(level0_pullback(multipliers, list(zip(*columns)), offset))
+
+
+def level0_multiplier_set(pic, neg):
+    tower = fiber_tower(pic, neg)
+    return {mult for _, mult in fourier_motzkin(tower.base_rows, tower.nvars)[0]}
+
+
+def assert_refuters_match_the_towers(fan, pic):
+    full = frozenset(range(fan.n_rays))
+    sets = [frozenset()] + [fs.ray_indices for fs in forbidden_sets(fan)]
+    for neg in sets:
+        # forbidden sets come in complementary pairs, and the empty set
+        # pairs with the full one
+        assert full - neg in sets
+        assert dict(fiber_refuters(pic, neg)) == tower_pullback(pic, neg), sorted(neg)
+        assert level0_multiplier_set(pic, neg) == level0_multiplier_set(pic, full - neg)
+
+
+def test_fiber_refuters_match_the_tower_pullback_on_every_bundled_fan():
+    ws = bundled_workspace()
+    for label in sorted(ws.fans):
+        assert_refuters_match_the_towers(ws.fan(label), ws.pic(label))
+
+
+@settings(max_examples=10, deadline=None)
+@given(blown_up_classes())
+def test_fiber_refuters_match_the_tower_pullback_on_random_blowups(case):
+    fan, pic, _ = case
+    assert_refuters_match_the_towers(fan, pic)
+
+
+def test_strong_exceptional_check_asks_each_class_once(monkeypatch):
+    ws = bundled_workspace()
+    node = ws.poset.nodes["E1"]
+    ext = spy(monkeypatch, cohomology, "has_higher_cohomology")
+    hom = spy(monkeypatch, cohomology, "is_effective")
+    assert strong_exceptional_check(node.fan, node.pic, node.bundles).ok
+    diffs = sorted({tuple(b - a for a, b in zip(x, y))
+                    for x in node.bundles for y in node.bundles if x != y})
+    assert len(diffs) == 44     # of 110 ordered pairs
+    assert sorted(args[-1] for args in ext) == diffs
+    assert sorted(args[-1] for args in hom) == diffs
+
+
+def test_chain_check_asks_each_image_once_per_level(monkeypatch):
+    ws = bundled_workspace()
+    chain = ws.poset.chain("S3", "P2")
+    asked = spy(monkeypatch, cohomology, "has_higher_cohomology")
+    assert strong_exceptional_along_chain(chain, ws.poset.nodes["S3"].bundles).ok
+    questions = [(fan.rays, cls) for fan, _, cls in asked]
+    assert len(questions) == len(set(questions))
+    assert len({rays for rays, _ in questions}) == len(chain) + 1
 
 
 def test_non_integer_classes_are_rejected():

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 from functools import lru_cache
 
@@ -24,6 +25,7 @@ from toricsec.fans import (
     vertex_divisors,
 )
 from toricsec.intlin import identity, kernel_vector, mat_mul, transpose
+from toricsec.pipelines import product_fan
 from toricsec.workspace import load_workspace
 
 from conftest import RAYS, make_fan, total_space_fan
@@ -50,6 +52,47 @@ def test_e1_with_cone_deleted_not_complete():
 def test_all_bundled_fans_are_fano(label):
     rep = validate_fan(make_fan(label))
     assert rep.smooth and rep.complete and rep.fano
+
+
+def hull_route_fano(fan):
+    """Reference: the fan is the face fan of conv(rays) and every facet
+    w.x >= c of that hull sits at lattice distance 1 from 0 (c = -1)."""
+    facets = hull_facets(fan.rays, fan.dim)
+    return all(c == -1 for _, c, _ in facets) and \
+        {tight for _, _, tight in facets} == set(fan.max_cones)
+
+
+def fano_test_fans():
+    """The bundled fans, random star subdivisions and products of them."""
+    rng = random.Random(15)
+    out = [make_fan(label) for label in sorted(RAYS)]
+    for label in ("P2", "P3", "P4", "S3", "D1_3", "E1", "B1", "P1xP1"):
+        for _ in range(8):
+            fan = make_fan(label)
+            for _ in range(rng.randint(1, 3)):
+                cone = rng.choice(fan.max_cones)
+                fan, _ = star_subdivision(fan, rng.sample(cone, rng.randint(2, len(cone))))
+            out.append(fan)
+    small = [f for f in out if f.dim <= 2]
+    for _ in range(24):
+        out.append(product_fan(rng.choice(small), rng.choice(small)))
+    return out
+
+
+def test_fano_test_matches_the_hull_route():
+    fans = fano_test_fans()
+    verdicts = []
+    for fan in fans:
+        rep = validate_fan(fan)
+        assert rep.smooth and rep.complete, fan.rays
+        assert rep.fano == hull_route_fano(fan), (fan.rays, fan.max_cones)
+        verdicts.append(rep.fano)
+    assert 0 < sum(verdicts) < len(fans)
+    # some fan fails only at the boundary: -K nef but not ample, so a
+    # pairing <m_sigma, u_rho> = -1 decides it
+    assert any(nef_ample_test(fan, deg_and_pic(fan),
+                              tuple(-x for x in deg_and_pic(fan).canonical_class()))
+               == (True, False) for fan in fans)
 
 
 def test_primitive_collections_p2():

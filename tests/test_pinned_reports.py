@@ -1,9 +1,11 @@
-"""Pinned Method-2 and chain output.
+"""Pinned Method-2, chain, tilting, strong-exceptional and validation output.
 
-Replays ``--seed 0 method2 LABEL --dump-complex FILE`` on S3, D1_3 and E1
-and the ``propagate`` reports of four contraction chains through click's
-CliRunner, and compares the sha256 of every report and complex file with
-the digests below.  Run this file as a script to print a fresh table:
+Replays ``--seed 0 method2 LABEL --dump-complex FILE`` on S3, D1_3 and E1,
+the ``propagate`` reports of four contraction chains, ``tilting-total-space``
+and ``strong-exceptional`` on the nine stored collections and ``validate``
+on the 17 bundled fans through click's CliRunner, and compares the sha256
+of every report and complex file with the digests below.  Run this file as
+a script to print a fresh table:
 
     PYTHONPATH=src python tests/test_pinned_reports.py
 """
@@ -17,6 +19,9 @@ from toricsec.cli import main
 
 METHOD2 = ("S3", "D1_3", "E1")
 CHAINS = (("E1", "B1"), ("S3", "S1"), ("S3", "P2"), ("D1_3", "B1_3"))
+COLLECTIONS = ("P1xP1", "S3", "D1_3", "E1", "I1", "J1", "M1", "V4", "R3")
+FANS = ("B1", "B1_3", "D1_3", "E1", "I1", "J1", "M1", "P1", "P1xP1", "P2", "P3",
+        "P4", "R3", "S1", "S2", "S3", "V4")
 
 DIGESTS = {
     "complex D1_3":
@@ -39,6 +44,76 @@ DIGESTS = {
         (0, "f7d546611345e1626a4025d85d5fc4fb9c6d0d8d9462bd16aeeb68a7dbdae56e"),
     "propagate S3 S1":
         (0, "86aa6cbaaa5d105beac1877ecc4d2310fd3cd8f192fd43073dde99ead83f20d2"),
+    "strong-exceptional D1_3":
+        (0, "c87a947024388a0b27a9cb55ef839ee18d933672bcdecdce7a92e3cf21e2cea4"),
+    "strong-exceptional E1":
+        (0, "9d9ff213c79e2929102f89ec51bb413c27a1e6b14a40504317fec238f3378fcb"),
+    "strong-exceptional I1":
+        (0, "632bb378c8d81c439911bf6857d5a802c6575776e08ded7d41968b1cb03c26ec"),
+    "strong-exceptional J1":
+        (0, "030fd7411e65ad0a35d81166cf943974f48187d9dc52cbbbf7824407bda6e154"),
+    "strong-exceptional M1":
+        (0, "f442c098b84291339c5f5389cce06bf7223eebd9cf75f2b65795064d0f08b0e2"),
+    "strong-exceptional P1xP1":
+        (0, "1a9a21d46f1a1911f0ef85a4a5fac0eee5e133bffb195552a67500f1b665bcc1"),
+    "strong-exceptional R3":
+        (0, "ee750b6aa30ded480e50e9f1613663f776c58158783605784b1d64d13d24b086"),
+    "strong-exceptional S3":
+        (0, "f9e32fcf4fe9d63e83972cc64469fe86836076f4638ac1f6eeb5eca600b243e4"),
+    "strong-exceptional V4":
+        (0, "6b61f2f6b57cc3588db7a993f017a1468319bcd10667a669c1e0d50f7fe60e3b"),
+    "tilting-total-space D1_3":
+        (0, "3846c0a84ca1cb87e0872aa2600f88e70466544b716675283202288895e1cd0c"),
+    "tilting-total-space E1":
+        (0, "8f51d8517f577f64796e05762f074804c4cd530f3b8860c80c61a6ad5cfff08f"),
+    "tilting-total-space I1":
+        (0, "538f0caf4abd4e03e41b78ab37ebc94ef9285d8d0abbebc352da3327341b1751"),
+    "tilting-total-space J1":
+        (0, "fc25e364f2297c4cf3f64d3d40bc77e9e1159470dcbfb7b2b2ad0ea007822119"),
+    "tilting-total-space M1":
+        (0, "fcc416ddf4275af117ff34eb53973adefdc2c9d23d41e56fbf5bb4d6f0d3b748"),
+    "tilting-total-space P1xP1":
+        (0, "edcf8e9436b7b6331e889a6a759d1c09486f40836c97652d8a0133b6d198733f"),
+    "tilting-total-space R3":
+        (0, "d81225e81256cdfca39ded7e476ad9ce2d7ec441769eb221f5817b24e6d1dd48"),
+    "tilting-total-space S3":
+        (0, "ed596be2fc03bedd05a8f96a4a37b9c259bfd331d88ea876e6f43f4d882d0213"),
+    "tilting-total-space V4":
+        (0, "4021f37b6b46070f9efd4af8215fd56f50944986fdfafbfb0bd18e1adf076d47"),
+    "validate B1":
+        (0, "105ed99fba1271fcd5dd55df0dbd7a812b0a1d51a254b6781852582c38a2a447"),
+    "validate B1_3":
+        (0, "388139010e940e6942fef688785f4c481bcefc1b5163ec5c842f6fd0248b9d11"),
+    "validate D1_3":
+        (0, "66db44f65bd6761cdecf61c976096b3a0851e5daef407ca5468673aa8e90c725"),
+    "validate E1":
+        (0, "42179aa92bfb7a10648f77d78e7b74ed007080b752fff4b67ada986882022086"),
+    "validate I1":
+        (0, "e37bba0ca37de826b5f68312b412282f995eabd4b1bd54a95c5e748722510ebd"),
+    "validate J1":
+        (0, "1d4e115e6619c3a60041726f8d55cd87ff234e9be2b6fba19810ed1a079a4055"),
+    "validate M1":
+        (0, "15f70ca62a7b782454776e40698de9f710a78080031ed2480fb76c178a7af16c"),
+    "validate P1":
+        (0, "6671bf6c42bbea2d3899469fa95144780a86e5df4e9de15e6f124b65d9af845b"),
+    "validate P1xP1":
+        (0, "34392e0910161a4d9e1bb6b9262663994ac015e838d1b238939bf30d956feb07"),
+    "validate P2":
+        (0, "c5982b36b5c9e5e81f52d5d11fd2c9fb1393cc7454113e42cccd886b2ea1d1a5"),
+    "validate P3":
+        (0, "be1242169695c32ef00f87f4f07c319f06f928219ac838686bddcf333fdffc62"),
+    "validate P4":
+        (0, "ed1b4c354d9570b53deb10f3e874435953cb33e67076cef524064baf9767967c"),
+    "validate R3":
+        (0, "c17be733c3d41867837b833c38823fc6cb16202a6cc63c82ce250d980c8dc2b8"),
+    "validate S1":
+        (0, "0a1fac34ef8a1fb5f5c0dfa229c617c6eb8fda26dc40e38a9e190bf359270eab"),
+    "validate S2":
+        (0, "4027a5aa18461b373972e7f7f5e02ecc8e81e7d7cd066599d7addd8ac0a41721"),
+    "validate S3":
+        (0, "c468624f36e75a1b1563a2ad7df45ca20bad1964e23c8ce402dd440db7e7fb3b"),
+    "validate V4":
+        (0, "59897331f8bfc60223045330067122df80952b9095549bb701efc322521e7d9e"),
 }
 
 
@@ -57,9 +132,13 @@ def replay(temp_dir=None) -> dict[str, tuple[int, str]]:
             out[f"method2 {label}"] = (res.exit_code, _sha(res.output))
             with open(path) as fh:
                 out[f"complex {label}"] = (0, _sha(fh.read()))
-        for source, target in CHAINS:
-            res = runner.invoke(main, ["propagate", source, target])
-            out[f"propagate {source} {target}"] = (res.exit_code, _sha(res.output))
+        commands = [("propagate", source, target) for source, target in CHAINS]
+        commands += [(command, label) for label in COLLECTIONS
+                     for command in ("tilting-total-space", "strong-exceptional")]
+        commands += [("validate", label) for label in FANS]
+        for args in commands:
+            res = runner.invoke(main, list(args))
+            out[" ".join(args)] = (res.exit_code, _sha(res.output))
     return out
 
 

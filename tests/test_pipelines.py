@@ -2,6 +2,7 @@ import shutil
 
 import pytest
 
+from toricsec import cohomology, pipelines
 from toricsec.fans import PicRankError, deg_and_pic, star_subdivision
 from toricsec.cohomology import strong_exceptional_check
 from toricsec.pipelines import (
@@ -15,9 +16,10 @@ from toricsec.pipelines import (
     verify_variety_recipe,
 )
 from toricsec.files import write_collection_file
+from toricsec.polyhedra import ParametricIntegerFeasibility
 from toricsec.workspace import bundled_data_dir, load_workspace
 
-from conftest import make_fan
+from conftest import make_fan, spy
 
 E1_BUNDLES = [(0, 0, 0), (0, 1, 1), (0, 2, 2), (0, 3, 3), (1, 0, 0), (1, 0, 1),
               (1, 1, 1), (1, 1, 2), (1, 2, 2), (1, 2, 3), (1, 3, 3)]
@@ -146,6 +148,33 @@ def test_tilting_thresholds(ws):
         report = tilting_total_space_check(fan, pic, bundles)
         assert report.ok, (fan_label, report.failures[:3])
         assert report.threshold == expect, fan_label
+
+
+def test_tilting_check_asks_each_class_once(ws, monkeypatch):
+    node = ws.poset.nodes["E1"]
+    ext = spy(monkeypatch, pipelines, "has_higher_cohomology")
+    nef = spy(monkeypatch, pipelines, "nef_ample_test")
+    report = tilting_total_space_check(node.fan, node.pic, node.bundles)
+    assert report.ok and report.threshold == 3
+    omega = node.pic.canonical_class()
+    classes = sorted({tuple(b - a - t * w for a, b, w in zip(x, y, omega))
+                      for t in range(3) for x in node.bundles for y in node.bundles
+                      if x != y})
+    assert len(classes) == 112      # of 330 questions
+    assert sorted(cls for _, _, cls in ext) == classes
+    assert len(nef) == len(set(nef))
+
+
+def test_tilting_check_on_e1_builds_no_search_tower(ws, monkeypatch):
+    # the level-0 rows decide every fiber E1's check asks about, and they
+    # come from Fourier-Motzkin alone, so no cold cache builds a tower
+    for value in list(vars(cohomology).values()):
+        if callable(getattr(value, "cache_clear", None)):
+            value.cache_clear()
+    built = spy(monkeypatch, ParametricIntegerFeasibility, "__init__")
+    node = ws.poset.nodes["E1"]
+    assert tilting_total_space_check(node.fan, node.pic, node.bundles).ok
+    assert built == []
 
 
 def test_tilting_p2():

@@ -12,6 +12,8 @@ from toricsec.polyhedra import (
     UnboundedSearch,
     conjunction_forbid,
     eliminate_last,
+    fourier_motzkin,
+    level0_pullback,
     polytope_lattice_points,
     simplex_feasible,
 )
@@ -369,7 +371,7 @@ def test_level0_pullback_matches_query(system, data):
                                 min_size=len(rows), max_size=len(rows)))
     offset = data.draw(st.lists(st.integers(-6, 6), min_size=len(rows), max_size=len(rows)))
     engine = ParametricIntegerFeasibility(rows, n)
-    pairs = engine.level0_pullback(matrix, offset)
+    pairs = level0_pullback([mult for _, mult in fourier_motzkin(rows, n)[0]], matrix, offset)
     assert len({L for L, _ in pairs}) == len(pairs)
     for theta in itertools.product(range(-3, 4), repeat=p):
         rhs = [dot(row, theta) + e for row, e in zip(matrix, offset)]
