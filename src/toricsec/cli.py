@@ -9,7 +9,6 @@ explicit seed so reruns are byte-identical.
 from __future__ import annotations
 
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -20,19 +19,17 @@ from .cohomology import (
     higher_cohomology_witness,
     strong_exceptional_check,
 )
-from .diagonal import DiagonalError, diagonal_resolution_verdict, serialize_complex
+from .diagonal import diagonal_resolution_verdict, serialize_complex
 from .fans import validate_fan
-from .files import ParseError
 from .frobenius import frobenius_gen_support, frobenius_split_classes
 from .method1 import GenerationCertificate, generation_closure
 from .pipelines import (
-    PipelineError,
     helix_twist,
     propagate_collection,
     tilting_total_space_check,
     verify_variety_recipe,
 )
-from .quiver import QuiverError, build_quiver_of_sections, covering_quiver_on_y
+from .quiver import build_quiver_of_sections, covering_quiver_on_y
 from .workspace import WorkspaceError, load_workspace
 
 
@@ -77,23 +74,23 @@ def _collection(ws, label):
     return [tuple(b) for b in col.bundles], col.theta, col.frobenius_m
 
 
-@contextmanager
-def _reported_value_error(rep):
-    """Finish `rep` as status=fail with error= when the body raises ValueError."""
-    try:
-        yield
-    except ValueError as exc:
-        rep.reject(f"{type(exc).__name__}: {exc}")
+def _class(text):
+    return tuple(int(x) for x in text.split(","))
 
 
 class _Main(click.Group):
-    """Reports bad input named by a library error as status=fail with error=."""
+    """Owns the invocation's one report and rejects bad input through it.
+
+    Every library error class is a ValueError, so one handler names them
+    all: status=fail with an error= line after whatever the command wrote.
+    """
 
     def invoke(self, ctx):
+        rep = ctx.ensure_object(dict)["rep"] = Report(ctx.params.get("out"))
         try:
             return super().invoke(ctx)
-        except (DiagonalError, ParseError, PipelineError, QuiverError, WorkspaceError) as exc:
-            Report(ctx.params.get("out")).reject(f"{type(exc).__name__}: {exc}")
+        except ValueError as exc:
+            rep.reject(f"{type(exc).__name__}: {exc}")
 
 
 @click.group(cls=_Main)
@@ -106,9 +103,7 @@ class _Main(click.Group):
 @click.pass_context
 def main(ctx, data_dir, out, seed, trials, prime):
     """Verify strong exceptional collections on smooth toric Fano varieties."""
-    ctx.ensure_object(dict)
     ctx.obj["ws"] = load_workspace(data_dir)
-    ctx.obj["out"] = out
     ctx.obj["seed"] = seed
     ctx.obj["trials"] = trials
     ctx.obj["prime"] = prime
@@ -120,7 +115,7 @@ def main(ctx, data_dir, out, seed, trials, prime):
 def validate(ctx, label):
     """Smoothness, completeness and the Fano test for one fan."""
     ws = ctx.obj["ws"]
-    rep = Report(ctx.obj["out"])
+    rep = ctx.obj["rep"]
     fan = ws.fan(label)
     r = validate_fan(fan)
     rep.add("label", label)
@@ -142,7 +137,7 @@ def validate(ctx, label):
 def forbidden_sets_cmd(ctx, label):
     """Forbidden ray sets grouped by the cohomology degree they feed."""
     ws = ctx.obj["ws"]
-    rep = Report(ctx.obj["out"])
+    rep = ctx.obj["rep"]
     fan = ws.fan(label)
     rep.add("label", label)
     table = {}
@@ -163,15 +158,10 @@ def forbidden_sets_cmd(ctx, label):
 def cohomology(ctx, label, cls):
     """Cone test and brute-force dims for one Pic class (comma-separated)."""
     ws = ctx.obj["ws"]
-    rep = Report(ctx.obj["out"])
+    rep = ctx.obj["rep"]
     fan, pic = ws.fan(label), ws.pic(label)
     rep.add("label", label)
-    try:
-        vec = tuple(int(x) for x in cls.split(","))
-        pic.lift(vec)
-    except ValueError as exc:
-        rep.add("class", cls)
-        rep.reject(f"bad class: {exc}")
+    vec = _class(cls)
     witness, point = higher_cohomology_witness(fan, pic, vec)
     bad = witness is not None
     dims = cohomology_dims(fan, pic, vec)
@@ -193,7 +183,7 @@ def cohomology(ctx, label, cls):
 def strong_exceptional(ctx, label):
     """Strong exceptionality of the registered collection."""
     ws = ctx.obj["ws"]
-    rep = Report(ctx.obj["out"])
+    rep = ctx.obj["rep"]
     fan, pic = ws.fan(label), ws.pic(label)
     bundles, _, _ = _collection(ws, label)
     v = strong_exceptional_check(fan, pic, bundles)
@@ -221,26 +211,22 @@ def strong_exceptional(ctx, label):
 def frobenius(ctx, label, m, twist, gen):
     """Frobenius pushforward split classes."""
     ws = ctx.obj["ws"]
-    rep = Report(ctx.obj["out"])
+    rep = ctx.obj["rep"]
     fan, pic = ws.fan(label), ws.pic(label)
     rep.add("label", label)
     rep.add("m", m)
     rep.add("twist", twist)
-    with _reported_value_error(rep):
-        split = frobenius_split_classes(fan, pic, m, (twist,) * fan.n_rays,
-                                        check_charts=True)
-        pieces = None
-        if gen:
-            # the gen-set pieces are the twists 0..n; reuse the one just split
-            pieces = {i: split if i == twist else
-                      frobenius_split_classes(fan, pic, m, (i,) * fan.n_rays)
-                      for i in range(fan.dim + 1)}
+    split = frobenius_split_classes(fan, pic, m, (twist,) * fan.n_rays,
+                                    check_charts=True)
     rep.add("support", len(split.support))
     for cls in sorted(split.support):
         rep.add("class", _fmt_vec(cls))
     if gen:
         union = set()
-        for i, piece in pieces.items():
+        # the gen-set pieces are the twists 0..n; reuse the one just split
+        for i in range(fan.dim + 1):
+            piece = split if i == twist else \
+                frobenius_split_classes(fan, pic, m, (i,) * fan.n_rays)
             rep.add(f"size_twist_{i}", len(piece.support))
             union |= piece.support
         rep.add("size_gen", len(union))
@@ -254,14 +240,13 @@ def frobenius(ctx, label, m, twist, gen):
 def method1(ctx, label, m):
     """Generation closure of the registered collection over D_m^gen."""
     ws = ctx.obj["ws"]
-    rep = Report(ctx.obj["out"])
+    rep = ctx.obj["rep"]
     fan, pic = ws.fan(label), ws.pic(label)
     bundles, _, stored_m = _collection(ws, label)
     mm = m if m is not None else stored_m or 10
     rep.add("label", label)
     rep.add("m", mm)
-    with _reported_value_error(rep):
-        targets = frobenius_gen_support(fan, pic, mm)
+    targets = frobenius_gen_support(fan, pic, mm)
     res = generation_closure(fan, pic, bundles, targets)
     rep.add("targets", len(targets))
     if isinstance(res, GenerationCertificate):
@@ -285,7 +270,7 @@ def method1(ctx, label, m):
 def quiver(ctx, label, on_y):
     """Quiver of sections of the registered collection."""
     ws = ctx.obj["ws"]
-    rep = Report(ctx.obj["out"])
+    rep = ctx.obj["rep"]
     fan, pic = ws.fan(label), ws.pic(label)
     bundles, _, _ = _collection(ws, label)
     q = covering_quiver_on_y(fan, pic, bundles) if on_y \
@@ -306,7 +291,7 @@ def quiver(ctx, label, on_y):
 def method2(ctx, label, dump_path):
     """Diagonal-resolution verdict for the registered collection."""
     ws = ctx.obj["ws"]
-    rep = Report(ctx.obj["out"])
+    rep = ctx.obj["rep"]
     fan, pic = ws.fan(label), ws.pic(label)
     bundles, theta, _ = _collection(ws, label)
     verdict = diagonal_resolution_verdict(
@@ -335,15 +320,14 @@ def method2(ctx, label, dump_path):
 def propagate(ctx, source, target, m):
     """Push the source collection down the contraction chain to the target."""
     ws = ctx.obj["ws"]
-    rep = Report(ctx.obj["out"])
+    rep = ctx.obj["rep"]
     chain = ws.poset.chain(source, target)
     bundles, _, stored_m = _collection(ws, source)
     mm = m if m is not None else stored_m or 8
     rep.add("source", source)
     rep.add("target", target)
     rep.add("m", mm)
-    with _reported_value_error(rep):
-        report = propagate_collection(chain, bundles, mm)
+    report = propagate_collection(chain, bundles, mm)
     rep.add("membership", report.membership_m is not None)
     if report.chain_verdict:
         for level, image, ok in report.chain_verdict.per_level:
@@ -361,7 +345,7 @@ def propagate(ctx, source, target, m):
 def tilting_total_space(ctx, label):
     """Minimal nef threshold and vanishing checks on tot(omega)."""
     ws = ctx.obj["ws"]
-    rep = Report(ctx.obj["out"])
+    rep = ctx.obj["rep"]
     fan, pic = ws.fan(label), ws.pic(label)
     bundles, _, _ = _collection(ws, label)
     report = tilting_total_space_check(fan, pic, bundles)
@@ -382,7 +366,7 @@ def tilting_total_space(ctx, label):
 def recipe(ctx, label, m):
     """Run the database verification recipe for one variety."""
     ws = ctx.obj["ws"]
-    rep = Report(ctx.obj["out"])
+    rep = ctx.obj["rep"]
     verdict = verify_variety_recipe(ws, label, m=m, seed=ctx.obj["seed"],
                                     trials=ctx.obj["trials"], prime=ctx.obj["prime"])
     rep.add("label", verdict.label)
@@ -401,18 +385,12 @@ def recipe(ctx, label, m):
 def helix(ctx, label, steps, twist_cls):
     """Thread shift plus twist of the registered collection."""
     ws = ctx.obj["ws"]
-    rep = Report(ctx.obj["out"])
+    rep = ctx.obj["rep"]
     fan, pic = ws.fan(label), ws.pic(label)
     bundles, _, _ = _collection(ws, label)
     rep.add("label", label)
     rep.add("steps", steps)
-    try:
-        twist = tuple(int(x) for x in twist_cls.split(",")) if twist_cls \
-            else (0,) * pic.rank
-        pic.lift(twist)
-    except ValueError as exc:
-        rep.add("twist", twist_cls)
-        rep.reject(f"bad twist class: {exc}")
+    twist = _class(twist_cls) if twist_cls else (0,) * pic.rank
     rep.add("twist", _fmt_vec(twist))
     result = helix_twist(fan, pic, bundles, steps, twist)
     for b in result.collection:

@@ -7,7 +7,7 @@ anywhere.  Parse errors carry the file and line they came from.
 from __future__ import annotations
 
 import shlex
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .fans import Fan
@@ -35,66 +35,74 @@ class CollectionFile:
     frobenius_m: int | None = None
 
 
-def _int_row(tokens, path, ln):
+def _ints(head, values, where) -> tuple[int, ...]:
     try:
-        return tuple(int(t) for t in tokens)
+        return tuple(int(t) for t in values)
     except ValueError:
-        raise ParseError(f"{path}:{ln}: expected integers, got {tokens!r}")
+        raise ParseError(f"{where}: expected integers, got {values!r}")
 
 
-def _one_value(tokens, path, ln) -> str:
-    if len(tokens) != 2:
-        raise ParseError(f"{path}:{ln}: {tokens[0]} needs exactly one value, "
-                         f"got {tokens[1:]!r}")
-    return tokens[1]
+def _one_value(head, values, where) -> str:
+    if len(values) != 1:
+        raise ParseError(f"{where}: {head} needs exactly one value, got {values!r}")
+    return values[0]
 
 
-def _one_int(tokens, path, ln) -> int:
-    return _int_row([_one_value(tokens, path, ln)], path, ln)[0]
+def _one_int(head, values, where) -> int:
+    return _ints(head, [_one_value(head, values, where)], where)[0]
 
 
-def parse_fan_file(path) -> FanFile:
-    path = Path(path)
-    label = ""
-    dim = None
-    pic_basis = None
-    rays: list = []
-    cones: list = []
-    mode = None
+def _label(head, values, where) -> str:
+    """A bare label is empty, so the parser falls back to the file stem."""
+    return _one_value(head, values, where) if values else ""
+
+
+def _read(path: Path, fields, blocks) -> dict:
+    """The header values and block rows of one fan or collection file.
+
+    `fields` maps each header keyword to its reader (head, values, where);
+    each keyword in `blocks` opens a block of integer rows that runs to the
+    next keyword.  Returns one dict: the value of every header read and the
+    row list of every block.
+    """
+    out = {b: [] for b in blocks}
+    block = None
     for ln, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        tokens = line.split()
-        head = tokens[0]
-        if head == "label":
-            label = tokens[1] if len(tokens) > 1 else ""
-            mode = None
-        elif head == "dim":
-            dim = _one_int(tokens, path, ln)
-            mode = None
-        elif head == "pic_basis":
-            pic_basis = _int_row(tokens[1:], path, ln)
-            mode = None
-        elif head == "rays":
-            mode = "rays"
-        elif head == "max_cones":
-            mode = "cones"
-        elif mode == "rays":
-            rays.append(_int_row(tokens, path, ln))
-        elif mode == "cones":
-            cones.append(_int_row(tokens, path, ln))
+        head, *values = line.split()
+        where = f"{path}:{ln}"
+        if head in fields:
+            if head in out:
+                raise ParseError(f"{where}: {head} given twice")
+            out[head] = fields[head](head, values, where)
+            block = None
+        elif head in blocks:
+            if values:
+                raise ParseError(f"{where}: {head} takes no value, got {values!r}")
+            block = head
+        elif block is not None:
+            out[block].append(_ints(block, [head] + values, where))
         else:
-            raise ParseError(f"{path}:{ln}: unexpected line {line!r}")
-    if dim is None:
+            raise ParseError(f"{where}: unexpected line {line!r}")
+    return out
+
+
+def parse_fan_file(path) -> FanFile:
+    path = Path(path)
+    f = _read(path, {"label": _label, "dim": _one_int, "pic_basis": _ints},
+              ("rays", "max_cones"))
+    if "dim" not in f:
         raise ParseError(f"{path}: missing dim field")
-    if not rays or not cones:
+    if not f["rays"] or not f["max_cones"]:
         raise ParseError(f"{path}: missing rays or max_cones")
+    label = f.get("label", "")
     try:
-        fan = Fan(dim, tuple(rays), tuple(cones), label=label)
+        fan = Fan(f["dim"], tuple(f["rays"]), tuple(f["max_cones"]), label=label)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}")
-    return FanFile(label or path.stem, fan, pic_basis)
+    return FanFile(label or path.stem, fan, f.get("pic_basis"))
 
 
 def write_fan_file(path, fan: Fan, pic_basis=None):
@@ -110,54 +118,27 @@ def write_fan_file(path, fan: Fan, pic_basis=None):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _level(head, values, where) -> int:
+    m = _one_int(head, values, where)
+    if m < 1:
+        raise ParseError(f"{where}: frobenius_m must be at least 1, got {m}")
+    return m
+
+
 def parse_collection_file(path) -> CollectionFile:
     path = Path(path)
-    label = ""
-    fan_label = ""
-    basis = None
-    theta = None
-    frobenius_m = None
-    bundles: list = []
-    mode = None
-    for ln, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        head = tokens[0]
-        if head == "label":
-            label = tokens[1] if len(tokens) > 1 else ""
-            mode = None
-        elif head == "fan":
-            fan_label = _one_value(tokens, path, ln)
-            mode = None
-        elif head == "basis":
-            basis = _int_row(tokens[1:], path, ln)
-            mode = None
-        elif head == "theta":
-            theta = _int_row(tokens[1:], path, ln)
-            mode = None
-        elif head == "frobenius_m":
-            frobenius_m = _one_int(tokens, path, ln)
-            if frobenius_m < 1:
-                raise ParseError(f"{path}:{ln}: frobenius_m must be at least 1, "
-                                 f"got {frobenius_m}")
-            mode = None
-        elif head == "bundles":
-            mode = "bundles"
-        elif mode == "bundles":
-            bundles.append(_int_row(tokens, path, ln))
-        else:
-            raise ParseError(f"{path}:{ln}: unexpected line {line!r}")
+    f = _read(path, {"label": _label, "fan": _one_value, "basis": _ints,
+                     "theta": _ints, "frobenius_m": _level}, ("bundles",))
+    bundles = f["bundles"]
     if not bundles:
         raise ParseError(f"{path}: no bundles listed")
-    widths = {len(b) for b in bundles}
-    if len(widths) != 1:
+    if len({len(b) for b in bundles}) != 1:
         raise ParseError(f"{path}: bundles of mixed Pic rank")
+    theta = f.get("theta")
     if theta is not None and len(theta) != len(bundles):
         raise ParseError(f"{path}: theta length differs from the bundle count")
-    return CollectionFile(label or path.stem, fan_label, basis, bundles,
-                          theta, frobenius_m)
+    return CollectionFile(f.get("label", "") or path.stem, f.get("fan", ""),
+                          f.get("basis"), bundles, theta, f.get("frobenius_m"))
 
 
 def write_collection_file(path, col: CollectionFile):
@@ -174,13 +155,18 @@ def write_collection_file(path, col: CollectionFile):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _key_values(tokens, path, ln) -> dict[str, str]:
+def _key_values(tokens, where, keys) -> dict[str, str]:
     fields = {}
     for tok in tokens:
-        if "=" not in tok:
-            raise ParseError(f"{path}:{ln}: expected key=value, got {tok!r}")
-        k, v = tok.split("=", 1)
-        fields[k] = v
+        key, eq, value = tok.partition("=")
+        if not eq:
+            raise ParseError(f"{where}: expected key=value, got {tok!r}")
+        if key not in keys:
+            raise ParseError(f"{where}: unknown key {key!r}, expected one of "
+                             f"{', '.join(keys)}")
+        if key in fields:
+            raise ParseError(f"{where}: {key} given twice")
+        fields[key] = value
     return fields
 
 
@@ -197,24 +183,25 @@ def parse_poset_file(path):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"{path}:{ln}"
         try:
             tokens = shlex.split(line)
         except ValueError as exc:
-            raise ParseError(f"{path}:{ln}: {exc}")
+            raise ParseError(f"{where}: {exc}")
         kind = tokens[0]
         if kind == "node":
             if len(tokens) < 2:
-                raise ParseError(f"{path}:{ln}: node needs a label")
-            nodes.append((tokens[1], _key_values(tokens[2:], path, ln)))
+                raise ParseError(f"{where}: node needs a label")
+            nodes.append((tokens[1], _key_values(tokens[2:], where,
+                                                 ("fan", "collection", "recipe"))))
         elif kind == "edge":
             if len(tokens) < 3:
-                raise ParseError(f"{path}:{ln}: edge needs source and target")
-            fields = _key_values(tokens[3:], path, ln)
-            collapsed = None
-            if "collapsed" in fields:
-                collapsed = _int_row([fields["collapsed"]], path, ln)[0]
+                raise ParseError(f"{where}: edge needs source and target")
+            fields = _key_values(tokens[3:], where, ("collapsed", "note"))
+            collapsed = (_one_int("collapsed", [fields["collapsed"]], where)
+                         if "collapsed" in fields else None)
             edges.append(PosetEdge(tokens[1], tokens[2], collapsed,
                                    fields.get("note", "")))
         else:
-            raise ParseError(f"{path}:{ln}: unknown record {kind!r}")
+            raise ParseError(f"{where}: unknown record {kind!r}")
     return nodes, edges

@@ -170,6 +170,10 @@ def helix_twist(fan: Fan, pic: PicBasis, ordered_bundles, steps: int,
     return HelixResult(True, tuple(twisted), verdict.ordering)
 
 
+# the nef threshold scan gives up above this many anticanonical twists
+TWIST_CAP = 10
+
+
 @dataclass(frozen=True)
 class TiltingReport:
     ok: bool
@@ -177,8 +181,7 @@ class TiltingReport:
     failures: tuple = ()
 
 
-def tilting_total_space_check(fan: Fan, pic: PicBasis, bundles,
-                              cap: int = 10) -> TiltingReport:
+def tilting_total_space_check(fan: Fan, pic: PicBasis, bundles) -> TiltingReport:
     """Certify the pulled-back sum as tilting on tot(omega).
 
     T is the least t making every difference class nef after t
@@ -195,12 +198,12 @@ def tilting_total_space_check(fan: Fan, pic: PicBasis, bundles,
         return tuple(b - a - t * w for a, b, w in zip(x, y, omega))
 
     threshold = None
-    for t in range(cap + 1):
+    for t in range(TWIST_CAP + 1):
         if all(nef(twisted(x, y, t)) for x in bundles for y in bundles):
             threshold = t
             break
     if threshold is None:
-        return TiltingReport(False, -1, (("threshold", "exceeded cap", cap),))
+        return TiltingReport(False, -1, (("threshold", "exceeded cap", TWIST_CAP),))
     failures = []
     for t in range(threshold):
         for i, x in enumerate(bundles):
@@ -238,6 +241,10 @@ def box_product_collection(pic1: PicBasis, pic2: PicBasis, b1, b2):
     return [tuple(a) + tuple(b) for a in b1 for b in b2]
 
 
+# the number of arguments each recipe kind takes
+_RECIPE_ARITY = {"beilinson": 0, "product": 1, "method1": 0, "method2": 0, "from": 1}
+
+
 def verify_variety_recipe(workspace, label: str, m: int | None = None,
                           seed: int = 0, trials: int = 32,
                           prime: int = 2147483647) -> RecipeVerdict:
@@ -256,9 +263,12 @@ def verify_variety_recipe(workspace, label: str, m: int | None = None,
     def bad_record(problem):
         return PipelineError(f"poset node {label}: recipe {recipe!r} {problem}")
 
-    if kind in ("product", "from") and len(args) != 1:
-        raise bad_record("needs exactly one argument")
-    if kind in ("beilinson", "product", "method1", "method2") and node.fan is None:
+    if kind not in _RECIPE_ARITY:
+        raise bad_record(f"has unknown kind {kind!r}")
+    if len(args) != _RECIPE_ARITY[kind]:
+        raise bad_record("needs exactly one argument" if _RECIPE_ARITY[kind]
+                         else "takes no arguments")
+    if kind != "from" and node.fan is None:
         raise bad_record("needs a fan")
     if kind in ("product", "method1", "method2"):
         # a full collection has rank K_0 = |Sigma(n)| members
@@ -319,8 +329,9 @@ def verify_variety_recipe(workspace, label: str, m: int | None = None,
         source = args[0]
         chain = poset.chain(source, label)
         src = poset.nodes[source]
+        if not src.bundles:
+            raise bad_record(f"names source {source!r}, which has no stored collection")
         mm = m or src.frobenius_m or 8
         report = propagate_collection(chain, src.bundles, mm)
         return RecipeVerdict(label, recipe, "pass" if report.ok else "fail",
                              report.detail or f"propagated from {source} at m={mm}")
-    return RecipeVerdict(label, recipe, "fail", f"unknown recipe kind {kind}")

@@ -177,7 +177,7 @@ def covering_quiver_on_y(fan: Fan, pic: PicBasis, bundles) -> QuiverOfSections:
                             cyclic=True, n_variables=pic.n_rays + 1)
 
 
-def parallel_path_relations(quiver: QuiverOfSections, max_len: int | None = None):
+def parallel_path_relations(quiver: QuiverOfSections):
     """Generators p_i - p_j: parallel paths with equal divisor of zeroes.
 
     Only meaningful for the acyclic quiver on X; path enumeration is finite.
@@ -192,10 +192,9 @@ def parallel_path_relations(quiver: QuiverOfSections, max_len: int | None = None
                 continue
             nd = tuple(x + y for x, y in zip(div, a.div))
             np_ = arrows_so_far + (idx,)
-            if max_len is None or len(np_) <= max_len:
-                tail = quiver.arrows[np_[0]].tail
-                paths.setdefault((tail, a.head, nd), []).append(np_)
-                extend(a.head, np_, nd)
+            tail = quiver.arrows[np_[0]].tail
+            paths.setdefault((tail, a.head, nd), []).append(np_)
+            extend(a.head, np_, nd)
 
     zero = (0,) * quiver.n_variables
     for v in range(quiver.n_vertices):

@@ -1,3 +1,4 @@
+import shutil
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from toricsec.files import (
     write_fan_file,
 )
 from toricsec.polyhedra import ParametricIntegerFeasibility
-from toricsec.workspace import WorkspaceError, load_workspace
+from toricsec.workspace import WorkspaceError, bundled_data_dir, load_workspace
 
 
 def test_bundled_workspace_loads_expected_labels():
@@ -185,6 +186,83 @@ def test_cli_malformed_recipe_reports_fail(tmp_path, label, error):
     result = CliRunner().invoke(main, ["--data", str(tmp_path), "recipe", label])
     assert result.exit_code == 2
     assert result.output == f"error=PipelineError: {error}\nstatus=fail\n"
+
+
+S_CHAIN = ('node S3 fan=S3 collection=s3 recipe="method2"\n'
+           'node S2 fan=S2 recipe="from S3"\n'
+           'node S1 fan=S1 recipe="from S2"\n'
+           'edge S3 S2 collapsed=5\n'
+           'edge S2 S1 collapsed=4\n')
+
+
+def _s_chain_data(tmp_path, poset):
+    for name in ("S1.fan", "S2.fan", "S3.fan", "s3.col"):
+        shutil.copy(bundled_data_dir() / name, tmp_path)
+    (tmp_path / "v.poset").write_text(poset)
+    return ["--data", str(tmp_path)]
+
+
+@pytest.mark.parametrize("args", [["recipe", "S2"], ["propagate", "S3", "S2"]])
+def test_cli_wrong_collapsed_ray_reports_fail(tmp_path, args):
+    # ray 2 of S3 is not the one the blow-down to S2 collapses
+    data = _s_chain_data(tmp_path, S_CHAIN.replace("collapsed=5", "collapsed=2"))
+    result = CliRunner().invoke(main, data + args)
+    assert result.exit_code == 2
+    assert result.output == ("error=FanError: target rays are not the source rays "
+                             "minus the collapsed one\nstatus=fail\n")
+
+
+@pytest.mark.parametrize("label, recipe, problem", [
+    ("S1", "from S2", "names source 'S2', which has no stored collection"),
+    ("X", "beilinsn", "has unknown kind 'beilinsn'"),
+    ("Y", "method2 bogus", "takes no arguments"),
+    ("Z", "beilinson S3", "takes no arguments"),
+], ids=["from-source-without-collection", "unknown-kind", "method2-extra-argument",
+        "beilinson-extra-argument"])
+def test_cli_recipe_record_that_misreports_is_rejected(tmp_path, label, recipe, problem):
+    data = _s_chain_data(tmp_path, S_CHAIN + (
+        'node X fan=S3 collection=s3 recipe="beilinsn"\n'
+        'node Y fan=S3 collection=s3 recipe="method2 bogus"\n'
+        'node Z fan=S3 recipe="beilinson S3"\n'))
+    result = CliRunner().invoke(main, data + ["recipe", label])
+    assert result.exit_code == 2
+    assert result.output == (f"error=PipelineError: poset node {label}: recipe "
+                             f"{recipe!r} {problem}\nstatus=fail\n")
+
+
+P1_FAN = "label P1\ndim 1\nrays\n1\n-1\nmax_cones\n0\n1\n"
+
+
+@pytest.mark.parametrize("name, text, error", [
+    ("v.poset", "node D1_3 fan=D1_3 colection=d1_3\n",
+     "v.poset:1: unknown key 'colection', expected one of fan, collection, recipe"),
+    ("v.poset", "edge E1 B1 colapsed=6\n",
+     "v.poset:1: unknown key 'colapsed', expected one of collapsed, note"),
+    ("x.fan", P1_FAN.replace("label P1", "label P1 extra"),
+     "x.fan:1: label needs exactly one value, got ['P1', 'extra']"),
+    ("x.col", "label c extra\nfan P1\nbundles\n0\n1\n",
+     "x.col:1: label needs exactly one value, got ['c', 'extra']"),
+    ("x.fan", P1_FAN.replace("rays\n", "rays 1\n"), "x.fan:3: rays takes no value, got ['1']"),
+    ("x.col", "label c\nfan P1\nbundles 0\n1\n", "x.col:3: bundles takes no value, got ['0']"),
+    ("x.fan", P1_FAN.replace("dim 1\n", "dim 1\ndim 2\n"), "x.fan:3: dim given twice"),
+    ("v.poset", "node P1 fan=P1 fan=P2\n", "v.poset:1: fan given twice"),
+], ids=["node-key", "edge-key", "fan-label", "collection-label", "rays-value",
+        "bundles-value", "repeated-header", "repeated-key"])
+def test_cli_record_with_a_dropped_token_reports_fail(tmp_path, name, text, error):
+    (tmp_path / name).write_text(text)
+    result = CliRunner().invoke(main, ["--data", str(tmp_path), "validate", "P1"])
+    assert result.exit_code == 2
+    assert result.output == f"error=ParseError: {tmp_path / error}\nstatus=fail\n"
+
+
+def test_cli_rejection_keeps_the_lines_already_written(tmp_path):
+    out = tmp_path / "report.txt"
+    result = CliRunner().invoke(main, ["--out", str(out), "helix", "P1xP1", "--steps", "9"])
+    assert result.exit_code == 2
+    assert result.output == ("label=P1xP1\nsteps=9\ntwist=0,0\n"
+                             "error=PipelineError: steps must lie between 0 and the "
+                             "collection size\nstatus=fail\n")
+    assert out.read_text() == result.output
 
 
 @pytest.mark.parametrize("basis", [(0, 1), (0, 0), (5,)],
