@@ -265,7 +265,7 @@ def method1(ctx, label, m):
 @main.command()
 @click.argument("label")
 @click.option("--total-space", "on_y", is_flag=True,
-              help="Build the covering quiver on tot(omega).")
+              help="Build the arrows of degree 0 and 1 on tot(omega).")
 @click.pass_context
 def quiver(ctx, label, on_y):
     """Quiver of sections of the registered collection."""

@@ -142,7 +142,9 @@ def parse_collection_file(path) -> CollectionFile:
 
 
 def write_collection_file(path, col: CollectionFile):
-    lines = [f"label {col.label}", f"fan {col.fan_label}"]
+    lines = [f"label {col.label}"]
+    if col.fan_label:
+        lines.append(f"fan {col.fan_label}")
     if col.basis is not None:
         lines.append("basis " + " ".join(str(i) for i in col.basis))
     if col.theta is not None:

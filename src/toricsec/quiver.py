@@ -98,17 +98,6 @@ def _pruned_fiber(pic: PicBasis, cls, staircase) -> list[IntVector]:
     return [pic.lift(cls, t) for t in found]
 
 
-def _minimal(monomials) -> list[IntVector]:
-    """The distinct monomials that dominate no other: the staircase's generators."""
-    monomials = list(dict.fromkeys(monomials))
-    return [e for e in monomials
-            if not _dominates_some(e, (f for f in monomials if f != e))]
-
-
-# The covering quiver searches levels 1..LEVELS; the last must come up empty.
-LEVELS = 3
-
-
 def _level_arrows(pic: PicBasis, bundles, top: int) -> list[tuple]:
     """Irreducible sections (tail, head, div, level) of levels 0..top.
 
@@ -120,7 +109,11 @@ def _level_arrows(pic: PicBasis, bundles, top: int) -> list[tuple]:
     has class 0; if e = f + g factors, e dominates f, which is or
     dominates an earlier arrow.  Level 0 has no loops and must run up the
     vertex order; above it, the search skips every monomial dominating a
-    lower-level arrow out of its tail.  The list is in the order found.
+    lower-level arrow out of its tail.  While top <= 1 that staircase is
+    already minimal: the arrows of one level out of a tail form an
+    antichain, since a survivor dominating an earlier one is rejected and
+    an earlier one, of no larger degree, dominates a later one only if
+    they are equal.  The list is in the order found.
     """
     bundles = [tuple(b) for b in bundles]
     r = len(bundles)
@@ -128,14 +121,13 @@ def _level_arrows(pic: PicBasis, bundles, top: int) -> list[tuple]:
     out_divs = [[] for _ in range(r)]
     found = []
     for p in range(top + 1):
-        staircases = [_minimal(divs) for divs in out_divs]
         survivors = []
         for i in range(r):
             for j in range(r):
                 cls = tuple(bj - bi + p * w
                             for bi, bj, w in zip(bundles[i], bundles[j], minus_omega))
                 if p > 0:
-                    fiber = _pruned_fiber(pic, cls, staircases[i])
+                    fiber = _pruned_fiber(pic, cls, out_divs[i])
                 elif i == j:
                     continue
                 else:
@@ -163,15 +155,16 @@ def build_quiver_of_sections(fan: Fan, pic: PicBasis, bundles) -> QuiverOfSectio
 
 
 def covering_quiver_on_y(fan: Fan, pic: PicBasis, bundles) -> QuiverOfSections:
-    """Quiver of sections of the pulled-back collection on tot(omega).
+    """Arrows of degree 0 and 1 of the pulled-back collection on tot(omega).
 
-    Its arrows are those of levels 0..LEVELS; the level is an arrow's
-    final exponent, that of rho_tot.
+    The degree is an arrow's final exponent, that of rho_tot, and its
+    level in _level_arrows.  Method 2 reads no other: every anticanonical
+    cycle has divisor (1, ..., 1), so it holds exactly one degree-1 arrow
+    and none of degree >= 2.  The degree-0 arrows out of a tail form an
+    antichain, so they are already the minimal staircase that the
+    degree-1 search prunes with.
     """
-    found = _level_arrows(pic, bundles, LEVELS)
-    top = [(i, j, e) for i, j, e, p in found if p == LEVELS]
-    if top:
-        raise QuiverError(f"irreducible sections at level {LEVELS}: {top[:3]}")
+    found = _level_arrows(pic, bundles, 1)
     arrows = (Arrow(i, j, tuple(e) + (p,)) for i, j, e, p in sorted(found))
     return QuiverOfSections(tuple(tuple(b) for b in bundles), tuple(arrows),
                             cyclic=True, n_variables=pic.n_rays + 1)

@@ -34,6 +34,8 @@ class Workspace:
         return self.fans[label]
 
     def pic(self, label: str) -> PicBasis:
+        if label not in self.pics:
+            raise WorkspaceError(f"no fan registered under {label!r}")
         return self.pics[label]
 
     def collection_for(self, fan_label: str) -> CollectionFile | None:
@@ -88,10 +90,16 @@ def load_workspace(paths=None) -> Workspace:
         ws.warnings.append("workspace is empty")
     for col in ws.collections.values():
         pic = ws.pics.get(col.fan_label)
-        if pic is not None and any(len(b) != pic.rank for b in col.bundles):
+        if pic is None:
+            continue
+        if any(len(b) != pic.rank for b in col.bundles):
             raise WorkspaceError(
                 f"collection {col.label!r}: bundle width differs from the Pic "
                 f"rank {pic.rank} of fan {col.fan_label!r}")
+        if col.basis is not None and col.basis != pic.basis_indices:
+            raise WorkspaceError(
+                f"collection {col.label!r}: basis {col.basis} differs from the "
+                f"pinned basis {pic.basis_indices} of fan {col.fan_label!r}")
     for spec in poset_specs:
         nodes, edges = parse_poset_file(spec)
         for label, fields in nodes:
@@ -105,14 +113,13 @@ def load_workspace(paths=None) -> Workspace:
                 col = ws.collections.get(col_label)
                 if col is None:
                     raise WorkspaceError(f"poset node {label}: no collection {col_label!r}")
+                if fan_label and col.fan_label != fan_label:
+                    raise WorkspaceError(
+                        f"poset node {label}: collection {col_label!r} is for fan "
+                        f"{col.fan_label!r}, not {fan_label!r}")
                 node.bundles = [tuple(b) for b in col.bundles]
                 node.theta = col.theta
                 node.frobenius_m = col.frobenius_m
-                if node.pic is not None and col.basis is not None and \
-                        col.basis != node.pic.basis_indices:
-                    raise WorkspaceError(
-                        f"poset node {label}: collection basis {col.basis} differs "
-                        f"from the fan's pinned basis {node.pic.basis_indices}")
             ws.poset.add_node(node)
         ws.poset.edges.extend(edges)
     return ws

@@ -1,11 +1,12 @@
-"""Pinned Method-2, chain, tilting, strong-exceptional and validation output.
+"""Pinned Method-2, chain, tilting, strong-exceptional, fan and Frobenius output.
 
 Replays ``--seed 0 method2 LABEL --dump-complex FILE`` on S3, D1_3 and E1,
 the ``propagate`` reports of four contraction chains, ``tilting-total-space``
-and ``strong-exceptional`` on the nine stored collections and ``validate``
-on the 17 bundled fans through click's CliRunner, and compares the sha256
-of every report and complex file with the digests below.  Run this file as
-a script to print a fresh table:
+and ``strong-exceptional`` on the nine stored collections, ``validate`` and
+``forbidden-sets`` on the 17 bundled fans and ``frobenius LABEL --m 10 --gen``
+on I1, E1 and R3 through click's CliRunner, and compares the sha256 of every
+report and complex file with the digests below.  Run this file as a script
+to print a fresh table:
 
     PYTHONPATH=src python tests/test_pinned_reports.py
 """
@@ -22,6 +23,7 @@ CHAINS = (("E1", "B1"), ("S3", "S1"), ("S3", "P2"), ("D1_3", "B1_3"))
 COLLECTIONS = ("P1xP1", "S3", "D1_3", "E1", "I1", "J1", "M1", "V4", "R3")
 FANS = ("B1", "B1_3", "D1_3", "E1", "I1", "J1", "M1", "P1", "P1xP1", "P2", "P3",
         "P4", "R3", "S1", "S2", "S3", "V4")
+FROBENIUS = ("I1", "E1", "R3")
 
 DIGESTS = {
     "complex D1_3":
@@ -30,6 +32,46 @@ DIGESTS = {
         (0, "9b3d454b8da420e44bbeeb818aa0ab83c31a6d307efdac97318e3bb4fa4bf167"),
     "complex S3":
         (0, "e2fa166f96a98e868fb4d60836a824ee302951444c71730ef1096672803a72f8"),
+    "forbidden-sets B1":
+        (0, "ece08f04e024f6ce5ebae039595ce1509cb7e1ee3e3a9eee593ccfa5cd0701e4"),
+    "forbidden-sets B1_3":
+        (0, "95f40ef502dbf61ef556516ed057c2efcd3782bccadf8e0688b0ae4435e93890"),
+    "forbidden-sets D1_3":
+        (0, "c4511e34d503a4dc61b69b5312d357e66cc4ec985946a369ee22d45f59935de4"),
+    "forbidden-sets E1":
+        (0, "8f51a79a85915be86eabb89d8db18b70c44db1f8dd761c81b999865b01b70844"),
+    "forbidden-sets I1":
+        (0, "dec4bdee43b6caa146d6e43a089c7a7d0e7e1117188f2d2160bc39e418110be6"),
+    "forbidden-sets J1":
+        (0, "29f6070c61c4d3cf8a34e62c42c14c2dae6609d4aec2818cdf8907c86da0c1c1"),
+    "forbidden-sets M1":
+        (0, "11ce559764a7ee9ca570e325eb8a9d00cc1684c61fcf8e03e67f04f5126737f9"),
+    "forbidden-sets P1":
+        (0, "453b8df3fc63e82374c468cf2d81a02eee9ccbce3cad7d19fe13567d67475f3d"),
+    "forbidden-sets P1xP1":
+        (0, "3516583c25c285b832a4f5eaa7e0aad40c253151277cb7b150dd96ad9c987b19"),
+    "forbidden-sets P2":
+        (0, "0850cab4f9b23b287c0fc8ccacd6492972ff45a78a87b1e4eb73719919ad7c2f"),
+    "forbidden-sets P3":
+        (0, "2334d95270c2aa8b706ee263804c9805eb0796c22813a8213a0553931e23efe9"),
+    "forbidden-sets P4":
+        (0, "ca540a08dedc2c7339b9083fc331d811739e33b4f7d455b947b755c64756a7d1"),
+    "forbidden-sets R3":
+        (0, "0d374a2cdd6d426113352e55aa7768479c2274e4098f9b092cb88475cdd362a7"),
+    "forbidden-sets S1":
+        (0, "21d5cd3dc7e79e4d7df5e6ee5356db5251c1719c1d562c91ab8376d49d7b9eed"),
+    "forbidden-sets S2":
+        (0, "ba5fcc0b8f8cc40077437477a4c253b93100a9153e3c5c613fe4417f972f3fe4"),
+    "forbidden-sets S3":
+        (0, "3fbaaeaab81763cc5dc3c2ada56eb39564f560b7769ea687bdd99fd7c2df6500"),
+    "forbidden-sets V4":
+        (0, "b477d777321f9b7eed5c027435bdca581b4694c703d9cf080d7b6f461ba4b962"),
+    "frobenius E1 --m 10 --gen":
+        (0, "fbd721e3c535d07ca22aa64de1650fa17dce5a5e99bc385e73ac274c4c43b6a8"),
+    "frobenius I1 --m 10 --gen":
+        (0, "12ce669c45d1a62e2d7500834400257085530d76c33368a244bde50c246024f4"),
+    "frobenius R3 --m 10 --gen":
+        (0, "1779254cfa20e28369f3796b4a0c8fb54702d8cb7902c15c15e8d54ca3991f6d"),
     "method2 D1_3":
         (0, "5f8f94ead5de961ed84f3c8e3fce9888e22628669a09fd42087de6228f3d5715"),
     "method2 E1":
@@ -135,7 +177,9 @@ def replay(temp_dir=None) -> dict[str, tuple[int, str]]:
         commands = [("propagate", source, target) for source, target in CHAINS]
         commands += [(command, label) for label in COLLECTIONS
                      for command in ("tilting-total-space", "strong-exceptional")]
-        commands += [("validate", label) for label in FANS]
+        commands += [(command, label) for label in FANS
+                     for command in ("validate", "forbidden-sets")]
+        commands += [("frobenius", label, "--m", "10", "--gen") for label in FROBENIUS]
         for args in commands:
             res = runner.invoke(main, list(args))
             out[" ".join(args)] = (res.exit_code, _sha(res.output))

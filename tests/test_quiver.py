@@ -143,8 +143,8 @@ def test_covering_quiver_e1_counts():
 
 @pytest.mark.parametrize("label", ["S3", "D1_3", "E1"])
 def test_pruned_fiber_is_the_fiber_minus_the_staircase_upset(label, monkeypatch):
-    # every (i, j, p) class the covering quiver visits, against the full
-    # fiber and the unreduced arrows out of i below level p
+    # every level-1 class (i, j) the covering quiver visits, against the
+    # full fiber and the level-0 arrows out of i
     ws = bundled_workspace()
     fan, pic = ws.fan(label), ws.pic(label)
     bundles = [tuple(b) for b in ws.collection_for(label).bundles]
@@ -160,15 +160,37 @@ def test_pruned_fiber_is_the_fiber_minus_the_staircase_upset(label, monkeypatch)
     q = covering_quiver_on_y(fan, pic, bundles)
     r = len(bundles)
     minus_omega = tuple(-w for w in pic.canonical_class())
-    visits = [(i, j, p) for p in range(1, 4) for i in range(r) for j in range(r)]
+    visits = [(i, j) for i in range(r) for j in range(r)]
     assert len(calls) == len(visits)
-    for (i, j, p), (cls, found) in zip(visits, calls):
-        assert cls == tuple(bj - bi + p * w for bi, bj, w
+    for (i, j), (cls, found) in zip(visits, calls):
+        assert cls == tuple(bj - bi + w for bi, bj, w
                             in zip(bundles[i], bundles[j], minus_omega))
-        below = [a.div[:-1] for a in q.arrows if a.tail == i and a.div[-1] < p]
+        below = [a.div[:-1] for a in q.arrows if a.tail == i and a.div[-1] == 0]
         expected = [e for e in sections(pic, cls)
                     if not any(all(x >= y for x, y in zip(e, f)) for f in below)]
-        assert sorted(found) == expected and len(set(found)) == len(found), (i, j, p)
+        assert sorted(found) == expected and len(set(found)) == len(found), (i, j)
+
+
+@pytest.mark.parametrize("label", ["S3", "D1_3", "E1"])
+def test_no_arrow_above_level_one(label, monkeypatch):
+    # the covering quiver stops at level 1, the last level Method 2 reads;
+    # on these collections levels 2 and 3 hold no arrow either
+    ws = bundled_workspace()
+    pic = ws.pic(label)
+    bundles = ws.collection_for(label).bundles
+    searched = []
+    pruned_fiber = quiver._pruned_fiber
+
+    def counting(pic_, cls, staircase):
+        searched.append(cls)
+        return pruned_fiber(pic_, cls, staircase)
+
+    monkeypatch.setattr(quiver, "_pruned_fiber", counting)
+    three = quiver._level_arrows(pic, bundles, 3)
+    assert len(searched) == 3 * len(bundles) ** 2
+    assert three == quiver._level_arrows(pic, bundles, 1)
+    cover = covering_quiver_on_y(ws.fan(label), pic, bundles)
+    assert {a.div[-1] for a in cover.arrows} == {0, 1}
 
 
 # sha256 of the full `toricsec quiver <row> --total-space` report

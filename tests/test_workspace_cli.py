@@ -1,3 +1,4 @@
+import dataclasses
 import shutil
 from pathlib import Path
 
@@ -7,6 +8,7 @@ from click.testing import CliRunner
 from toricsec.cli import main
 from toricsec.cohomology import _refuted, fiber_feasible, fiber_refuters, forbidden_sets
 from toricsec.files import (
+    CollectionFile,
     ParseError,
     parse_collection_file,
     parse_fan_file,
@@ -55,6 +57,43 @@ def test_collection_width_must_match_pic_rank(tmp_path):
     assert "narrow" in str(err.value)
 
 
+def test_pic_of_unknown_label_is_a_workspace_error():
+    with pytest.raises(WorkspaceError, match="no fan registered under 'NOPE'"):
+        load_workspace().pic("NOPE")
+
+
+E1_NODE = 'node E1 fan=E1 collection=e1 recipe="method2"\n'
+
+
+@pytest.mark.parametrize("poset", [None, E1_NODE], ids=["fan-label", "poset-node"])
+@pytest.mark.parametrize("changes, error", [
+    ({"basis": (0, 1, 2)},
+     "collection 'e1': basis (0, 1, 2) differs from the pinned basis (4, 5, 6) of fan 'E1'"),
+    ({"bundles": [(0, 0), (0, 1)]},
+     "collection 'e1': bundle width differs from the Pic rank 3 of fan 'E1'"),
+], ids=["basis", "width"])
+def test_cli_collection_not_in_its_fans_pic_reports_fail(tmp_path, poset, changes, error):
+    # without the poset node the collection is read by its fan label
+    shutil.copy(bundled_data_dir() / "E1.fan", tmp_path)
+    col = parse_collection_file(bundled_data_dir() / "e1.col")
+    write_collection_file(tmp_path / "e1.col", dataclasses.replace(col, **changes))
+    if poset:
+        (tmp_path / "v.poset").write_text(poset)
+    result = CliRunner().invoke(main, ["--data", str(tmp_path), "strong-exceptional", "E1"])
+    assert result.exit_code == 2
+    assert result.output == f"error=WorkspaceError: {error}\nstatus=fail\n"
+
+
+def test_cli_poset_node_with_another_fans_collection_reports_fail(tmp_path):
+    for name in ("E1.fan", "S3.fan", "s3.col"):
+        shutil.copy(bundled_data_dir() / name, tmp_path)
+    (tmp_path / "v.poset").write_text('node E1 fan=E1 collection=s3 recipe="method2"\n')
+    result = CliRunner().invoke(main, ["--data", str(tmp_path), "recipe", "E1"])
+    assert result.exit_code == 2
+    assert result.output == ("error=WorkspaceError: poset node E1: collection 's3' is "
+                             "for fan 'S3', not 'E1'\nstatus=fail\n")
+
+
 @pytest.mark.parametrize("record", [
     "edge A B junk", "edge A B collapsed=x", "node", 'node A recipe="method2',
 ])
@@ -84,6 +123,10 @@ def test_collection_file_roundtrip(tmp_path):
     parsed = parse_collection_file(out)
     assert parsed.bundles == col.bundles
     assert parsed.theta == col.theta
+    # a collection tied to no fan writes no fan line and reads back unchanged
+    bare = CollectionFile("c", "", None, [(0,), (1,)])
+    write_collection_file(out, bare)
+    assert parse_collection_file(out) == bare
 
 
 def test_cli_validate_pass():
