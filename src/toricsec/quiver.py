@@ -298,7 +298,12 @@ class EmbeddingVerdict:
 
 
 def minkowski_embedding_check(fan: Fan, pic: PicBasis, bundles) -> EmbeddingVerdict:
-    """Nef route: product ample and Minkowski sum of section polytopes full."""
+    """Nef route: product ample and Minkowski sum of section polytopes full.
+
+    Each distinct vertex of P_{product} is tested for membership in the
+    sum of the P_{L_i} by one support LP (_in_minkowski_sum); containment
+    the other way is automatic.
+    """
     bundles = [tuple(b) for b in bundles]
     for b in bundles:
         if not nef_ample_test(fan, pic, b)[0]:
@@ -311,39 +316,47 @@ def minkowski_embedding_check(fan: Fan, pic: PicBasis, bundles) -> EmbeddingVerd
                                 product_class=product)
     # one Cartier vertex per maximal cone; all are sections, as product is ample
     big_vertices = list(dict.fromkeys(vertex_divisors(fan, pic, product)))
-    d = pic.n_rays
-    r = len(bundles)
-    # v in sum of the P_{L_i} iff the block system {x_i >= 0, deg x_i = L_i,
-    # sum_i x_i = v} is feasible; containment the other way is automatic.
-    eq_rows = []
-    rhs = []
-    for i, b in enumerate(bundles):
-        for row_i in range(pic.rank):
-            row = [0] * (d * r)
-            for ρ in range(d):
-                row[i * d + ρ] = pic.deg[row_i][ρ]
-            eq_rows.append(row)
-            rhs.append(b[row_i])
     for v in big_vertices:
-        rows = list(eq_rows)
-        rh = list(rhs)
-        for ρ in range(d):
-            row = [0] * (d * r)
-            for i in range(r):
-                row[i * d + ρ] = 1
-            rows.append(row)
-            rh.append(v[ρ])
-        if simplex_feasible(rows, rh, d * r) is None:
+        if not _in_minkowski_sum(pic, bundles, v):
             return EmbeddingVerdict(False, "nef",
                                     detail=f"vertex {v} missing from the Minkowski sum",
                                     product_class=product)
-    matrix = tuple(tuple(v[ρ] for v in big_vertices) for ρ in range(d))
+    matrix = tuple(tuple(v[ρ] for v in big_vertices) for ρ in range(pic.n_rays))
     return EmbeddingVerdict(True, "nef", product_class=product, vertex_matrix=matrix)
+
+
+def _in_minkowski_sum(pic: PicBasis, bundles, v) -> bool:
+    """Is the divisor v a sum of points x_i of the section polytopes P_{L_i}?
+
+    That is the block system {x_i >= 0, deg x_i = L_i, sum_i x_i = v},
+    one rational LP.  It is solved over the support of v only: where
+    v_rho = 0, x >= 0 and sum_i x_{i,rho} = 0 force every x_{i,rho} = 0,
+    so those columns and their coupling rows drop and the feasibility is
+    unchanged.  A column with v_rho < 0 stays, and its coupling row then
+    has no nonnegative solution, as in the full system.
+    """
+    support = [ρ for ρ, c in enumerate(v) if c]
+    s = len(support)
+    n = s * len(bundles)
+    rows, rhs = [], []
+    for i, b in enumerate(bundles):
+        for deg_row, b_row in zip(pic.deg, b, strict=True):
+            row = [0] * n
+            row[i * s:(i + 1) * s] = [deg_row[ρ] for ρ in support]
+            rows.append(row)
+            rhs.append(b_row)
+    for k, ρ in enumerate(support):
+        row = [0] * n
+        row[k::s] = [1] * len(bundles)
+        rows.append(row)
+        rhs.append(v[ρ])
+    return simplex_feasible(rows, rhs, n) is not None
 
 
 def pic_of_theta(bundles, theta) -> IntVector:
     rank = len(bundles[0])
-    return tuple(sum(t * b[i] for t, b in zip(theta, bundles)) for i in range(rank))
+    return tuple(sum(t * b[i] for t, b in zip(theta, bundles, strict=True))
+                 for i in range(rank))
 
 
 def theta_fiber_surjectivity_check(quiver: QuiverOfSections, fan: Fan,
@@ -353,10 +366,28 @@ def theta_fiber_surjectivity_check(quiver: QuiverOfSections, fan: Fan,
     Integer flows with divergence theta on an acyclic quiver decompose into
     source-to-sink unit paths, so the check reduces to a sumset of per-target
     path-divisor sets.
+
+    The sumset and the membership lookup run on packed integers (Kronecker
+    substitution): a divisor e becomes sum_rho e_rho << (B rho), so a
+    divisor sum is one int addition and a lookup hashes one int.  Packing
+    is additive, and it is injective on divisors whose entries all lie in
+    [0, 2^B); B is the bit length of the largest coordinate M over the
+    vertices of P_{pic(theta)}, so no carry ever crosses a field.  Every
+    target has a path (checked first, in target order), so every partial
+    sum plus one path divisor per remaining target is a final sum, and all
+    of these are >= 0: each partial sum is dominated by a final sum.  A
+    final sum has class sum_t theta_t (L_t - L_0) = pic(theta), so it is a
+    section monomial, a lattice point of P_{pic(theta)}, and each of its
+    coordinates is at most M, its largest value at a vertex.  So every
+    entry of every sum, partial or final, and of every section monomial
+    lies in [0, M], and an int lookup answers exactly the tuple lookup.
     """
     if quiver.cyclic:
         raise QuiverError("the flow polytope argument needs the acyclic quiver on X")
     theta = tuple(int(t) for t in theta)
+    if len(theta) != quiver.n_vertices:
+        raise QuiverError(f"theta has {len(theta)} entries, the quiver "
+                          f"{quiver.n_vertices} vertices")
     cls = pic_of_theta(quiver.bundles, theta)
     nef, ample = nef_ample_test(fan, pic, cls)
     if not ample:
@@ -364,30 +395,21 @@ def theta_fiber_surjectivity_check(quiver: QuiverOfSections, fan: Fan,
                                 product_class=cls)
     if any(t < 0 for t in theta[1:]) or theta[0] != -sum(theta[1:]):
         raise QuiverError("theta must be supported as (-k; nonnegative)")
-    d = pic.n_rays
-    zero = (0,) * d
     if any(a.tail >= a.head for a in quiver.arrows):
         raise QuiverError("arrows must run up the vertex order")
-    # path-divisor sets from the source, in vertex order
-    path_divs: list[set[IntVector]] = [set() for _ in range(quiver.n_vertices)]
-    path_divs[0] = {zero}
-    for v in range(quiver.n_vertices):
-        for a in quiver.arrows_from(v):
-            for s in path_divs[v]:
-                path_divs[a.head].add(tuple(x + y for x, y in zip(s, a.div)))
+    path_divs = _path_divisors(quiver, pic.n_rays)
     targets = []
     for i, t in enumerate(theta):
         if i and t > 0:
             targets.extend([i] * t)
-    sums = {zero}
     for tgt in targets:
         if not path_divs[tgt]:
             return EmbeddingVerdict(False, "theta",
                                     detail=f"no path from the source to vertex {tgt}")
-        sums = {tuple(x + y for x, y in zip(s, p))
-                for s in sums for p in path_divs[tgt]}
+    width = _field_width(fan, pic, cls)
+    sums = _packed_sumset([path_divs[tgt] for tgt in targets], width)
     fiber = sections(pic, cls)
-    missing = [e for e in fiber if tuple(e) not in sums]
+    missing = [e for e in fiber if _pack(e, width) not in sums]
     if missing:
         return EmbeddingVerdict(False, "theta",
                                 detail=f"{len(missing)} section monomials unreachable, "
@@ -396,3 +418,32 @@ def theta_fiber_surjectivity_check(quiver: QuiverOfSections, fan: Fan,
     return EmbeddingVerdict(True, "theta", product_class=cls,
                             detail=f"{len(fiber)} section monomials realized")
 
+
+def _path_divisors(quiver: QuiverOfSections, n_rays: int) -> list[set[IntVector]]:
+    """Per vertex, the divisors of the paths from the source; arrows run up."""
+    path_divs: list[set[IntVector]] = [set() for _ in range(quiver.n_vertices)]
+    path_divs[0] = {(0,) * n_rays}
+    for v in range(quiver.n_vertices):
+        for a in quiver.arrows_from(v):
+            for s in path_divs[v]:
+                path_divs[a.head].add(tuple(x + y for x, y in zip(s, a.div)))
+    return path_divs
+
+
+def _field_width(fan: Fan, pic: PicBasis, cls) -> int:
+    """Bits per ray that hold every coordinate of a section monomial of cls."""
+    return max(max(v) for v in vertex_divisors(fan, pic, cls)).bit_length()
+
+
+def _pack(e, width: int) -> int:
+    """The divisor e as one int, `width` bits per ray (Kronecker substitution)."""
+    return sum(c << (width * ρ) for ρ, c in enumerate(e))
+
+
+def _packed_sumset(summands, width: int) -> set[int]:
+    """The packed sums s_1 + ... + s_k, one s_j from each divisor set summands[j]."""
+    sums = {0}
+    for divs in summands:
+        packed = {_pack(e, width) for e in divs}
+        sums = {s + p for s in sums for p in packed}
+    return sums

@@ -1,12 +1,18 @@
-"""Pinned Method-2, chain, tilting, strong-exceptional, fan and Frobenius output.
+"""Pinned recipe, Method-2, chain, tilting, strong-exceptional, fan, Frobenius
+and embedding-certificate output.
 
-Replays ``--seed 0 method2 LABEL --dump-complex FILE`` on S3, D1_3 and E1,
-the ``propagate`` reports of four contraction chains, ``tilting-total-space``
-and ``strong-exceptional`` on the nine stored collections, ``validate`` and
-``forbidden-sets`` on the 17 bundled fans and ``frobenius LABEL --m 10 --gen``
-on I1, E1 and R3 through click's CliRunner, and compares the sha256 of every
-report and complex file with the digests below.  Run this file as a script
-to print a fresh table:
+Replays ``recipe LABEL`` on all 19 poset rows, ``--seed 0 method2 LABEL
+--dump-complex FILE`` on S3, D1_3 and E1, the ``propagate`` reports of four
+contraction chains, ``tilting-total-space`` and ``strong-exceptional`` on the
+nine stored collections, ``validate`` and ``forbidden-sets`` on the 17
+bundled fans and ``frobenius LABEL --m 10 --gen`` on I1, E1 and R3 through
+click's CliRunner, and compares the sha256 of every report and complex file
+with the digests below.  The embedding certificate of each of the seven
+Method-2 rows (the nef route's Minkowski check on S3, D1_3, E1 and R3, the
+theta route's surjectivity check on J1, M1 and V4) is pinned as the sha256
+of ``repr(EmbeddingVerdict)``, with 0 in place of the exit code when the
+verdict is ok and 1 when not.  Run this file as a script to print a fresh
+table:
 
     PYTHONPATH=src python tests/test_pinned_reports.py
 """
@@ -17,6 +23,12 @@ import pytest
 from click.testing import CliRunner
 
 from toricsec.cli import main
+from toricsec.quiver import (
+    build_quiver_of_sections,
+    minkowski_embedding_check,
+    theta_fiber_surjectivity_check,
+)
+from toricsec.workspace import load_workspace
 
 METHOD2 = ("S3", "D1_3", "E1")
 CHAINS = (("E1", "B1"), ("S3", "S1"), ("S3", "P2"), ("D1_3", "B1_3"))
@@ -24,6 +36,9 @@ COLLECTIONS = ("P1xP1", "S3", "D1_3", "E1", "I1", "J1", "M1", "V4", "R3")
 FANS = ("B1", "B1_3", "D1_3", "E1", "I1", "J1", "M1", "P1", "P1xP1", "P2", "P3",
         "P4", "R3", "S1", "S2", "S3", "V4")
 FROBENIUS = ("I1", "E1", "R3")
+RECIPES = ("P1", "P2", "P3", "P4", "P1xP1", "S1", "S2", "S3", "B1_3", "D1_3", "B1",
+           "E1", "I1", "J1", "M1", "V4", "R3", "K3", "H10")
+EMBEDDINGS = ("S3", "D1_3", "E1", "R3", "J1", "M1", "V4")
 
 DIGESTS = {
     "complex D1_3":
@@ -32,6 +47,20 @@ DIGESTS = {
         (0, "9b3d454b8da420e44bbeeb818aa0ab83c31a6d307efdac97318e3bb4fa4bf167"),
     "complex S3":
         (0, "e2fa166f96a98e868fb4d60836a824ee302951444c71730ef1096672803a72f8"),
+    "embedding D1_3":
+        (0, "cb694db0b04c7dd8a40b1b6c72be569985a872359dbdda170a8fd71af187c670"),
+    "embedding E1":
+        (0, "ec36174a9f05b90bbcae2c39b1c65b80ed84899368b3c9a9680396dc50cb744b"),
+    "embedding J1":
+        (0, "95516402dcad447698d4a9f73149ffd58842282f3e1ab12186c354fdfdf8ecf7"),
+    "embedding M1":
+        (0, "fe62318f7c3f72b061f522cf6fa7e260e422f479f1a01075b8391c5892df2763"),
+    "embedding R3":
+        (0, "7b3ea84a45a6b4c32914bdbb5b556608a13cddc05504f049bcc907d5fce4de5f"),
+    "embedding S3":
+        (0, "769f077da8b11b7e6302056ed0b5712bc9f33bbafce15a5bea82664ee702a99c"),
+    "embedding V4":
+        (0, "1d77c293a7ab48a3b52043f6ba003cb594c24fa7a1fd9a8fc2dcaab6f014a7fb"),
     "forbidden-sets B1":
         (0, "ece08f04e024f6ce5ebae039595ce1509cb7e1ee3e3a9eee593ccfa5cd0701e4"),
     "forbidden-sets B1_3":
@@ -86,6 +115,44 @@ DIGESTS = {
         (0, "f7d546611345e1626a4025d85d5fc4fb9c6d0d8d9462bd16aeeb68a7dbdae56e"),
     "propagate S3 S1":
         (0, "86aa6cbaaa5d105beac1877ecc4d2310fd3cd8f192fd43073dde99ead83f20d2"),
+    "recipe B1":
+        (0, "d7261ab162c1317722918d5156cf734224e81c3d9de33344cf90ef3f53ce3a41"),
+    "recipe B1_3":
+        (0, "410c1112eba7b39aa0ba53666f51c552f4211ee525936df947ed49d87954fdee"),
+    "recipe D1_3":
+        (0, "e9039d31a27a8b6b4892c439e9811f7ce3cae4e1c16b33ebcb11f110a55d555c"),
+    "recipe E1":
+        (0, "af9244185d321085ccfe56aa906f6ce5b32a3c50fa8903ce7a45fdc231aef15a"),
+    "recipe H10":
+        (1, "05bd7c2bab9f1aab6d32ef31cc6d261b422b9b0a3ad90d415c3cb3a098ef4c04"),
+    "recipe I1":
+        (0, "610b488a3fd4bd1155b1113f08f6dc505cf0c095d565aca7b3f4487568a001f2"),
+    "recipe J1":
+        (0, "e4eccf72a64f4737071ac75573e8beedad20e04592ef6a895a2ab70311d5d0b9"),
+    "recipe K3":
+        (1, "51d70d6db2b22a96d25145a8f46296bbd0ea6056e88b618721369d2556cfc5e9"),
+    "recipe M1":
+        (0, "675724fd3349f22accbac3d8986f5c08621530b4bc2d85ef0f575e142d51e122"),
+    "recipe P1":
+        (0, "a718c97bd736b4cfec3e20fe0fb7c8d79cb4f38dcf6b88bbab249f13e8670af1"),
+    "recipe P1xP1":
+        (0, "1fa5246d9fe73dcb036e9ec76a7e673ca3e16199ad704a04a7ad11c848cbfad0"),
+    "recipe P2":
+        (0, "956ba5d3509ce911bd6c1364df8467d2c2c49f6ea91602497a6c89aee17c9bcd"),
+    "recipe P3":
+        (0, "1f331cbf403ae756ac654e0cccc75d6629f76f3f43ebfeb6c8ad09417daa2a4b"),
+    "recipe P4":
+        (0, "5cea5c372de28740064d79905689a1fae6ab9d41fb6895324ec10dbf82a78d45"),
+    "recipe R3":
+        (0, "0a82c18a9c7a91240dc8d17aa38f9ed13cf10fc2e94553701f8384c244d7495e"),
+    "recipe S1":
+        (0, "c13b3d8e4b548626d391c897e10eb9ca706c13b20be2dd0df4d6fcaec858c9a4"),
+    "recipe S2":
+        (0, "d1e7906d4f5ae749f1c7d3a2a31f96a594f9b963c7f8e26e1f0f29a213b1faad"),
+    "recipe S3":
+        (0, "cb6712411fad6bfce03c40b620c7f9692a920ad1054b207674cfcadb9325d409"),
+    "recipe V4":
+        (0, "f9165f941d3b36e3b144ab7d18d86bd0953182e3ce6453bc6a6195667c82fc76"),
     "strong-exceptional D1_3":
         (0, "c87a947024388a0b27a9cb55ef839ee18d933672bcdecdce7a92e3cf21e2cea4"),
     "strong-exceptional E1":
@@ -180,9 +247,19 @@ def replay(temp_dir=None) -> dict[str, tuple[int, str]]:
         commands += [(command, label) for label in FANS
                      for command in ("validate", "forbidden-sets")]
         commands += [("frobenius", label, "--m", "10", "--gen") for label in FROBENIUS]
+        commands += [("recipe", label) for label in RECIPES]
         for args in commands:
             res = runner.invoke(main, list(args))
             out[" ".join(args)] = (res.exit_code, _sha(res.output))
+    nodes = load_workspace().poset.nodes
+    for label in EMBEDDINGS:
+        node = nodes[label]
+        if node.theta is None:
+            emb = minkowski_embedding_check(node.fan, node.pic, node.bundles)
+        else:
+            qx = build_quiver_of_sections(node.fan, node.pic, node.bundles)
+            emb = theta_fiber_surjectivity_check(qx, node.fan, node.pic, node.theta)
+        out[f"embedding {label}"] = (0 if emb.ok else 1, _sha(repr(emb)))
     return out
 
 

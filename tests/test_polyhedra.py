@@ -17,6 +17,7 @@ from toricsec.polyhedra import (
     polytope_lattice_points,
     simplex_feasible,
 )
+from toricsec.fans import vertex_divisors
 from toricsec.intlin import identity
 from toricsec.workspace import load_workspace
 
@@ -242,7 +243,7 @@ def test_simplex_matches_fraction_reference(system):
     assert_same_as_reference(*system)
 
 
-@pytest.mark.parametrize("label", ["S3", "D1_3"])
+@pytest.mark.parametrize("label", ["S3", "D1_3", "E1"])
 def test_simplex_matches_fraction_reference_on_nef_route(label, monkeypatch):
     ws = load_workspace()
     fan, pic = ws.fan(label), ws.pic(label)
@@ -253,8 +254,11 @@ def test_simplex_matches_fraction_reference_on_nef_route(label, monkeypatch):
         return simplex_feasible(rows, rhs, n)
 
     monkeypatch.setattr(quiver, "simplex_feasible", recording)
-    assert quiver.minkowski_embedding_check(fan, pic, ws.collection_for(label).bundles).ok
-    assert lps
+    bundles = ws.collection_for(label).bundles
+    assert quiver.minkowski_embedding_check(fan, pic, bundles).ok
+    # one LP per distinct vertex of P_{product}
+    product = tuple(map(sum, zip(*bundles)))
+    assert len(lps) == len(set(vertex_divisors(fan, pic, product)))
     for lp in lps:
         assert_same_as_reference(*lp)
 

@@ -9,7 +9,8 @@ from click.testing import CliRunner
 from toricsec import quiver
 from toricsec.cli import main
 
-from toricsec.fans import deg_and_pic
+from toricsec.fans import deg_and_pic, vertex_divisors
+from toricsec.polyhedra import simplex_feasible
 from toricsec.quiver import (
     Arrow,
     QuiverError,
@@ -413,6 +414,95 @@ def test_theta_surjectivity_j1():
     assert pic_of_theta(q.bundles, J1_THETA) == (20, 15, 11, 9)
     v = theta_fiber_surjectivity_check(q, fan, pic, J1_THETA)
     assert v.ok
+
+
+@pytest.mark.parametrize("change", ["short", "extra zero", "extra target"])
+def test_theta_of_the_wrong_length_is_rejected(change):
+    # M1 has 17 vertices; at the parent a 16-entry theta was truncated by
+    # zip and reported "pic(theta) is not ample", an extra 0 passed, and an
+    # extra target ended in an IndexError
+    node = bundled_workspace().poset.nodes["M1"]
+    q = build_quiver_of_sections(node.fan, node.pic, node.bundles)
+    t = node.theta
+    assert q.n_vertices == len(t) == 17
+    theta = {"short": t[:16], "extra zero": t + (0,),
+             "extra target": (t[0] - 1,) + t[1:] + (1,)}[change]
+    with pytest.raises(QuiverError, match=f"theta has {len(theta)} entries"):
+        theta_fiber_surjectivity_check(q, node.fan, node.pic, theta)
+    with pytest.raises(ValueError):
+        pic_of_theta(q.bundles, theta)
+
+
+def full_block_feasible(pic, bundles, v):
+    """The reference: the block LP {x_i >= 0, deg x_i = L_i, sum_i x_i = v}
+    over every ray, d columns per bundle."""
+    d, r = pic.n_rays, len(bundles)
+    rows, rhs = [], []
+    for i, b in enumerate(bundles):
+        for deg_row, b_row in zip(pic.deg, b):
+            row = [0] * (d * r)
+            row[i * d:(i + 1) * d] = deg_row
+            rows.append(row)
+            rhs.append(b_row)
+    for ρ in range(d):
+        row = [0] * (d * r)
+        row[ρ::d] = [1] * r
+        rows.append(row)
+        rhs.append(v[ρ])
+    return simplex_feasible(rows, rhs, d * r) is not None
+
+
+@pytest.mark.parametrize("label", ["S3", "D1_3", "E1"])
+def test_support_lp_matches_the_full_block_lp(label):
+    # every vertex of P_{product}, the unit steps v +- e_rho off it (the
+    # wrong class, or a negative entry) and the character steps
+    # v +- div(chi^m) for the unit characters m, which stay in the class
+    # and land inside the polytope or just off it
+    ws = bundled_workspace()
+    fan, pic = ws.fan(label), ws.pic(label)
+    bundles = [tuple(b) for b in ws.collection_for(label).bundles]
+    product = tuple(map(sum, zip(*bundles)))
+    vertices = list(dict.fromkeys(vertex_divisors(fan, pic, product)))
+    d = pic.n_rays
+    steps = [tuple(int(k == ρ) for k in range(d)) for ρ in range(d)]
+    steps += [tuple(u[k] for u in fan.rays) for k in range(fan.dim)]
+    points = list(vertices)
+    for v in vertices:
+        for step in steps:
+            points.append(tuple(x + y for x, y in zip(v, step)))
+            points.append(tuple(x - y for x, y in zip(v, step)))
+    seen = {True: 0, False: 0}
+    for v in dict.fromkeys(points):
+        expected = full_block_feasible(pic, bundles, v)
+        assert quiver._in_minkowski_sum(pic, bundles, v) == expected, v
+        seen[expected] += 1
+    assert seen[False] > 0 and seen[True] > len(vertices)
+
+
+def tuple_sumset(summands, n_rays):
+    """The reference: sums s_1 + ... + s_k of divisor tuples."""
+    sums = {(0,) * n_rays}
+    for divs in summands:
+        sums = {tuple(x + y for x, y in zip(s, p)) for s in sums for p in divs}
+    return sums
+
+
+@pytest.mark.parametrize("label", ["M1", "J1"])
+def test_packed_sumset_matches_the_tuple_sumset(label):
+    node = bundled_workspace().poset.nodes[label]
+    fan, pic = node.fan, node.pic
+    q = build_quiver_of_sections(fan, pic, node.bundles)
+    cls = pic_of_theta(q.bundles, node.theta)
+    path_divs = quiver._path_divisors(q, pic.n_rays)
+    summands = [path_divs[i] for i, t in enumerate(node.theta) if i for _ in range(t)]
+    width = quiver._field_width(fan, pic, cls)
+    packed = quiver._packed_sumset(summands, width)
+    mask = (1 << width) - 1
+    decoded = {tuple((s >> (width * ρ)) & mask for ρ in range(pic.n_rays)) for s in packed}
+    expected = tuple_sumset(summands, pic.n_rays)
+    assert len(packed) == len(expected)
+    assert decoded == expected
+    assert expected == set(sections(pic, cls))
 
 
 def test_stability_dichotomy_small_quivers():
