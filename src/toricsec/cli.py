@@ -19,11 +19,19 @@ from .cohomology import (
     higher_cohomology_witness,
     strong_exceptional_check,
 )
-from .diagonal import diagonal_resolution_verdict, serialize_complex
+from .diagonal import (
+    FIBER_PRIME,
+    FIBER_SEED,
+    FIBER_TRIALS,
+    diagonal_resolution_verdict,
+    serialize_complex,
+)
 from .fans import validate_fan
-from .frobenius import frobenius_gen_support, frobenius_split_classes
+from .frobenius import frobenius_gen_support, frobenius_split_classes, gen_twists
 from .method1 import GenerationCertificate, generation_closure
 from .pipelines import (
+    FROM_M,
+    METHOD1_M,
     helix_twist,
     propagate_collection,
     tilting_total_space_check,
@@ -97,9 +105,9 @@ class _Main(click.Group):
 @click.option("--data", "data_dir", default=None,
               help="Directory of fan/collection/poset files (default: bundled).")
 @click.option("--out", default=None, help="Write the report to this file as well.")
-@click.option("--seed", default=0, show_default=True)
-@click.option("--trials", default=32, show_default=True)
-@click.option("--prime", default=2147483647, show_default=True)
+@click.option("--seed", default=FIBER_SEED, show_default=True)
+@click.option("--trials", default=FIBER_TRIALS, show_default=True)
+@click.option("--prime", default=FIBER_PRIME, show_default=True)
 @click.pass_context
 def main(ctx, data_dir, out, seed, trials, prime):
     """Verify strong exceptional collections on smooth toric Fano varieties."""
@@ -223,8 +231,8 @@ def frobenius(ctx, label, m, twist, gen):
         rep.add("class", _fmt_vec(cls))
     if gen:
         union = set()
-        # the gen-set pieces are the twists 0..n; reuse the one just split
-        for i in range(fan.dim + 1):
+        # the gen-set's pieces; reuse the one just split
+        for i in gen_twists(fan):
             piece = split if i == twist else \
                 frobenius_split_classes(fan, pic, m, (i,) * fan.n_rays)
             rep.add(f"size_twist_{i}", len(piece.support))
@@ -243,7 +251,7 @@ def method1(ctx, label, m):
     rep = ctx.obj["rep"]
     fan, pic = ws.fan(label), ws.pic(label)
     bundles, _, stored_m = _collection(ws, label)
-    mm = m if m is not None else stored_m or 10
+    mm = m if m is not None else stored_m or METHOD1_M
     rep.add("label", label)
     rep.add("m", mm)
     targets = frobenius_gen_support(fan, pic, mm)
@@ -323,7 +331,7 @@ def propagate(ctx, source, target, m):
     rep = ctx.obj["rep"]
     chain = ws.poset.chain(source, target)
     bundles, _, stored_m = _collection(ws, source)
-    mm = m if m is not None else stored_m or 8
+    mm = m if m is not None else stored_m or FROM_M
     rep.add("source", source)
     rep.add("target", target)
     rep.add("m", mm)

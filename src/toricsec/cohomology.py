@@ -16,12 +16,7 @@ from operator import mul
 
 from .fans import Fan, FanError, PicBasis, ContractionStep, cartier_data
 from .intlin import identity, int_vector, mat, mat_mul, mat_vec, rank, vec_gcd
-from .polyhedra import (
-    ParametricIntegerFeasibility,
-    eliminate_last,
-    fourier_motzkin,
-    level0_pullback,
-)
+from .polyhedra import ParametricIntegerFeasibility, fourier_motzkin, level0_pullback
 
 
 class BoxTooSmall(ValueError):
@@ -228,13 +223,10 @@ def fiber_feasible(pic: PicBasis, cls, neg) -> bool:
 def has_higher_cohomology(fan: Fan, pic: PicBasis, cls) -> tuple[bool, ForbiddenSet | None]:
     """Cone-based test: some forbidden fiber admits an integer point.
 
-    The class must be integral, else ValueError.  Forbidden sets whose
-    fiber a level-0 row refutes are skipped; only the others are searched.
+    The class must be integral, else ValueError.  The forbidden set is
+    higher_cohomology_witness's, the first whose fiber has a point.
     """
-    cls = _integer_class(pic, cls)
-    hit = next((fs for fs in _unrefuted(fan, pic, cls)
-                if fiber_tower(pic, fs.ray_indices).query(fiber_rhs(pic, cls, fs.ray_indices))),
-               None)
+    hit, _ = higher_cohomology_witness(fan, pic, cls)
     return hit is not None, hit
 
 
@@ -400,35 +392,25 @@ class ChainConeSystem:
     def preimage_halfspaces(self, k: int, fs: ForbiddenSet):
         """Halfspace presentation of the level-k cone preimage in Pic(X_0)_R.
 
-        Computed by eliminating the fiber variables from the deg-fiber and
-        substituting gamma; exact over R, reported over the Pic lattice.
+        The rows (L, c) of fiber_refuters are exact over R: the fiber of a
+        class is empty as a polyhedron exactly when some L . cls + c > 0
+        (Fourier-Motzkin projects exactly).  So the cone is {cls : -L . cls
+        >= c}, and substituting cls = gamma_k v and dividing by the gcd g of
+        the pulled-back coefficients gives (-L gamma_k / g) . v >= c / g.
+        Keeps the largest right-hand side per row and drops the rows that
+        never bind.
         """
-        fan, pic = self.level_fan_pic(k)
-        d, r = pic.n_rays, pic.rank
-        neg = fs.ray_indices
-        # rows . (c_0..c_{r-1}, x_0..x_{d-1}) >= b; eliminate the x block
-        rows, b = [], []
-        for ρ in range(d):
-            rows.append((0,) * (r + ρ) + (-1 if ρ in neg else 1,) + (0,) * (d - 1 - ρ))
-            b.append(1 if ρ in neg else 0)
-        for i in range(r):
-            row = tuple(-1 if j == i else 0 for j in range(r)) + tuple(pic.deg[i])
-            rows += [row, tuple(-x for x in row)]
-            b += [0, 0]
-        level = list(zip(rows, identity(len(rows))))
-        for nv in range(r + d, r, -1):
-            level = eliminate_last(level, nv)
-        gamma = self.gammas[k]
-        r0 = len(gamma[0]) if gamma else 0
+        _, pic = self.level_fan_pic(k)
+        columns = tuple(zip(*self.gammas[k]))
         best = {}
-        for coeffs, mult in level:
-            pulled = tuple(sum(coeffs[i] * gamma[i][j] for i in range(r)) for j in range(r0))
+        for L, c in fiber_refuters(pic, fs.ray_indices):
+            pulled = tuple(-sum(map(mul, L, col)) for col in columns)
             g = vec_gcd(pulled) or 1
             key = tuple(x // g for x in pulled)
-            rhs = Fraction(sum(m * bi for m, bi in zip(mult, b)), g)
+            rhs = Fraction(c, g)
             if key not in best or rhs > best[key]:
                 best[key] = rhs
-        return [(c, rhs) for c, rhs in best.items() if any(c) or rhs > 0]
+        return [(key, rhs) for key, rhs in best.items() if any(key) or rhs > 0]
 
 
 @dataclass(frozen=True)

@@ -382,46 +382,28 @@ def _rank_pivots(rows, p):
     return pivot_rows, pivot_cols
 
 
-def _max_exponent(complex_: GradedChainComplex) -> int:
-    """The largest exponent of any variable in any term of the complex."""
-    return max((max(alpha + beta) for mat in complex_.matrices
-                for terms in mat.values() for _, alpha, beta in terms), default=0)
+def _compile(complex_: GradedChainComplex):
+    """The matrices as sums of signed monomials over the point xs + ws.
 
-
-def _power_table(values, top: int, p: int) -> list[int]:
-    """x^0, x^1, ..., x^top mod p for each x of values in turn, in one list."""
-    table = []
-    for x in values:
-        power = 1
-        for _ in range(top + 1):
-            table.append(power)
-            power = power * x % p
-    return table
-
-
-def _compile(complex_: GradedChainComplex, top: int):
-    """The matrices as sums of signed monomials over one _power_table of xs + ws.
-
-    Returns the distinct signed monomials, each a sign and the table
-    indices of its variables with nonzero exponent (top bounds the
-    exponents), and per matrix its shape and its entries as (row, col) ->
+    Returns the distinct signed monomials, each a sign and the indices
+    into xs + ws of its variables, each index repeated as often as its
+    exponent, and per matrix its shape and its entries as (row, col) ->
     indices into those monomials.
     """
-    stride = top + 1
     ids: dict[tuple, int] = {}  # (sign, alpha, beta) -> monomial number
     matrices = [((len(complex_.levels[k]), len(complex_.levels[k + 1])),
                  {key: tuple(ids.setdefault(term, len(ids)) for term in terms)
                   for key, terms in mat.items()})
                 for k, mat in enumerate(complex_.matrices)]
-    monomials = tuple((sign, tuple(v * stride + e for v, e in enumerate(alpha + beta) if e))
+    monomials = tuple((sign, tuple(v for v, e in enumerate(alpha + beta) for _ in range(e)))
                       for sign, alpha, beta in ids)
     return monomials, matrices
 
 
-def _monomial_values(monomials, point, p: int, top: int) -> list[int]:
+def _monomial_values(monomials, point, p: int) -> list[int]:
     """The signed monomials of _compile over F_p at point = xs + ws."""
-    table = _power_table(point, top, p).__getitem__
-    return [sign * prod(map(table, mono)) % p for sign, mono in monomials]
+    get = point.__getitem__
+    return [sign * prod(map(get, mono)) % p for sign, mono in monomials]
 
 
 def _evaluate(shape, entries, values, p: int):
@@ -490,7 +472,7 @@ def _nonsingular(minor, values, p: int) -> bool:
     return True
 
 
-def _point_profile(compiled, xs, ws, p: int, top: int, minors=None):
+def _point_profile(compiled, xs, ws, p: int, minors=None):
     """Rank profile of the compiled complex at (xs, ws), and its pivots.
 
     Given minors that are all nonsingular at the point, returns their
@@ -499,7 +481,7 @@ def _point_profile(compiled, xs, ws, p: int, top: int, minors=None):
     full and returns, per matrix, its pivot rows and columns.
     """
     monomials, matrices = compiled
-    values = _monomial_values(monomials, xs + ws, p, top)
+    values = _monomial_values(monomials, xs + ws, p)
     if minors is not None and all(_nonsingular(minor, values, p) for minor in minors):
         return [minor[0] for minor in minors], None
     pivots = [_rank_pivots(_evaluate(shape, entries, values, p), p)
@@ -536,6 +518,14 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+# The fiber test's defaults: off-diagonal and diagonal trial points, the
+# seed they are drawn from, and the prime 2^31 - 1.
+FIBER_TRIALS = 32
+DIAGONAL_TRIALS = 8
+FIBER_SEED = 0
+FIBER_PRIME = 2147483647
+
+
 def _check_fiber_parameters(trials: int, diagonal_trials: int, prime: int) -> None:
     """DiagonalError unless the fiber test draws points over an odd prime field."""
     for name, value in (("trials", trials), ("diagonal_trials", diagonal_trials)):
@@ -551,8 +541,8 @@ def _check_fiber_parameters(trials: int, diagonal_trials: int, prime: int) -> No
 
 
 def fiber_exactness_check(complex_: GradedChainComplex, n: int,
-                          trials: int = 32, diagonal_trials: int = 8,
-                          seed: int = 0, prime: int = 2147483647) -> FiberReport:
+                          trials: int = FIBER_TRIALS, diagonal_trials: int = DIAGONAL_TRIALS,
+                          seed: int = FIBER_SEED, prime: int = FIBER_PRIME) -> FiberReport:
     """Random-point exactness over F_prime.
 
     Off the diagonal the complex must be exact with zero cokernel in the
@@ -593,11 +583,10 @@ def fiber_exactness_check(complex_: GradedChainComplex, n: int,
     diag_points = [[rng.randrange(1, prime) for _ in range(d)]
                    for _ in range(diagonal_trials)]
 
-    top = _max_exponent(complex_)
-    compiled = _compile(complex_, top)
+    compiled = _compile(complex_)
     minors = None
     for t, (xs, ws) in enumerate(off_points):
-        profile, pivots = _point_profile(compiled, xs, ws, prime, top, minors)
+        profile, pivots = _point_profile(compiled, xs, ws, prime, minors)
         if profile != expected:
             return FiberReport(False, tuple(profile), (),
                                f"off-diagonal rank deviation at trial {t}: "
@@ -607,7 +596,7 @@ def fiber_exactness_check(complex_: GradedChainComplex, n: int,
                       for (_, entries), (rows, cols) in zip(compiled[1], pivots)]
     want_diag = [comb(n, k) for k in range(n + 1)]
     for t, point in enumerate(diag_points):
-        padded = [0] + _point_profile(compiled, point, point, prime, top)[0] + [0]
+        padded = [0] + _point_profile(compiled, point, point, prime)[0] + [0]
         hom = [r - padded[k] - padded[k + 1] for k, r in enumerate(ranks)]
         if hom != want_diag:
             return FiberReport(False, tuple(expected), tuple(hom),
@@ -630,8 +619,10 @@ class ResolutionVerdict:
 
 
 def diagonal_resolution_verdict(fan: Fan, pic: PicBasis, bundles, theta=None,
-                                trials: int = 32, diagonal_trials: int = 8,
-                                seed: int = 0, prime: int = 2147483647) -> ResolutionVerdict:
+                                trials: int = FIBER_TRIALS,
+                                diagonal_trials: int = DIAGONAL_TRIALS,
+                                seed: int = FIBER_SEED,
+                                prime: int = FIBER_PRIME) -> ResolutionVerdict:
     """Assemble and certify the Method-2 chain for one collection.
 
     "full" needs every term's flank degrees to match its generators'

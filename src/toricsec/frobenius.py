@@ -91,14 +91,19 @@ def frobenius_split_classes(fan: Fan, pic: PicBasis, m: int, w,
     return first
 
 
+def gen_twists(fan: Fan) -> range:
+    """The anticanonical twist levels i = 0..n of the gen-set's pieces."""
+    return range(fan.dim + 1)
+
+
 def frobenius_gen_set(fan: Fan, pic: PicBasis, m: int) -> dict[int, SplitSet]:
-    """The split sets of the anticanonical twists w = (i,...,i), i = 0..n.
+    """The split sets of the anticanonical twists w = (i,...,i), i in gen_twists.
 
     Keyed by the twist level i; the pieces stay separate so that callers
     can size each one, and their supports together form the gen-set.
     """
     out = {}
-    for i in range(fan.dim + 1):
+    for i in gen_twists(fan):
         w = (i,) * fan.n_rays
         out[i] = frobenius_split_classes(fan, pic, m, w)
     return out

@@ -12,7 +12,7 @@ from .cohomology import (
     strong_exceptional_along_chain,
     strong_exceptional_check,
 )
-from .diagonal import diagonal_resolution_verdict
+from .diagonal import FIBER_PRIME, FIBER_SEED, FIBER_TRIALS, diagonal_resolution_verdict
 from .fans import Fan, PicBasis, ContractionStep, contraction_step, nef_ample_test
 from .frobenius import frobenius_gen_support, frobenius_split_classes
 from .method1 import GenerationCertificate, generation_closure
@@ -241,13 +241,19 @@ def box_product_collection(pic1: PicBasis, pic2: PicBasis, b1, b2):
     return [tuple(a) + tuple(b) for a in b1 for b in b2]
 
 
+# The Frobenius level m of each route when neither the caller nor the node
+# gives one.
+BEILINSON_M = 2
+METHOD1_M = 10
+FROM_M = 8
+
 # the number of arguments each recipe kind takes
 _RECIPE_ARITY = {"beilinson": 0, "product": 1, "method1": 0, "method2": 0, "from": 1}
 
 
 def verify_variety_recipe(workspace, label: str, m: int | None = None,
-                          seed: int = 0, trials: int = 32,
-                          prime: int = 2147483647) -> RecipeVerdict:
+                          seed: int = FIBER_SEED, trials: int = FIBER_TRIALS,
+                          prime: int = FIBER_PRIME) -> RecipeVerdict:
     """Dispatch one database row through its stated verification route."""
     if m is not None and m < 1:
         raise PipelineError(f"m must be at least 1, got {m}")
@@ -283,7 +289,7 @@ def verify_variety_recipe(workspace, label: str, m: int | None = None,
         bundles = [(k,) + (0,) * (pic.rank - 1) for k in range(n + 1)]
         se = strong_exceptional_check(fan, pic, bundles)
         dual = [tuple(-x for x in b) for b in bundles]
-        mm = m or node.frobenius_m or 2
+        mm = m or node.frobenius_m or BEILINSON_M
         targets = frobenius_gen_support(fan, pic, mm)
         closure = generation_closure(fan, pic, dual, targets)
         ok = se.ok and isinstance(closure, GenerationCertificate)
@@ -304,7 +310,7 @@ def verify_variety_recipe(workspace, label: str, m: int | None = None,
                              if se.ok else se.failure)
     if kind == "method1":
         fan, pic = node.fan, node.pic
-        mm = m or node.frobenius_m or 10
+        mm = m or node.frobenius_m or METHOD1_M
         se = strong_exceptional_check(fan, pic, node.bundles)
         if not se.ok:
             return RecipeVerdict(label, recipe, "fail", f"not strong exceptional: {se.failure}")
@@ -331,7 +337,7 @@ def verify_variety_recipe(workspace, label: str, m: int | None = None,
         src = poset.nodes[source]
         if not src.bundles:
             raise bad_record(f"names source {source!r}, which has no stored collection")
-        mm = m or src.frobenius_m or 8
+        mm = m or src.frobenius_m or FROM_M
         report = propagate_collection(chain, src.bundles, mm)
         return RecipeVerdict(label, recipe, "pass" if report.ok else "fail",
                              report.detail or f"propagated from {source} at m={mm}")

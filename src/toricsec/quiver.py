@@ -241,6 +241,23 @@ def _path_to(quiver, bits, start, targets):
     return None, prev.keys()
 
 
+def _checked_theta(quiver: QuiverOfSections, theta) -> tuple[int, ...]:
+    """theta as ints, else QuiverError unless it is a weight of the closed
+    chamber of the special parameter: one entry per vertex, sum zero, a
+    negative weight at the source and nonnegative weights elsewhere."""
+    theta = tuple(int(t) for t in theta)
+    if len(theta) != quiver.n_vertices:
+        raise QuiverError(f"theta has {len(theta)} entries, the quiver "
+                          f"{quiver.n_vertices} vertices")
+    if sum(theta) != 0:
+        raise QuiverError("theta must be a weight: its entries sum to zero")
+    if theta[0] >= 0 and quiver.n_vertices > 1:
+        raise QuiverError("expected a negative weight at the source vertex")
+    if any(t < 0 for t in theta[1:]):
+        raise QuiverError("weights away from the source must be nonnegative")
+    return theta
+
+
 def check_theta_generic(quiver: QuiverOfSections, fan: Fan, theta) -> StabilityReport:
     """Torus-fixed-point genericity certificates for Y_theta ~= X.
 
@@ -251,13 +268,7 @@ def check_theta_generic(quiver: QuiverOfSections, fan: Fan, theta) -> StabilityR
     weight to the source and nonnegative weights elsewhere (the closed
     chamber of the special parameter).
     """
-    theta = tuple(int(t) for t in theta)
-    if len(theta) != quiver.n_vertices or sum(theta) != 0:
-        raise QuiverError("theta must be a weight: one entry per vertex, sum zero")
-    if theta[0] >= 0 and quiver.n_vertices > 1:
-        raise QuiverError("expected a negative weight at the source vertex")
-    if any(t < 0 for t in theta[1:]):
-        raise QuiverError("weights away from the source must be nonnegative")
+    theta = _checked_theta(quiver, theta)
     positives = {i for i, t in enumerate(theta) if t > 0}
     failures = []
     certs = []
@@ -381,20 +392,18 @@ def theta_fiber_surjectivity_check(quiver: QuiverOfSections, fan: Fan,
     coordinates is at most M, its largest value at a vertex.  So every
     entry of every sum, partial or final, and of every section monomial
     lies in [0, M], and an int lookup answers exactly the tuple lookup.
+
+    A theta off the chamber (_checked_theta) raises QuiverError before
+    any work, as in check_theta_generic.
     """
     if quiver.cyclic:
         raise QuiverError("the flow polytope argument needs the acyclic quiver on X")
-    theta = tuple(int(t) for t in theta)
-    if len(theta) != quiver.n_vertices:
-        raise QuiverError(f"theta has {len(theta)} entries, the quiver "
-                          f"{quiver.n_vertices} vertices")
+    theta = _checked_theta(quiver, theta)
     cls = pic_of_theta(quiver.bundles, theta)
     nef, ample = nef_ample_test(fan, pic, cls)
     if not ample:
         return EmbeddingVerdict(False, "theta", detail="pic(theta) is not ample",
                                 product_class=cls)
-    if any(t < 0 for t in theta[1:]) or theta[0] != -sum(theta[1:]):
-        raise QuiverError("theta must be supported as (-k; nonnegative)")
     if any(a.tail >= a.head for a in quiver.arrows):
         raise QuiverError("arrows must run up the vertex order")
     path_divs = _path_divisors(quiver, pic.n_rays)

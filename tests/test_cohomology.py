@@ -1,7 +1,9 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 import pytest
 from click.testing import CliRunner
@@ -29,8 +31,8 @@ from toricsec.cohomology import (
 )
 from toricsec.cli import main
 from toricsec.fans import deg_and_pic, star_subdivision
-from toricsec.intlin import identity
-from toricsec.polyhedra import fourier_motzkin, level0_pullback
+from toricsec.intlin import identity, vec_gcd
+from toricsec.polyhedra import eliminate_last, fourier_motzkin, level0_pullback
 from toricsec.workspace import load_workspace
 
 from conftest import make_fan, spy, total_space_fan
@@ -464,6 +466,93 @@ def test_chain_preimage_halfspaces_drop_exceptional_coordinate():
         assert by_fiber == by_half, v
 
 
+CHAINS = (("E1", "B1"), ("S3", "S1"), ("S3", "P2"), ("D1_3", "B1_3"))
+
+
+@lru_cache(maxsize=None)
+def eliminated_fiber_rows(pic, neg):
+    """The projection of {x >= 0 off neg, -x >= 1 on neg, deg x = c} onto
+    the class c by eliminating the ray exponents x, as rows coeffs . c >=
+    rhs: per distinct coeffs, the largest rhs (it implies the others)."""
+    d, r = pic.n_rays, pic.rank
+    rows, b = [], []
+    for ρ in range(d):
+        rows.append((0,) * (r + ρ) + (-1 if ρ in neg else 1,) + (0,) * (d - 1 - ρ))
+        b.append(1 if ρ in neg else 0)
+    for i in range(r):
+        row = tuple(-1 if j == i else 0 for j in range(r)) + tuple(pic.deg[i])
+        rows += [row, tuple(-x for x in row)]
+        b += [0, 0]
+    level = list(zip(rows, identity(len(rows))))
+    for nv in range(r + d, r, -1):
+        level = eliminate_last(level, nv)
+    best = {}
+    for coeffs, mult in level:
+        rhs = sum(m * bi for m, bi in zip(mult, b))
+        if coeffs not in best or rhs > best[coeffs]:
+            best[coeffs] = rhs
+    return best
+
+
+def reference_preimage_halfspaces(system, k, fs):
+    """The former preimage, kept as the reference: eliminate the ray
+    exponents x with the class c as variables, then substitute c =
+    gamma_k v."""
+    _, pic = system.level_fan_pic(k)
+    gamma = system.gammas[k]
+    best = {}
+    for coeffs, b in eliminated_fiber_rows(pic, fs.ray_indices).items():
+        pulled = tuple(sum(coeffs[i] * gamma[i][j] for i in range(pic.rank))
+                       for j in range(len(gamma[0])))
+        g = vec_gcd(pulled) or 1
+        key = tuple(x // g for x in pulled)
+        rhs = Fraction(b, g)
+        if key not in best or rhs > best[key]:
+            best[key] = rhs
+    return [(c, rhs) for c, rhs in best.items() if any(c) or rhs > 0]
+
+
+def grid_members(halfspaces, side, r, masks):
+    """The points v of side^r with c . v >= rhs for every halfspace (c, rhs),
+    as a bitmask in itertools.product order; masks caches each halfspace's."""
+    members = (1 << len(side) ** r) - 1
+    for c, rhs in halfspaces:
+        t = math.ceil(rhs)  # c . v is an integer
+        if (c, t) not in masks:
+            dots = [0]
+            for ci in c:
+                dots = [d + ci * x for d in dots for x in side]
+            masks[c, t] = int("".join("1" if d >= t else "0" for d in dots), 2)
+        members &= masks[c, t]
+    return members
+
+
+def test_chain_preimage_halfspaces_match_the_elimination_reference():
+    # scale 2 pulls back through 2 gamma_k, on a grid half as wide, so every
+    # pulled-back row has a gcd g >= 2 and its right-hand side c / g is
+    # exercised; on the bundled chains g is 1 throughout
+    ws = load_workspace()
+    cases = 0
+    for source, target in CHAINS:
+        chain = ChainConeSystem.from_chain(ws.poset.chain(source, target))
+        r = len(chain.gammas[0][0])
+        for scale, side in ((1, range(-5, 4)), (2, range(-3, 3))):
+            system = ChainConeSystem(chain.chain, tuple(
+                tuple(tuple(scale * x for x in row) for row in gamma) for gamma in chain.gammas))
+            masks = {}
+            for k in range(system.levels):
+                for fs in forbidden_sets(system.level_fan_pic(k)[0]):
+                    case = (source, target, scale, k, sorted(fs.ray_indices))
+                    half = system.preimage_halfspaces(k, fs)
+                    reference = reference_preimage_halfspaces(system, k, fs)
+                    assert len(half) <= len(reference), case
+                    members = grid_members(half, side, r, masks)
+                    assert members == grid_members(reference, side, r, masks), case
+                    assert 0 < members.bit_count() < len(side) ** r, case  # both outcomes
+                    cases += 1
+    assert cases == 2 * 123
+
+
 def scan_classes_first(chain, bundles):
     """The former chain scan, kept as the reference: per difference class its
     first (level, forbidden set) by membership, and the least level wins."""
@@ -485,7 +574,7 @@ def test_chain_scan_by_level_matches_scan_by_class():
     ws = load_workspace()
     rng = random.Random(2)
     failing_levels = set()
-    for source, target in [("E1", "B1"), ("S3", "S1"), ("S3", "P2"), ("D1_3", "B1_3")]:
+    for source, target in CHAINS:
         chain = ws.poset.chain(source, target)
         bundles = [tuple(b) for b in ws.poset.nodes[source].bundles]
         rank = len(bundles[0])

@@ -11,7 +11,6 @@ from toricsec.diagonal import (
     GradedChainComplex,
     _compile,
     _evaluate,
-    _max_exponent,
     _monomial_values,
     _point_profile,
     _rank_pivots,
@@ -162,11 +161,10 @@ def test_torus_orbit_invariance(e1_signed):
     p = 2147483647
     xs = [rng.randrange(1, p) for _ in range(7)]
     ws = [rng.randrange(1, p) for _ in range(7)]
-    top = _max_exponent(signed)
-    compiled = _compile(signed, top)
-    base = _point_profile(compiled, xs, ws, p, top)[0]
+    compiled = _compile(signed)
+    base = _point_profile(compiled, xs, ws, p)[0]
     xs2, ws2 = torus_rescale(xs, ws, fan, (3, -2, 5, 1), p)
-    assert _point_profile(compiled, xs2, ws2, p, top)[0] == base
+    assert _point_profile(compiled, xs2, ws2, p)[0] == base
 
 
 def test_alternating_sums_of_paper_complexes():
@@ -307,7 +305,7 @@ def test_scheduled_minor_elimination_certifies_nonsingular_minors(case, rng):
         assert full_reduction_rank(sub, p) == len(pivot_rows)
 
 
-def test_power_tables_match_pow_beyond_exponent_one():
+def test_compiled_monomials_match_pow_beyond_exponent_one():
     rng = random.Random(7)
     p = 2147483647
     nv = 4
@@ -324,12 +322,12 @@ def test_power_tables_match_pow_beyond_exponent_one():
         matrices.append(entries)
     matrices[1][(0, 0)].append((1, (0, 0, 0, 4), (0,) * nv))
     cx = GradedChainComplex((), levels, matrices, nv)
-    top = _max_exponent(cx)
-    assert top == 4
     xs = [rng.randrange(1, p) for _ in range(nv)]
     ws = [rng.randrange(1, p) for _ in range(nv)]
-    monomials, matrices = _compile(cx, top)
-    values = _monomial_values(monomials, xs + ws, p, top)
+    monomials, matrices = _compile(cx)
+    # the exponent-4 term repeats its variable's index four times
+    assert (1, (3, 3, 3, 3)) in monomials
+    values = _monomial_values(monomials, xs + ws, p)
     for k, (shape, entries) in enumerate(matrices):
         rows = _evaluate(shape, entries, values, p)
         got = [[row.get(col, 0) for col in range(shape[1])] for row in rows]
@@ -341,9 +339,9 @@ def test_fiber_check_stops_at_the_first_off_diagonal_deviation(e1_signed, monkey
     real = diagonal._point_profile
     calls = []  # per evaluated point: is it on the diagonal?
 
-    def third_point_deviates(compiled, xs, ws, p, top, minors=None):
+    def third_point_deviates(compiled, xs, ws, p, minors=None):
         calls.append(xs is ws)
-        profile, found = real(compiled, xs, ws, p, top, minors)
+        profile, found = real(compiled, xs, ws, p, minors)
         return ([0] * len(profile) if len(calls) == 3 else profile), found
 
     monkeypatch.setattr(diagonal, "_point_profile", third_point_deviates)
@@ -456,9 +454,8 @@ def test_fiber_check_rejects_a_nonzero_square_that_no_rank_sees(e1_signed):
     rng, p = random.Random(3), 2147483647
     xs = [rng.randrange(1, p) for _ in range(broken.n_variables)]
     ws = [rng.randrange(1, p) for _ in range(broken.n_variables)]
-    top = _max_exponent(broken)
-    monomials, matrices = _compile(broken, top)
-    values = _monomial_values(monomials, xs + ws, p, top)
+    monomials, matrices = _compile(broken)
+    values = _monomial_values(monomials, xs + ws, p)
     assert col not in _rank_pivots(_evaluate(*matrices[0], values, p), p)[1]
     # d1 has full row rank off the diagonal and the entry vanishes on it
     assert reference_fiber_exactness_check(broken, 4, trials=4, diagonal_trials=2, seed=3).ok

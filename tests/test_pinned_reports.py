@@ -11,18 +11,23 @@ with the digests below.  The embedding certificate of each of the seven
 Method-2 rows (the nef route's Minkowski check on S3, D1_3, E1 and R3, the
 theta route's surjectivity check on J1, M1 and V4) is pinned as the sha256
 of ``repr(EmbeddingVerdict)``, with 0 in place of the exit code when the
-verdict is ok and 1 when not.  Run this file as a script to print a fresh
-table:
+verdict is ok and 1 when not.  Each of 64 seeded Pic classes (see
+``cohomology_samples``) is pinned as the sha256 of the reprs of
+``higher_cohomology_witness`` and ``has_higher_cohomology`` on it, with 1 in
+place of the exit code when the class has higher cohomology and 0 when not.
+Run this file as a script to print a fresh table:
 
     PYTHONPATH=src python tests/test_pinned_reports.py
 """
 
 import hashlib
+import random
 
 import pytest
 from click.testing import CliRunner
 
 from toricsec.cli import main
+from toricsec.cohomology import has_higher_cohomology, higher_cohomology_witness
 from toricsec.quiver import (
     build_quiver_of_sections,
     minkowski_embedding_check,
@@ -39,8 +44,137 @@ FROBENIUS = ("I1", "E1", "R3")
 RECIPES = ("P1", "P2", "P3", "P4", "P1xP1", "S1", "S2", "S3", "B1_3", "D1_3", "B1",
            "E1", "I1", "J1", "M1", "V4", "R3", "K3", "H10")
 EMBEDDINGS = ("S3", "D1_3", "E1", "R3", "J1", "M1", "V4")
+COHOMOLOGY_SAMPLES = 64
 
 DIGESTS = {
+    "cohomology 00 R3 3,0,-3,-1,1":
+        (1, "e2b53b0a5ed5579dd1a747d0cd0a2413b929768184b8290a9e22321cd38239c6"),
+    "cohomology 01 S3 0,3,3,-1":
+        (1, "9016c20ecf6077a9dc6b14213a98140ca92bc25121f3248f1783a22a14f9ad8f"),
+    "cohomology 02 S3 -1,1,-2,1":
+        (1, "332afbb7c45cb39d02af1d3cde37cb2de91632f812bd05fca3226481d3d0e621"),
+    "cohomology 03 I1 -1,-2,3,-3":
+        (1, "a5e1db10c45733812fd5108a70552f6837136001f44eaac5071a3badca88b07a"),
+    "cohomology 04 P1xP1 1,2":
+        (0, "9fa67b2aafe451bdc9291c9ac9d0e1ecf9c93dc5e8a42040fdc2cd725d014c76"),
+    "cohomology 05 I1 -1,-3,2,-3":
+        (1, "8bfd636a197b1a09c68e79deff2254d98e96a37265076014f37e6992cda3468a"),
+    "cohomology 06 P3 0":
+        (0, "9fa67b2aafe451bdc9291c9ac9d0e1ecf9c93dc5e8a42040fdc2cd725d014c76"),
+    "cohomology 07 E1 -1,0,-1":
+        (0, "9fa67b2aafe451bdc9291c9ac9d0e1ecf9c93dc5e8a42040fdc2cd725d014c76"),
+    "cohomology 08 M1 1,0,0,3":
+        (0, "9fa67b2aafe451bdc9291c9ac9d0e1ecf9c93dc5e8a42040fdc2cd725d014c76"),
+    "cohomology 09 V4 -1,-3,3,1,-3":
+        (1, "bd336ad3d8e6f9f8ab9f2954a63a3149ab7a360d53094d5ae1fb7404e79ed7b5"),
+    "cohomology 10 D1_3 2,3,0":
+        (1, "fc5f03f8d3f7aa2039a929b083ee7624145112059ace6a6f65840062449747e5"),
+    "cohomology 11 B1 1,0":
+        (0, "9fa67b2aafe451bdc9291c9ac9d0e1ecf9c93dc5e8a42040fdc2cd725d014c76"),
+    "cohomology 12 P3 -2":
+        (0, "9fa67b2aafe451bdc9291c9ac9d0e1ecf9c93dc5e8a42040fdc2cd725d014c76"),
+    "cohomology 13 P3 2":
+        (0, "9fa67b2aafe451bdc9291c9ac9d0e1ecf9c93dc5e8a42040fdc2cd725d014c76"),
+    "cohomology 14 D1_3 -2,1,-2":
+        (1, "24f6b71892f26c6ade7a37c462628373bd555b37f0cd886c6144affef634b900"),
+    "cohomology 15 P1 3":
+        (0, "9fa67b2aafe451bdc9291c9ac9d0e1ecf9c93dc5e8a42040fdc2cd725d014c76"),
+    "cohomology 16 I1 3,1,0,-3":
+        (1, "3d7a68b26701b87b7f21da91aaea557b9f364526c7546ca6064548dca3d41aea"),
+    "cohomology 17 D1_3 -1,1,0":
+        (0, "9fa67b2aafe451bdc9291c9ac9d0e1ecf9c93dc5e8a42040fdc2cd725d014c76"),
+    "cohomology 18 E1 -1,1,-1":
+        (0, "9fa67b2aafe451bdc9291c9ac9d0e1ecf9c93dc5e8a42040fdc2cd725d014c76"),
+    "cohomology 19 E1 1,-1,3":
+        (1, "056d6314b3edbc92344414426d9536aaccd24b22ed45b1280e4fa7e1127631e9"),
+    "cohomology 20 M1 3,1,1,1":
+        (0, "9fa67b2aafe451bdc9291c9ac9d0e1ecf9c93dc5e8a42040fdc2cd725d014c76"),
+    "cohomology 21 P2 0":
+        (0, "9fa67b2aafe451bdc9291c9ac9d0e1ecf9c93dc5e8a42040fdc2cd725d014c76"),
+    "cohomology 22 D1_3 1,3,0":
+        (1, "74943ce6f9b17e5b6b5f50e85636cab2804ba2079e8d9cd8f0e60be3e9686cb5"),
+    "cohomology 23 P3 1":
+        (0, "9fa67b2aafe451bdc9291c9ac9d0e1ecf9c93dc5e8a42040fdc2cd725d014c76"),
+    "cohomology 24 P1 -1":
+        (0, "9fa67b2aafe451bdc9291c9ac9d0e1ecf9c93dc5e8a42040fdc2cd725d014c76"),
+    "cohomology 25 J1 -2,3,-2,-3":
+        (1, "5638e7bc9a1b0e712cd39f32a63eb1dceb499a7f604f1b4863f9ab20525a9c82"),
+    "cohomology 26 P1xP1 0,-3":
+        (1, "ebbc0e5c7861aeb2c712efd22213889e0e9d08d97a5b04b5f897e8ebdaa0bb01"),
+    "cohomology 27 D1_3 2,3,-2":
+        (1, "932b5b8dc69e5bded6538dd180809eb155d7f5ab943198ed622e54a00f85c94c"),
+    "cohomology 28 I1 -3,3,-3,2":
+        (1, "2fc8b803a9b74d2d9d88a9c9a423a45e15cb53719427e8e505901d5ee155ff69"),
+    "cohomology 29 R3 3,2,1,-1,1":
+        (0, "9fa67b2aafe451bdc9291c9ac9d0e1ecf9c93dc5e8a42040fdc2cd725d014c76"),
+    "cohomology 30 P1 3":
+        (0, "9fa67b2aafe451bdc9291c9ac9d0e1ecf9c93dc5e8a42040fdc2cd725d014c76"),
+    "cohomology 31 M1 2,1,3,0":
+        (0, "9fa67b2aafe451bdc9291c9ac9d0e1ecf9c93dc5e8a42040fdc2cd725d014c76"),
+    "cohomology 32 P1xP1 0,0":
+        (0, "9fa67b2aafe451bdc9291c9ac9d0e1ecf9c93dc5e8a42040fdc2cd725d014c76"),
+    "cohomology 33 P4 -3":
+        (0, "9fa67b2aafe451bdc9291c9ac9d0e1ecf9c93dc5e8a42040fdc2cd725d014c76"),
+    "cohomology 34 P3 1":
+        (0, "9fa67b2aafe451bdc9291c9ac9d0e1ecf9c93dc5e8a42040fdc2cd725d014c76"),
+    "cohomology 35 E1 0,1,2":
+        (0, "9fa67b2aafe451bdc9291c9ac9d0e1ecf9c93dc5e8a42040fdc2cd725d014c76"),
+    "cohomology 36 P3 3":
+        (0, "9fa67b2aafe451bdc9291c9ac9d0e1ecf9c93dc5e8a42040fdc2cd725d014c76"),
+    "cohomology 37 M1 -2,-3,2,-1":
+        (0, "9fa67b2aafe451bdc9291c9ac9d0e1ecf9c93dc5e8a42040fdc2cd725d014c76"),
+    "cohomology 38 E1 2,-2,-1":
+        (0, "9fa67b2aafe451bdc9291c9ac9d0e1ecf9c93dc5e8a42040fdc2cd725d014c76"),
+    "cohomology 39 J1 -1,0,3,-3":
+        (1, "540c84b89754e2553afb8220f74aa52fcdc7d565db59efcdccdba7c2966d3631"),
+    "cohomology 40 E1 3,-2,3":
+        (1, "71954b881e63b11b0ee726922e262710a4efbb9581df8fcc91062a69644a30ef"),
+    "cohomology 41 P1 -3":
+        (1, "72f43d443fe04cc83783e97a4a40bf8efdd83426f1ba017ec36c55e56a4c7336"),
+    "cohomology 42 D1_3 -3,-3,2":
+        (1, "30bb273f1ec69076293a1c85655348a28e9777afe439787bd7b4b97119b16259"),
+    "cohomology 43 M1 1,3,1,-3":
+        (1, "86fd932679f263854d4cf80ea7a885fab99e740c337445985013ae2748af2e9a"),
+    "cohomology 44 R3 -3,-1,3,-3,-3":
+        (1, "f898ce62d44afd9bf5fc083582cb28fc61a4ab16cd633a2879630394ac8cdec0"),
+    "cohomology 45 B1 -2,-2":
+        (1, "c769c7fb00a5c3bcfa690c7d469cf82b2c448fb1073de416fcf6f230625ed9ae"),
+    "cohomology 46 E1 0,-2,2":
+        (1, "d98dc94fe93a13330a1b735de52f833e84afa4693fd104cd5331e37188c13542"),
+    "cohomology 47 B1_3 2,-3":
+        (1, "49e21f9dc4f83c2bd2fe98f8ffa03edbc9d7366ca6d2cea58c704ddcf2902b4a"),
+    "cohomology 48 S1 1,-3":
+        (1, "664cf48a92c2f5c878c66fc64304a28e8a6be429809a6c8de33551a1f1ef7403"),
+    "cohomology 49 P1xP1 -3,-2":
+        (1, "86e1c0f4657522cec9e0ad61cb328dfd5f913f34e56bdf49fb20894b82d665bc"),
+    "cohomology 50 D1_3 2,-1,-1":
+        (0, "9fa67b2aafe451bdc9291c9ac9d0e1ecf9c93dc5e8a42040fdc2cd725d014c76"),
+    "cohomology 51 S1 -2,-3":
+        (1, "8e5e3fe2f5a3e7c7eb357b258f80f78b525646b26793e89142563c825b942280"),
+    "cohomology 52 V4 0,-3,1,-3,2":
+        (1, "d16ea812fb7114192943b3e43831e0c79f345957fa977f0da961ff4759c2833d"),
+    "cohomology 53 R3 -2,-1,-1,2,0":
+        (0, "9fa67b2aafe451bdc9291c9ac9d0e1ecf9c93dc5e8a42040fdc2cd725d014c76"),
+    "cohomology 54 J1 2,2,-2,3":
+        (1, "893c0b52e9f2cbab05ab59a3c6776fae9cee475bd3419a274334a6d483ce0a0e"),
+    "cohomology 55 B1_3 3,2":
+        (0, "9fa67b2aafe451bdc9291c9ac9d0e1ecf9c93dc5e8a42040fdc2cd725d014c76"),
+    "cohomology 56 J1 3,-2,-1,1":
+        (1, "45b62da77f88b790275b50b761d6d8ae3dd6e55afcb664bcfa4aaa4afa755c91"),
+    "cohomology 57 P1xP1 -3,1":
+        (1, "3e53baf314ea3746e0fd57ee33e84fda28f3e0c8ad48d102ac64a45819b1ab50"),
+    "cohomology 58 S2 2,-2,-3":
+        (1, "e86c28b1a5414a7de369e9dc8d5e99bf48b3f7fa58f6ffcd981a4242fd636c1e"),
+    "cohomology 59 S3 2,0,1,3":
+        (0, "9fa67b2aafe451bdc9291c9ac9d0e1ecf9c93dc5e8a42040fdc2cd725d014c76"),
+    "cohomology 60 V4 -1,2,-1,0,3":
+        (1, "34855054d8702ed6cefcaf29e28327d92462ecc834a8f7a87cdc41fe43a87793"),
+    "cohomology 61 P1xP1 -2,1":
+        (1, "21c510d59fe23c60dac31c382e3a4a5953cbdf60729307f71f8c2fb983133487"),
+    "cohomology 62 B1 0,2":
+        (0, "9fa67b2aafe451bdc9291c9ac9d0e1ecf9c93dc5e8a42040fdc2cd725d014c76"),
+    "cohomology 63 D1_3 -1,2,-3":
+        (1, "420ab3e52ce50f3b28c8c907a0e3000ae134abe3a49e09a9811fb713872caeba"),
     "complex D1_3":
         (0, "ad5d3a5eccab8b958b4b08f26a5e476e0f38154af4683f5d97093e416c1ec4a1"),
     "complex E1":
@@ -230,6 +364,17 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def cohomology_samples(ws):
+    """(fan label, Pic class) pairs drawn from seed 0, entries in [-3, 3]."""
+    rng = random.Random(0)
+    labels = sorted(ws.fans)
+    out = []
+    for _ in range(COHOMOLOGY_SAMPLES):
+        label = rng.choice(labels)
+        out.append((label, tuple(rng.randint(-3, 3) for _ in range(ws.pic(label).rank))))
+    return out
+
+
 def replay(temp_dir=None) -> dict[str, tuple[int, str]]:
     """(exit code, sha256) per report and per dumped complex."""
     runner = CliRunner()
@@ -251,7 +396,8 @@ def replay(temp_dir=None) -> dict[str, tuple[int, str]]:
         for args in commands:
             res = runner.invoke(main, list(args))
             out[" ".join(args)] = (res.exit_code, _sha(res.output))
-    nodes = load_workspace().poset.nodes
+    ws = load_workspace()
+    nodes = ws.poset.nodes
     for label in EMBEDDINGS:
         node = nodes[label]
         if node.theta is None:
@@ -260,6 +406,12 @@ def replay(temp_dir=None) -> dict[str, tuple[int, str]]:
             qx = build_quiver_of_sections(node.fan, node.pic, node.bundles)
             emb = theta_fiber_surjectivity_check(qx, node.fan, node.pic, node.theta)
         out[f"embedding {label}"] = (0 if emb.ok else 1, _sha(repr(emb)))
+    for i, (label, cls) in enumerate(cohomology_samples(ws)):
+        fan, pic = ws.fan(label), ws.pic(label)
+        witness = higher_cohomology_witness(fan, pic, cls)
+        answer = has_higher_cohomology(fan, pic, cls)
+        key = f"cohomology {i:02d} {label} {','.join(map(str, cls))}"
+        out[key] = (int(answer[0]), _sha(f"{witness!r}\n{answer!r}"))
     return out
 
 

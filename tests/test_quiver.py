@@ -9,7 +9,7 @@ from click.testing import CliRunner
 from toricsec import quiver
 from toricsec.cli import main
 
-from toricsec.fans import deg_and_pic, vertex_divisors
+from toricsec.fans import deg_and_pic, nef_ample_test, vertex_divisors
 from toricsec.polyhedra import simplex_feasible
 from toricsec.quiver import (
     Arrow,
@@ -431,6 +431,23 @@ def test_theta_of_the_wrong_length_is_rejected(change):
         theta_fiber_surjectivity_check(q, node.fan, node.pic, theta)
     with pytest.raises(ValueError):
         pic_of_theta(q.bundles, theta)
+
+
+@pytest.mark.parametrize("weight", ["negated", "zero"])
+@pytest.mark.parametrize("check", ["generic", "embedding"])
+def test_a_theta_off_the_chamber_is_rejected_by_both_checks(check, weight):
+    # M1's theta negated, (2, 0, ..., 0, -1, -1), and theta = 0 both have a
+    # pic(theta) that is not ample; the embedding check used to report
+    # that as its verdict instead of rejecting the weight
+    node = bundled_workspace().poset.nodes["M1"]
+    q = build_quiver_of_sections(node.fan, node.pic, node.bundles)
+    theta = {"negated": tuple(-t for t in node.theta), "zero": (0,) * 17}[weight]
+    assert not nef_ample_test(node.fan, node.pic, pic_of_theta(q.bundles, theta))[1]
+    with pytest.raises(QuiverError, match="expected a negative weight at the source"):
+        if check == "generic":
+            check_theta_generic(q, node.fan, theta)
+        else:
+            theta_fiber_surjectivity_check(q, node.fan, node.pic, theta)
 
 
 def full_block_feasible(pic, bundles, v):
