@@ -351,7 +351,7 @@ def propagate(ctx, source, target, m):
 @click.argument("label")
 @click.pass_context
 def tilting_total_space(ctx, label):
-    """Minimal nef threshold and vanishing checks on tot(omega)."""
+    """Nef threshold T, computed in closed form, and vanishing below it on tot(omega)."""
     ws = ctx.obj["ws"]
     rep = ctx.obj["rep"]
     fan, pic = ws.fan(label), ws.pic(label)
@@ -359,7 +359,7 @@ def tilting_total_space(ctx, label):
     report = tilting_total_space_check(fan, pic, bundles)
     rep.add("label", label)
     rep.add("T", report.threshold)
-    rep.add("pairs_checked", len(bundles) * (len(bundles) - 1) * max(report.threshold, 0))
+    rep.add("pairs_checked", len(bundles) * (len(bundles) - 1) * report.threshold)
     if not report.ok:
         rep.set_status("fail")
         for f in report.failures[:10]:

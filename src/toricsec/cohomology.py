@@ -9,13 +9,14 @@ oracle over lattice characters cross-checks the cone method.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
-from operator import mul
+from operator import itemgetter, mul, or_
 
 from .fans import Fan, FanError, PicBasis, ContractionStep, cartier_data
-from .intlin import identity, int_vector, mat, mat_mul, mat_vec, rank, vec_gcd
+from .intlin import identity, int_vector, mat_mul, mat_vec, rank, vec_gcd
 from .polyhedra import ParametricIntegerFeasibility, fourier_motzkin, level0_pullback
 
 
@@ -57,13 +58,11 @@ def subcomplex_betti(fan: Fan, subset: frozenset[int]) -> tuple[int, ...]:
     ranks = [1]  # the augmentation onto the empty face, on a nonempty complex
     for k in range(1, len(by_dim)):
         index = {f: i for i, f in enumerate(by_dim[k - 1])}
-        rows = []
-        for f in by_dim[k]:
-            row = [0] * len(index)
+        rows = [[0] * len(index) for _ in by_dim[k]]
+        for row, f in zip(rows, by_dim[k]):
             for j in range(len(f)):
                 row[index[f[:j] + f[j + 1:]]] = (-1) ** j
-            rows.append(row)
-        ranks.append(rank(mat(rows)))
+        ranks.append(rank(rows))
     ranks.append(0)
     betti = [len(by_dim[k]) - ranks[k] - ranks[k + 1] for k in range(len(by_dim))]
     while betti and betti[-1] == 0:
@@ -181,20 +180,32 @@ def fiber_refuters(pic: PicBasis, neg: frozenset) -> tuple[tuple[tuple[int, ...]
 
 @lru_cache(maxsize=None)
 def _forbidden_refuters(fan: Fan, pic: PicBasis):
-    """The distinct L of all forbidden sets' fiber_refuters rows, and per
-    set, in forbidden_sets order, (set, its rows as (index of L, c))."""
-    index: dict[tuple[int, ...], int] = {}
-    table = tuple((fs, tuple((index.setdefault(L, len(index)), c)
-                             for L, c in fiber_refuters(pic, fs.ray_indices)))
-                  for fs in forbidden_sets(fan))
-    return tuple(index), table
+    """The refuter screen of forbidden_sets(fan), and those sets.
+
+    A fiber_refuters row (L, c) of the k-th set refutes cls when L . cls
+    exceeds its firing threshold tau = -c.  Per distinct L the screen holds
+    (L, its rows' thresholds ascending, prefix masks): masks[i] has bit k
+    of each set among the first i rows, so the sets L refutes at cls are
+    masks[bisect_left(taus, L . cls)].
+    """
+    sets = forbidden_sets(fan)
+    rows = sorted((L, -c, k) for k, fs in enumerate(sets)
+                  for L, c in fiber_refuters(pic, fs.ray_indices))
+    screen = []
+    for L, group in itertools.groupby(rows, itemgetter(0)):
+        _, taus, ks = zip(*group)
+        masks = itertools.accumulate((1 << k for k in ks), or_, initial=0)
+        screen.append((L, taus, tuple(masks)))
+    return tuple(screen), sets
 
 
 def _unrefuted(fan: Fan, pic: PicBasis, cls):
     """forbidden_sets in order, less those a level-0 row refutes at cls."""
-    functionals, table = _forbidden_refuters(fan, pic)
-    values = [sum(map(mul, L, cls)) for L in functionals]
-    return (fs for fs, rows in table if all(values[i] + c <= 0 for i, c in rows))
+    screen, sets = _forbidden_refuters(fan, pic)
+    refuted = 0
+    for L, taus, masks in screen:
+        refuted |= masks[bisect_left(taus, sum(map(mul, L, cls)))]
+    return (fs for k, fs in enumerate(sets) if not refuted >> k & 1)
 
 
 def _refuted(rows, cls) -> bool:

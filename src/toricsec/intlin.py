@@ -93,34 +93,33 @@ def det(a: IntMatrix) -> int:
 
 
 def rank(a: IntMatrix) -> int:
-    """Rank over Q by fraction-free (Bareiss) row echelon elimination.
+    """Rank over Q by sparse row reduction.
 
-    After k pivots every entry below them is a (k+1)-minor of a, so the
-    update (x*pv - f*y) // prev divides exactly (Sylvester's identity),
-    prev being the previous pivot, and no entry leaves the integers.
+    Rows are {column: entry} of their nonzero entries.  Each is reduced
+    against the pivot rows, keyed by their leading column, while its own
+    leading column has one: row <- f*row - h*pivot cancels that entry (f, h
+    the leading entries over their gcd), and the row is divided by its
+    content.  A row that stays nonzero becomes the pivot of its new
+    leading column; the rank is the number of pivots.
     """
-    if not a or not a[0]:
-        return 0
-    m = list(a)  # rows are replaced, never changed in place
-    rows, cols = len(m), len(m[0])
-    r = 0
-    prev = 1
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        top = m[r]
-        pv = top[c]
-        for i in range(r + 1, rows):
-            row = m[i]
-            f = row[c]
-            m[i] = [(x * pv - f * y) // prev for x, y in zip(row, top)]
-        prev = pv
-        r += 1
-        if r == rows:
-            break
-    return r
+    pivots: dict[int, dict[int, int]] = {}
+    for entries in a:
+        row = {j: x for j, x in enumerate(entries) if x}
+        while row and (lead := min(row)) in pivots:
+            pivot = pivots[lead]
+            g = gcd(row[lead], pivot[lead])
+            f, h = pivot[lead] // g, row[lead] // g
+            row = {j: f * x for j, x in row.items()}
+            for j, y in pivot.items():
+                if x := row.get(j, 0) - h * y:
+                    row[j] = x
+                else:
+                    del row[j]
+            if (content := gcd(*row.values())) > 1:
+                row = {j: x // content for j, x in row.items()}
+        if row:
+            pivots[lead] = row
+    return len(pivots)
 
 
 def kernel_vector(a: IntMatrix) -> IntVector | None:

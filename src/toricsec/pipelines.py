@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
+from operator import add, mul, sub
 
 from .cohomology import (
     ChainVerdict,
@@ -13,7 +14,7 @@ from .cohomology import (
     strong_exceptional_check,
 )
 from .diagonal import FIBER_PRIME, FIBER_SEED, FIBER_TRIALS, diagonal_resolution_verdict
-from .fans import Fan, PicBasis, ContractionStep, contraction_step, nef_ample_test
+from .fans import Fan, PicBasis, ContractionStep, contraction_step, nef_rows
 from .frobenius import frobenius_gen_support, frobenius_split_classes
 from .method1 import GenerationCertificate, generation_closure
 
@@ -170,10 +171,6 @@ def helix_twist(fan: Fan, pic: PicBasis, ordered_bundles, steps: int,
     return HelixResult(True, tuple(twisted), verdict.ordering)
 
 
-# the nef threshold scan gives up above this many anticanonical twists
-TWIST_CAP = 10
-
-
 @dataclass(frozen=True)
 class TiltingReport:
     ok: bool
@@ -184,35 +181,34 @@ class TiltingReport:
 def tilting_total_space_check(fan: Fan, pic: PicBasis, bundles) -> TiltingReport:
     """Certify the pulled-back sum as tilting on tot(omega).
 
-    T is the least t making every difference class nef after t
-    anticanonical twists; all lower twists must have vanishing higher
-    cohomology for every ordered pair.  Twists and pairs with the same
-    class ask each question once.
+    T is the least t >= 0 making every difference class y - x nef after t
+    anticanonical twists: w . (y - x) + t w . (-K) >= 0 for every row w of
+    nef_rows.  -K is ample, so each w . (-K) > 0 and T is the largest
+    ceil((w . x - w . y) / w . (-K)) over the pairs and rows.  All lower
+    twists must have vanishing higher cohomology for every ordered pair;
+    twists and pairs with the same class ask each question once.
     """
     bundles = [tuple(b) for b in bundles]
+    for b in bundles:
+        pic.check_rank(b)
     omega = pic.canonical_class()
-    nef = cache(lambda cls: nef_ample_test(fan, pic, cls)[0])
+    threshold = 0
+    for w in nef_rows(fan, pic):
+        ample = -sum(map(mul, w, omega))
+        if ample <= 0:
+            raise PipelineError(f"-K is not ample: the nef row {w} reads {ample} on it")
+        values = [sum(map(mul, w, b)) for b in bundles] or [0]
+        threshold = max(threshold, -((min(values) - max(values)) // ample))
     ext = cache(lambda cls: has_higher_cohomology(fan, pic, cls))
-
-    def twisted(x, y, t):
-        return tuple(b - a - t * w for a, b, w in zip(x, y, omega))
-
-    threshold = None
-    for t in range(TWIST_CAP + 1):
-        if all(nef(twisted(x, y, t)) for x in bundles for y in bundles):
-            threshold = t
-            break
-    if threshold is None:
-        return TiltingReport(False, -1, (("threshold", "exceeded cap", TWIST_CAP),))
     failures = []
     for t in range(threshold):
+        twist = [-t * w for w in omega]
         for i, x in enumerate(bundles):
             for j, y in enumerate(bundles):
-                if i == j:
-                    continue
-                bad, fs = ext(twisted(x, y, t))
-                if bad:
-                    failures.append((i, j, t, tuple(sorted(fs.ray_indices))))
+                if i != j:
+                    bad, fs = ext(tuple(map(add, map(sub, y, x), twist)))
+                    if bad:
+                        failures.append((i, j, t, tuple(sorted(fs.ray_indices))))
     return TiltingReport(not failures, threshold, tuple(failures))
 
 

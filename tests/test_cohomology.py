@@ -272,6 +272,58 @@ def test_higher_cohomology_refutes_each_forbidden_fiber_once(monkeypatch):
     assert has_higher_cohomology(fan, pic, (0, 0, 0)) == (False, None)
 
 
+def scanned_unrefuted(fan, pic, cls):
+    """The former screen, kept as the reference: every forbidden set in
+    order, less those one of whose own rows fires at cls."""
+    return [fs for fs in forbidden_sets(fan)
+            if all(sum(map(mul, L, cls)) + c <= 0
+                   for L, c in fiber_refuters(pic, fs.ray_indices))]
+
+
+def extended_gcd(a, b):
+    """(d, s, t) with s*a + t*b = d = gcd(a, b) >= 0."""
+    if b == 0:
+        return abs(a), 1 if a >= 0 else -1, 0
+    d, s, t = extended_gcd(b, a % b)
+    return d, t, s - (a // b) * t
+
+
+def class_on_threshold(L, tau, rng):
+    """A class with L . cls = tau exactly, moved along ker L at random, or
+    None when gcd(L) does not divide tau."""
+    g, x = 0, [0] * len(L)
+    for i, a in enumerate(L):
+        g, s, t = extended_gcd(g, a)
+        x = [s * v for v in x]
+        x[i] = t
+    if not g or tau % g:
+        return None
+    cls = [tau // g * v for v in x]
+    for i, j in itertools.combinations(range(len(L)), 2):
+        k = rng.randint(-2, 2)
+        cls[i] += k * L[j]
+        cls[j] -= k * L[i]
+    assert sum(map(mul, L, cls)) == tau
+    return tuple(cls)
+
+
+def test_refuter_screen_matches_the_per_set_scan_on_every_bundled_fan():
+    # seeded classes, and for each refuter row a class on its firing
+    # threshold L . cls = -c, where that row must not fire
+    ws = bundled_workspace()
+    rng = random.Random(0)
+    for label in sorted(ws.fans):
+        fan, pic = ws.fan(label), ws.pic(label)
+        classes = [tuple(rng.randint(-4, 4) for _ in range(pic.rank)) for _ in range(150)]
+        rows = {row for fs in forbidden_sets(fan) for row in fiber_refuters(pic, fs.ray_indices)}
+        on_threshold = [class_on_threshold(L, -c, rng) for L, c in sorted(rows)]
+        on_threshold = [cls for cls in on_threshold if cls is not None]
+        assert len(on_threshold) * 2 > len(rows), label
+        for cls in classes + on_threshold:
+            assert list(cohomology._unrefuted(fan, pic, cls)) == \
+                scanned_unrefuted(fan, pic, cls), (label, cls)
+
+
 def tower_pullback(pic, neg):
     """Reference: neg's own tower's level-0 rows pulled back through
     fiber_rhs, whose matrix and offset are read off fiber_rhs itself."""

@@ -3,7 +3,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toricsec.fans import FanError, deg_and_pic
@@ -135,9 +135,31 @@ def integer_matrices(draw):
     return mat(rows)
 
 
+@st.composite
+def boundary_matrices(draw):
+    """The simplicial boundary map from k-faces to (k-1)-faces of the full
+    subcomplex of a bundled fan on a ray subset, signs (-1)^j."""
+    ws = bundled_workspace()
+    fan = ws.fan(draw(st.sampled_from(sorted(ws.fans))))
+    subset = draw(st.sets(st.integers(0, fan.n_rays - 1), min_size=2))
+    faces = {f for cone in fan.max_cones for k in range(1, fan.dim + 1)
+             for f in itertools.combinations(sorted(subset.intersection(cone)), k)}
+    top = max(map(len, faces))
+    assume(top > 1)
+    k = draw(st.integers(1, top - 1))
+    index = {f: i for i, f in enumerate(sorted(f for f in faces if len(f) == k))}
+    rows = []
+    for f in sorted(f for f in faces if len(f) == k + 1):
+        row = [0] * len(index)
+        for j in range(k + 1):
+            row[index[f[:j] + f[j + 1:]]] = (-1) ** j
+        rows.append(row)
+    return mat(rows)
+
+
 @settings(max_examples=300, deadline=None)
-@given(integer_matrices())
-def test_bareiss_rank_matches_fraction_reference(a):
+@given(st.one_of(integer_matrices(), boundary_matrices()))
+def test_sparse_rank_matches_fraction_reference(a):
     assert rank(a) == fraction_rank(a)
 
 

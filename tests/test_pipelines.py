@@ -1,9 +1,22 @@
+import itertools
 import shutil
+import sys
 
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from toricsec import cohomology, pipelines
-from toricsec.fans import PicRankError, deg_and_pic, star_subdivision
+from toricsec import cohomology, fans, pipelines
+from toricsec.cli import main
+from toricsec.fans import (
+    Fan,
+    PicRankError,
+    deg_and_pic,
+    nef_ample_test,
+    star_subdivision,
+    validate_fan,
+)
 from toricsec.cohomology import strong_exceptional_check
 from toricsec.pipelines import (
     PipelineError,
@@ -15,7 +28,7 @@ from toricsec.pipelines import (
     tilting_total_space_check,
     verify_variety_recipe,
 )
-from toricsec.files import write_collection_file
+from toricsec.files import CollectionFile, write_collection_file, write_fan_file
 from toricsec.polyhedra import ParametricIntegerFeasibility
 from toricsec.workspace import bundled_data_dir, load_workspace
 
@@ -153,8 +166,15 @@ def test_tilting_thresholds(ws):
 def test_tilting_check_asks_each_class_once(ws, monkeypatch):
     node = ws.poset.nodes["E1"]
     ext = spy(monkeypatch, pipelines, "has_higher_cohomology")
-    nef = spy(monkeypatch, pipelines, "nef_ample_test")
-    report = tilting_total_space_check(node.fan, node.pic, node.bundles)
+    # the threshold is read off nef_rows, so no nef test runs, by any name
+    nef = []
+    code = fans.nef_ample_test.__code__
+    sys.setprofile(lambda frame, event, _: nef.append(frame.f_locals)
+                   if event == "call" and frame.f_code is code else None)
+    try:
+        report = tilting_total_space_check(node.fan, node.pic, node.bundles)
+    finally:
+        sys.setprofile(None)
     assert report.ok and report.threshold == 3
     omega = node.pic.canonical_class()
     classes = sorted({tuple(b - a - t * w for a, b, w in zip(x, y, omega))
@@ -162,7 +182,7 @@ def test_tilting_check_asks_each_class_once(ws, monkeypatch):
                       if x != y})
     assert len(classes) == 112      # of 330 questions
     assert sorted(cls for _, _, cls in ext) == classes
-    assert len(nef) == len(set(nef))
+    assert nef == []
 
 
 def test_tilting_check_on_e1_builds_no_search_tower(ws, monkeypatch):
@@ -182,6 +202,83 @@ def test_tilting_p2():
     pic = deg_and_pic(fan)
     report = tilting_total_space_check(fan, pic, [(0,), (1,), (2,)])
     assert report.ok and report.threshold == 1
+
+
+def test_tilting_threshold_above_ten_lists_the_failing_twists():
+    # (31) - (0) - t(-K) = 31 - 3t is nef from t = 11 on; below, the class
+    # -31 + 3t of the pair ((31), (0)) has H^2 up to t = 9 (-4), not at -1
+    fan = make_fan("P2")
+    report = tilting_total_space_check(fan, deg_and_pic(fan), [(0,), (31,)])
+    assert report.threshold == 11 and not report.ok
+    assert report.failures == tuple((1, 0, t, (0, 1, 2)) for t in range(10))
+
+
+@pytest.mark.parametrize("bundles", [[(0, 0, 0), (0, 1)], [(0, 0, 0), (1, 0, 0, 5)]],
+                         ids=["short", "long"])
+def test_tilting_check_rejects_a_bundle_of_the_wrong_width(ws, bundles):
+    with pytest.raises(PicRankError):
+        tilting_total_space_check(ws.fan("E1"), ws.pic("E1"), bundles)
+
+
+def hirzebruch(a):
+    """F_a: -K is ample for a < 2, nef but not ample for a = 2, not nef beyond."""
+    rays = ((1, 0), (0, 1), (-1, a), (0, -1))
+    return Fan(2, rays, ((0, 1), (1, 2), (2, 3), (0, 3)), label=f"F{a}")
+
+
+@pytest.mark.parametrize("a", [2, 3])
+def test_tilting_check_needs_an_ample_anticanonical_class(a):
+    fan = hirzebruch(a)
+    with pytest.raises(PipelineError, match="-K is not ample"):
+        tilting_total_space_check(fan, deg_and_pic(fan), [(0, 0), (1, 0)])
+
+
+def test_cli_tilting_on_a_non_fano_fan_reports_fail(tmp_path):
+    fan = hirzebruch(2)
+    write_fan_file(tmp_path / "F2.fan", fan)
+    pic = deg_and_pic(fan)
+    write_collection_file(tmp_path / "f2.col", CollectionFile(
+        "f2", "F2", pic.basis_indices, [(0, 0), (1, 0), (0, 1), (1, 1)]))
+    result = CliRunner().invoke(main, ["--data", str(tmp_path), "tilting-total-space", "F2"])
+    assert result.exit_code == 2
+    assert result.output.startswith("error=PipelineError: -K is not ample")
+    assert result.output.endswith("\nstatus=fail\n")
+
+
+def scanned_threshold(fan, pic, bundles):
+    """The former scan, kept as the reference: the least t at which every
+    difference class is nef after t anticanonical twists."""
+    omega = pic.canonical_class()
+    for t in itertools.count():
+        if all(nef_ample_test(fan, pic, tuple(b - a - t * w for a, b, w in zip(x, y, omega)))[0]
+               for x in bundles for y in bundles):
+            return t
+
+
+@st.composite
+def collections_on_fano_fans(draw):
+    """A few bundles on a bundled fan or on a Fano star subdivision of P3 or P4."""
+    if draw(st.booleans()):
+        ws = load_workspace()
+        label = draw(st.sampled_from(sorted(ws.fans)))
+        fan, pic = ws.fan(label), ws.pic(label)
+    else:
+        fan = make_fan(draw(st.sampled_from(["P3", "P4"])))
+        cone = draw(st.sampled_from(fan.max_cones))
+        face = draw(st.lists(st.sampled_from(cone), min_size=2, max_size=len(cone), unique=True))
+        fan, _ = star_subdivision(fan, face)
+        pic = deg_and_pic(fan)
+    bundle = st.lists(st.integers(-3, 3), min_size=pic.rank, max_size=pic.rank).map(tuple)
+    return fan, pic, draw(st.lists(bundle, min_size=2, max_size=3, unique=True))
+
+
+@settings(max_examples=40, deadline=None)
+@given(collections_on_fano_fans())
+def test_closed_form_threshold_matches_the_scan(case):
+    fan, pic, bundles = case
+    assert validate_fan(fan).fano
+    report = tilting_total_space_check(fan, pic, bundles)
+    assert report.threshold == scanned_threshold(fan, pic, bundles), (fan.rays, bundles)
 
 
 def test_product_fan_and_collection():
