@@ -13,7 +13,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
-from operator import itemgetter, mul, or_
+from operator import add, itemgetter, mul, or_
 
 from .fans import Fan, FanError, PicBasis, ContractionStep, cartier_data
 from .intlin import identity, int_vector, mat_mul, mat_vec, rank, vec_gcd
@@ -206,6 +206,27 @@ def _unrefuted(fan: Fan, pic: PicBasis, cls):
     for L, taus, masks in screen:
         refuted |= masks[bisect_left(taus, sum(map(mul, L, cls)))]
     return (fs for k, fs in enumerate(sets) if not refuted >> k & 1)
+
+
+def refuted_masks(fan: Fan, pic: PicBasis, classes) -> list[int]:
+    """_unrefuted's screen over many integer classes at once.
+
+    Entry i has bit k set when a level-0 row of the k-th forbidden set
+    refutes classes[i]; a full mask means no higher cohomology.  Per
+    distinct L the values L . cls are built a coordinate column at a time.
+    """
+    screen, _ = _forbidden_refuters(fan, pic)
+    columns = tuple(zip(*classes))
+    refuted = [0] * len(classes)
+    for L, taus, masks in screen:
+        values = None
+        for x, column in zip(L, columns):
+            if x:
+                term = column if x == 1 else map(x.__mul__, column)
+                values = list(term) if values is None else list(map(add, values, term))
+        at = map(bisect_left, itertools.repeat(taus), values or [0] * len(classes))
+        refuted = list(map(or_, refuted, map(masks.__getitem__, at)))
+    return refuted
 
 
 def _refuted(rows, cls) -> bool:

@@ -449,11 +449,19 @@ def nef_rows(fan: Fan, pic: PicBasis) -> tuple[IntVector, ...]:
     with w_j the entry at the j-th unit class.  The entries with rho in
     sigma vanish, as m_sigma is defined by them, and are dropped.  A class
     is nef iff w . cls >= 0 for every row w, ample iff every w . cls > 0.
+
+    The j-th unit class lifts to the basis ray b_j alone.  When b_j is
+    sigma's p-th ray, m_sigma is minus the p-th column of sigma's chart
+    and w_j = -(u_rho . chart)_p; otherwise m_sigma = 0 and w_j = [rho = b_j].
     """
-    units = [vertex_divisors(fan, pic, e) for e in identity(pic.rank)]
-    rows = (tuple(unit[k][ρ] for unit in units)
-            for k, cone in enumerate(fan.max_cones)
-            for ρ in range(fan.n_rays) if ρ not in cone)
+    rows = []
+    for cone, chart in cone_charts(fan).items():
+        columns = tuple(zip(*chart))
+        places = [cone.index(b) if b in cone else None for b in pic.basis_indices]
+        for ρ, u in enumerate(fan.rays):
+            if ρ not in cone:
+                rows.append(tuple(int(ρ == b) if p is None else -sum(map(mul, u, columns[p]))
+                                  for b, p in zip(pic.basis_indices, places)))
     return tuple(dict.fromkeys(rows))
 
 

@@ -4,18 +4,20 @@ tilting, and per-variety verification dispatch."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 from operator import add, mul, sub
 
 from .cohomology import (
     ChainVerdict,
+    forbidden_sets,
     has_higher_cohomology,
+    refuted_masks,
     strong_exceptional_along_chain,
     strong_exceptional_check,
 )
 from .diagonal import FIBER_PRIME, FIBER_SEED, FIBER_TRIALS, diagonal_resolution_verdict
 from .fans import Fan, PicBasis, ContractionStep, contraction_step, nef_rows
 from .frobenius import frobenius_gen_support, frobenius_split_classes
+from .intlin import int_vector
 from .method1 import GenerationCertificate, generation_closure
 
 
@@ -185,10 +187,11 @@ def tilting_total_space_check(fan: Fan, pic: PicBasis, bundles) -> TiltingReport
     anticanonical twists: w . (y - x) + t w . (-K) >= 0 for every row w of
     nef_rows.  -K is ample, so each w . (-K) > 0 and T is the largest
     ceil((w . x - w . y) / w . (-K)) over the pairs and rows.  All lower
-    twists must have vanishing higher cohomology for every ordered pair;
-    twists and pairs with the same class ask each question once.
+    twists must have vanishing higher cohomology for every ordered pair.
+    The distinct classes go through one refuter screen, and only a class
+    that some forbidden set survives is asked has_higher_cohomology.
     """
-    bundles = [tuple(b) for b in bundles]
+    bundles = [int_vector(b, "class entry") for b in bundles]
     for b in bundles:
         pic.check_rank(b)
     omega = pic.canonical_class()
@@ -199,17 +202,18 @@ def tilting_total_space_check(fan: Fan, pic: PicBasis, bundles) -> TiltingReport
             raise PipelineError(f"-K is not ample: the nef row {w} reads {ample} on it")
         values = [sum(map(mul, w, b)) for b in bundles] or [0]
         threshold = max(threshold, -((min(values) - max(values)) // ample))
-    ext = cache(lambda cls: has_higher_cohomology(fan, pic, cls))
-    failures = []
-    for t in range(threshold):
-        twist = [-t * w for w in omega]
-        for i, x in enumerate(bundles):
-            for j, y in enumerate(bundles):
-                if i != j:
-                    bad, fs = ext(tuple(map(add, map(sub, y, x), twist)))
-                    if bad:
-                        failures.append((i, j, t, tuple(sorted(fs.ray_indices))))
-    return TiltingReport(not failures, threshold, tuple(failures))
+    pairs = [(i, j, tuple(map(sub, y, x)))
+             for i, x in enumerate(bundles) for j, y in enumerate(bundles) if i != j]
+    questions = [(i, j, t, tuple(map(add, diff, twist)))
+                 for t, twist in enumerate([-t * w for w in omega] for t in range(threshold))
+                 for i, j, diff in pairs]
+    classes = list(dict.fromkeys(cls for *_, cls in questions))
+    full = (1 << len(forbidden_sets(fan))) - 1
+    witness = {cls: has_higher_cohomology(fan, pic, cls)[1]
+               for cls, mask in zip(classes, refuted_masks(fan, pic, classes)) if mask != full}
+    failures = tuple((i, j, t, tuple(sorted(witness[cls].ray_indices)))
+                     for i, j, t, cls in questions if witness.get(cls))
+    return TiltingReport(not failures, threshold, failures)
 
 
 # ----------------------------------------------------------------- recipes

@@ -217,11 +217,12 @@ def torus_fixed_bits(quiver: QuiverOfSections, fan: Fan, cone) -> tuple[int, ...
     return tuple(bits)
 
 
-def _path_to(quiver, bits, start, targets):
+def _path_to(quiver, out, start, targets):
     """A nonzero-arrow path from start into `targets` and the vertices seen.
 
-    The path is a tuple of arrow indices, or None; then the vertices seen
-    are every vertex that start reaches.
+    out[v] lists the nonzero arrows out of v as (index, head), in index
+    order.  The path is a tuple of arrow indices, or None; then the
+    vertices seen are every vertex that start reaches.
     """
     prev = {start: None}
     queue = [start]
@@ -234,10 +235,10 @@ def _path_to(quiver, bits, start, targets):
                 path.append(idx)
                 v = quiver.arrows[idx].tail
             return tuple(reversed(path)), prev.keys()
-        for idx, a in enumerate(quiver.arrows):
-            if bits[idx] and a.tail == v and a.head not in prev:
-                prev[a.head] = idx
-                queue.append(a.head)
+        for idx, head in out[v]:
+            if head not in prev:
+                prev[head] = idx
+                queue.append(head)
     return None, prev.keys()
 
 
@@ -273,11 +274,14 @@ def check_theta_generic(quiver: QuiverOfSections, fan: Fan, theta) -> StabilityR
     failures = []
     certs = []
     for cone in fan.max_cones:
-        bits = torus_fixed_bits(quiver, fan, cone)
+        out = [[] for _ in range(quiver.n_vertices)]
+        for idx, (a, bit) in enumerate(zip(quiver.arrows, torus_fixed_bits(quiver, fan, cone))):
+            if bit:
+                out[a.tail].append((idx, a.head))
         cone_cert = {"cone": cone, "from_source": {}, "to_positive": {}}
         bad = None
         for t in sorted(positives):
-            path, _ = _path_to(quiver, bits, 0, {t})
+            path, _ = _path_to(quiver, out, 0, {t})
             if path is None:
                 bad = (cone, "source does not reach the positive vertex", t)
                 break
@@ -285,7 +289,7 @@ def check_theta_generic(quiver: QuiverOfSections, fan: Fan, theta) -> StabilityR
         for v in range(1, quiver.n_vertices):
             if bad:
                 break
-            path, reached = _path_to(quiver, bits, v, positives)
+            path, reached = _path_to(quiver, out, v, positives)
             if path is None:
                 bad = (cone, "closed set with nonpositive weight", sorted(reached))
                 break

@@ -324,6 +324,28 @@ def test_refuter_screen_matches_the_per_set_scan_on_every_bundled_fan():
                 scanned_unrefuted(fan, pic, cls), (label, cls)
 
 
+def test_batched_screen_matches_the_single_class_screen_on_every_bundled_fan():
+    # one refuted_masks call per fan, over seeded classes and a class on
+    # each refuter row's firing threshold, against _unrefuted class by class
+    ws = bundled_workspace()
+    rng = random.Random(1)
+    kinds = set()
+    for label in sorted(ws.fans):
+        fan, pic = ws.fan(label), ws.pic(label)
+        sets = forbidden_sets(fan)
+        rows = sorted({row for fs in sets for row in fiber_refuters(pic, fs.ray_indices)})
+        on_threshold = [class_on_threshold(L, -c, rng) for L, c in rows]
+        classes = [tuple(rng.randint(-4, 4) for _ in range(pic.rank)) for _ in range(150)]
+        classes += [cls for cls in on_threshold if cls is not None]
+        full = (1 << len(sets)) - 1
+        expected = [full - sum(1 << sets.index(fs) for fs in cohomology._unrefuted(fan, pic, cls))
+                    for cls in classes]
+        assert cohomology.refuted_masks(fan, pic, classes) == expected, label
+        kinds.update(mask == full for mask in expected)
+    assert kinds == {False, True}
+    assert cohomology.refuted_masks(fan, pic, []) == []
+
+
 def tower_pullback(pic, neg):
     """Reference: neg's own tower's level-0 rows pulled back through
     fiber_rhs, whose matrix and offset are read off fiber_rhs itself."""

@@ -327,6 +327,43 @@ def test_vertex_divisors_vanish_on_their_own_cone():
                 assert all(v[ρ] == 0 for ρ in cone), (label, cls, cone)
 
 
+def unit_class_nef_rows(fan, pic):
+    """The former construction, kept as the reference: the off-cone entries
+    of the vertex divisors of each unit class, stacked into rows."""
+    units = [vertex_divisors(fan, pic, e) for e in identity(pic.rank)]
+    rows = (tuple(unit[k][ρ] for unit in units)
+            for k, cone in enumerate(fan.max_cones)
+            for ρ in range(fan.n_rays) if ρ not in cone)
+    return tuple(dict.fromkeys(rows))
+
+
+def last_pic_basis(fan):
+    """The Pic basis on the last unimodular ray subset in lex order;
+    deg_and_pic picks the first."""
+    for basis in reversed(list(itertools.combinations(range(fan.n_rays), fan.n_rays - fan.dim))):
+        try:
+            return deg_and_pic(fan, basis)
+        except FanError:
+            pass
+
+
+def test_nef_rows_match_the_unit_class_vertex_divisors():
+    # every bundled fan, and star subdivisions of P3, P4 and E1 at faces of
+    # two cones under a pinned basis that is not the lex-first one
+    ws = bundled_workspace()
+    cases = [(ws.fan(label), ws.pic(label)) for label in sorted(ws.fans)]
+    for label in ("P3", "P4", "E1"):
+        fan = make_fan(label)
+        for cone in fan.max_cones[:2]:
+            for k in (2, len(cone)):
+                sub, _ = star_subdivision(fan, cone[:k])
+                pic = last_pic_basis(sub)
+                assert pic.basis_indices != deg_and_pic(sub).basis_indices
+                cases.append((sub, pic))
+    for fan, pic in cases:
+        assert nef_rows(fan, pic) == unit_class_nef_rows(fan, pic), (fan.rays, pic.basis_indices)
+
+
 def test_nef_ample_test_rejects_a_class_of_the_wrong_length():
     fan = make_fan("P2")
     pic = deg_and_pic(fan)

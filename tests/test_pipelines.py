@@ -1,6 +1,9 @@
 import itertools
+import random
 import shutil
 import sys
+from fractions import Fraction
+from operator import mul
 
 import pytest
 from click.testing import CliRunner
@@ -14,12 +17,14 @@ from toricsec.fans import (
     PicRankError,
     deg_and_pic,
     nef_ample_test,
+    nef_rows,
     star_subdivision,
     validate_fan,
 )
-from toricsec.cohomology import strong_exceptional_check
+from toricsec.cohomology import has_higher_cohomology, strong_exceptional_check
 from toricsec.pipelines import (
     PipelineError,
+    TiltingReport,
     box_product_collection,
     frobenius_membership,
     helix_twist,
@@ -164,7 +169,10 @@ def test_tilting_thresholds(ws):
 
 
 def test_tilting_check_asks_each_class_once(ws, monkeypatch):
+    # one batched refuter screen gets every distinct class, and on E1 it
+    # refutes every forbidden set of each, so no class is searched
     node = ws.poset.nodes["E1"]
+    screened = spy(monkeypatch, pipelines, "refuted_masks")
     ext = spy(monkeypatch, pipelines, "has_higher_cohomology")
     # the threshold is read off nef_rows, so no nef test runs, by any name
     nef = []
@@ -181,7 +189,9 @@ def test_tilting_check_asks_each_class_once(ws, monkeypatch):
                       for t in range(3) for x in node.bundles for y in node.bundles
                       if x != y})
     assert len(classes) == 112      # of 330 questions
-    assert sorted(cls for _, _, cls in ext) == classes
+    assert len(screened) == 1
+    assert sorted(screened[0][-1]) == classes
+    assert ext == []
     assert nef == []
 
 
@@ -211,6 +221,15 @@ def test_tilting_threshold_above_ten_lists_the_failing_twists():
     report = tilting_total_space_check(fan, deg_and_pic(fan), [(0,), (31,)])
     assert report.threshold == 11 and not report.ok
     assert report.failures == tuple((1, 0, t, (0, 1, 2)) for t in range(10))
+
+
+def test_tilting_check_searches_each_class_the_screen_leaves(monkeypatch):
+    # on P2 with (0), (31) the class -31 + 3t keeps the set of H^2 for
+    # t < 10 and is searched once; every other class is screened out
+    fan = make_fan("P2")
+    ext = spy(monkeypatch, pipelines, "has_higher_cohomology")
+    assert not tilting_total_space_check(fan, deg_and_pic(fan), [(0,), (31,)]).ok
+    assert [cls for _, _, cls in ext] == [(3 * t - 31,) for t in range(10)]
 
 
 @pytest.mark.parametrize("bundles", [[(0, 0, 0), (0, 1)], [(0, 0, 0), (1, 0, 0, 5)]],
@@ -279,6 +298,59 @@ def test_closed_form_threshold_matches_the_scan(case):
     assert validate_fan(fan).fano
     report = tilting_total_space_check(fan, pic, bundles)
     assert report.threshold == scanned_threshold(fan, pic, bundles), (fan.rays, bundles)
+
+
+def per_class_report(fan, pic, bundles):
+    """The former check, kept as the reference: the closed-form threshold,
+    then has_higher_cohomology asked of every ordered pair at every twist."""
+    omega = pic.canonical_class()
+    threshold = 0
+    for w in nef_rows(fan, pic):
+        values = [sum(map(mul, w, b)) for b in bundles]
+        threshold = max(threshold, -((min(values) - max(values)) // -sum(map(mul, w, omega))))
+    failures = []
+    for t in range(threshold):
+        for i, x in enumerate(bundles):
+            for j, y in enumerate(bundles):
+                if i != j:
+                    cls = tuple(b - a - t * w for a, b, w in zip(x, y, omega))
+                    bad, fs = has_higher_cohomology(fan, pic, cls)
+                    if bad:
+                        failures.append((i, j, t, tuple(sorted(fs.ray_indices))))
+    return TiltingReport(not failures, threshold, tuple(failures))
+
+
+@settings(max_examples=40, deadline=None)
+@given(collections_on_fano_fans())
+def test_batched_tilting_report_matches_the_per_class_loop(case):
+    fan, pic, bundles = case
+    assert tilting_total_space_check(fan, pic, bundles) == \
+        per_class_report(fan, pic, bundles), (fan.rays, bundles)
+
+
+def test_batched_tilting_report_matches_on_seeded_collections(ws):
+    # 6 seeded collections of 2-4 bundles per bundled fan; most fail
+    rng = random.Random(0)
+    verdicts = []
+    for label in sorted(ws.fans):
+        fan, pic = ws.fan(label), ws.pic(label)
+        for _ in range(6):
+            bundles = sorted({tuple(rng.randint(-3, 3) for _ in range(pic.rank))
+                              for _ in range(rng.randint(2, 4))})
+            report = tilting_total_space_check(fan, pic, bundles)
+            assert report == per_class_report(fan, pic, bundles), (label, bundles)
+            verdicts.append(report.ok)
+    assert verdicts.count(False) > 50 and verdicts.count(True) > 5
+
+
+@pytest.mark.parametrize("entry", [Fraction(1, 2), 0.5], ids=["fraction", "float"])
+def test_tilting_check_rejects_a_non_integer_bundle(ws, entry):
+    # the screen decides every class of P1xP1's collection, so no vanishing
+    # test is left to reject the entry; the check has to do it first
+    bundles = [tuple(b) for b in ws.poset.nodes["P1xP1"].bundles]
+    bundles[1] = (entry,) + bundles[1][1:]
+    with pytest.raises(ValueError, match="not an integer"):
+        tilting_total_space_check(ws.fan("P1xP1"), ws.pic("P1xP1"), bundles)
 
 
 def test_product_fan_and_collection():
