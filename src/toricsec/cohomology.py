@@ -199,23 +199,22 @@ def _forbidden_refuters(fan: Fan, pic: PicBasis):
     return tuple(screen), sets
 
 
-def _unrefuted(fan: Fan, pic: PicBasis, cls):
-    """forbidden_sets in order, less those a level-0 row refutes at cls."""
-    screen, sets = _forbidden_refuters(fan, pic)
+def _refuted_mask(screen, cls) -> int:
+    """Bit k set when a level-0 row of the k-th forbidden set refutes cls."""
     refuted = 0
     for L, taus, masks in screen:
         refuted |= masks[bisect_left(taus, sum(map(mul, L, cls)))]
-    return (fs for k, fs in enumerate(sets) if not refuted >> k & 1)
+    return refuted
 
 
-def refuted_masks(fan: Fan, pic: PicBasis, classes) -> list[int]:
-    """_unrefuted's screen over many integer classes at once.
+def _refuted_masks(screen, classes) -> list[int]:
+    """_refuted_mask of each class, one distinct L at a time.
 
-    Entry i has bit k set when a level-0 row of the k-th forbidden set
-    refutes classes[i]; a full mask means no higher cohomology.  Per
-    distinct L the values L . cls are built a coordinate column at a time.
+    The values L . cls of all classes are built a coordinate column at a
+    time.  That costs a few lists per L, so a single class goes through
+    _refuted_mask: sent here as a batch of one, it made a recipes pass 9%
+    slower.
     """
-    screen, _ = _forbidden_refuters(fan, pic)
     columns = tuple(zip(*classes))
     refuted = [0] * len(classes)
     for L, taus, masks in screen:
@@ -227,6 +226,17 @@ def refuted_masks(fan: Fan, pic: PicBasis, classes) -> list[int]:
         at = map(bisect_left, itertools.repeat(taus), values or [0] * len(classes))
         refuted = list(map(or_, refuted, map(masks.__getitem__, at)))
     return refuted
+
+
+def _first_witness(pic: PicBasis, sets, cls, refuted: int):
+    """The first of `sets` outside the mask `refuted` whose fiber has a
+    point, with that point; (None, None) when there is none."""
+    for k, fs in enumerate(sets):
+        if not refuted >> k & 1:
+            point = fiber_witness(pic, cls, fs.ray_indices)
+            if point is not None:
+                return fs, point
+    return None, None
 
 
 def _refuted(rows, cls) -> bool:
@@ -277,11 +287,29 @@ def higher_cohomology_witness(fan: Fan, pic: PicBasis, cls):
     (ForbiddenSet, ray exponents), or (None, None) without higher cohomology.
     """
     cls = _integer_class(pic, cls)
-    for fs in _unrefuted(fan, pic, cls):
-        point = fiber_witness(pic, cls, fs.ray_indices)
-        if point is not None:
-            return fs, point
-    return None, None
+    screen, sets = _forbidden_refuters(fan, pic)
+    return _first_witness(pic, sets, cls, _refuted_mask(screen, cls))
+
+
+def higher_cohomology_witnesses(fan: Fan, pic: PicBasis, classes) -> dict:
+    """has_higher_cohomology's forbidden set of each class, or None.
+
+    Every class must be integral, else ValueError; classes of ints and the
+    right width are taken as they are, in one pass.  The classes are
+    screened together (_refuted_masks), and only a class that some
+    forbidden set survives is searched, from its mask.  An empty list asks
+    nothing of the fan.
+    """
+    classes = list(map(tuple, classes))
+    if (set(map(len, classes)) - {pic.rank}
+            or set(map(type, itertools.chain.from_iterable(classes))) - {int}):
+        classes = [_integer_class(pic, cls) for cls in classes]
+    if not classes:
+        return {}
+    screen, sets = _forbidden_refuters(fan, pic)
+    full = (1 << len(sets)) - 1
+    return {cls: None if refuted == full else _first_witness(pic, sets, cls, refuted)[0]
+            for cls, refuted in zip(classes, _refuted_masks(screen, classes))}
 
 
 def is_effective(pic: PicBasis, cls) -> bool:

@@ -8,9 +8,8 @@ from operator import add, mul, sub
 
 from .cohomology import (
     ChainVerdict,
-    forbidden_sets,
-    has_higher_cohomology,
-    refuted_masks,
+    has_higher_cohomology,  # noqa: F401  perfbench/selftest.py reads it from here
+    higher_cohomology_witnesses,
     strong_exceptional_along_chain,
     strong_exceptional_check,
 )
@@ -188,8 +187,7 @@ def tilting_total_space_check(fan: Fan, pic: PicBasis, bundles) -> TiltingReport
     nef_rows.  -K is ample, so each w . (-K) > 0 and T is the largest
     ceil((w . x - w . y) / w . (-K)) over the pairs and rows.  All lower
     twists must have vanishing higher cohomology for every ordered pair.
-    The distinct classes go through one refuter screen, and only a class
-    that some forbidden set survives is asked has_higher_cohomology.
+    The distinct classes are asked together (higher_cohomology_witnesses).
     """
     bundles = [int_vector(b, "class entry") for b in bundles]
     for b in bundles:
@@ -207,12 +205,9 @@ def tilting_total_space_check(fan: Fan, pic: PicBasis, bundles) -> TiltingReport
     questions = [(i, j, t, tuple(map(add, diff, twist)))
                  for t, twist in enumerate([-t * w for w in omega] for t in range(threshold))
                  for i, j, diff in pairs]
-    classes = list(dict.fromkeys(cls for *_, cls in questions))
-    full = (1 << len(forbidden_sets(fan))) - 1
-    witness = {cls: has_higher_cohomology(fan, pic, cls)[1]
-               for cls, mask in zip(classes, refuted_masks(fan, pic, classes)) if mask != full}
+    witness = higher_cohomology_witnesses(fan, pic, dict.fromkeys(cls for *_, cls in questions))
     failures = tuple((i, j, t, tuple(sorted(witness[cls].ray_indices)))
-                     for i, j, t, cls in questions if witness.get(cls))
+                     for i, j, t, cls in questions if witness[cls])
     return TiltingReport(not failures, threshold, failures)
 
 

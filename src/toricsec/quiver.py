@@ -217,12 +217,11 @@ def torus_fixed_bits(quiver: QuiverOfSections, fan: Fan, cone) -> tuple[int, ...
     return tuple(bits)
 
 
-def _path_to(quiver, out, start, targets):
+def _path_to(quiver, bits, start, targets):
     """A nonzero-arrow path from start into `targets` and the vertices seen.
 
-    out[v] lists the nonzero arrows out of v as (index, head), in index
-    order.  The path is a tuple of arrow indices, or None; then the
-    vertices seen are every vertex that start reaches.
+    The path is a tuple of arrow indices, or None; then the vertices seen
+    are every vertex that start reaches.
     """
     prev = {start: None}
     queue = [start]
@@ -235,10 +234,10 @@ def _path_to(quiver, out, start, targets):
                 path.append(idx)
                 v = quiver.arrows[idx].tail
             return tuple(reversed(path)), prev.keys()
-        for idx, head in out[v]:
-            if head not in prev:
-                prev[head] = idx
-                queue.append(head)
+        for idx, a in enumerate(quiver.arrows):
+            if bits[idx] and a.tail == v and a.head not in prev:
+                prev[a.head] = idx
+                queue.append(a.head)
     return None, prev.keys()
 
 
@@ -274,14 +273,11 @@ def check_theta_generic(quiver: QuiverOfSections, fan: Fan, theta) -> StabilityR
     failures = []
     certs = []
     for cone in fan.max_cones:
-        out = [[] for _ in range(quiver.n_vertices)]
-        for idx, (a, bit) in enumerate(zip(quiver.arrows, torus_fixed_bits(quiver, fan, cone))):
-            if bit:
-                out[a.tail].append((idx, a.head))
+        bits = torus_fixed_bits(quiver, fan, cone)
         cone_cert = {"cone": cone, "from_source": {}, "to_positive": {}}
         bad = None
         for t in sorted(positives):
-            path, _ = _path_to(quiver, out, 0, {t})
+            path, _ = _path_to(quiver, bits, 0, {t})
             if path is None:
                 bad = (cone, "source does not reach the positive vertex", t)
                 break
@@ -289,7 +285,7 @@ def check_theta_generic(quiver: QuiverOfSections, fan: Fan, theta) -> StabilityR
         for v in range(1, quiver.n_vertices):
             if bad:
                 break
-            path, reached = _path_to(quiver, out, v, positives)
+            path, reached = _path_to(quiver, bits, v, positives)
             if path is None:
                 bad = (cone, "closed set with nonpositive weight", sorted(reached))
                 break

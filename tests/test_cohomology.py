@@ -24,13 +24,14 @@ from toricsec.cohomology import (
     fiber_tower,
     forbidden_sets,
     has_higher_cohomology,
+    higher_cohomology_witnesses,
     is_effective,
     strong_exceptional_along_chain,
     strong_exceptional_check,
     subcomplex_betti,
 )
 from toricsec.cli import main
-from toricsec.fans import deg_and_pic, star_subdivision
+from toricsec.fans import PicRankError, deg_and_pic, star_subdivision
 from toricsec.intlin import identity, vec_gcd
 from toricsec.polyhedra import eliminate_last, fourier_motzkin, level0_pullback
 from toricsec.workspace import load_workspace
@@ -257,7 +258,7 @@ def test_refuted_fibers_match_the_searched_ones(query):
 
 
 def test_higher_cohomology_refutes_each_forbidden_fiber_once(monkeypatch):
-    # _unrefuted has read the level-0 rows; the fibers it leaves are searched
+    # _refuted_mask has read the level-0 rows; the fibers it leaves are searched
     # straight away, with no second refuter test through fiber_feasible
     ws = load_workspace()
     fan, pic = ws.fan("D1_3"), ws.pic("D1_3")
@@ -278,6 +279,13 @@ def scanned_unrefuted(fan, pic, cls):
     return [fs for fs in forbidden_sets(fan)
             if all(sum(map(mul, L, cls)) + c <= 0
                    for L, c in fiber_refuters(pic, fs.ray_indices))]
+
+
+def screened_unrefuted(fan, pic, cls):
+    """The sets the refuter screen leaves at cls, in order."""
+    screen, sets = cohomology._forbidden_refuters(fan, pic)
+    refuted = cohomology._refuted_mask(screen, cls)
+    return [fs for k, fs in enumerate(sets) if not refuted >> k & 1]
 
 
 def extended_gcd(a, b):
@@ -320,30 +328,60 @@ def test_refuter_screen_matches_the_per_set_scan_on_every_bundled_fan():
         on_threshold = [cls for cls in on_threshold if cls is not None]
         assert len(on_threshold) * 2 > len(rows), label
         for cls in classes + on_threshold:
-            assert list(cohomology._unrefuted(fan, pic, cls)) == \
+            assert screened_unrefuted(fan, pic, cls) == \
                 scanned_unrefuted(fan, pic, cls), (label, cls)
 
 
 def test_batched_screen_matches_the_single_class_screen_on_every_bundled_fan():
-    # one refuted_masks call per fan, over seeded classes and a class on
-    # each refuter row's firing threshold, against _unrefuted class by class
+    # one _refuted_masks call per fan, over seeded classes and a class on
+    # each refuter row's firing threshold, against _refuted_mask class by class
     ws = bundled_workspace()
     rng = random.Random(1)
     kinds = set()
     for label in sorted(ws.fans):
         fan, pic = ws.fan(label), ws.pic(label)
-        sets = forbidden_sets(fan)
+        screen, sets = cohomology._forbidden_refuters(fan, pic)
         rows = sorted({row for fs in sets for row in fiber_refuters(pic, fs.ray_indices)})
         on_threshold = [class_on_threshold(L, -c, rng) for L, c in rows]
         classes = [tuple(rng.randint(-4, 4) for _ in range(pic.rank)) for _ in range(150)]
         classes += [cls for cls in on_threshold if cls is not None]
-        full = (1 << len(sets)) - 1
-        expected = [full - sum(1 << sets.index(fs) for fs in cohomology._unrefuted(fan, pic, cls))
-                    for cls in classes]
-        assert cohomology.refuted_masks(fan, pic, classes) == expected, label
-        kinds.update(mask == full for mask in expected)
+        expected = [cohomology._refuted_mask(screen, cls) for cls in classes]
+        assert cohomology._refuted_masks(screen, classes) == expected, label
+        kinds.update(mask == (1 << len(sets)) - 1 for mask in expected)
     assert kinds == {False, True}
-    assert cohomology.refuted_masks(fan, pic, []) == []
+    assert cohomology._refuted_masks(screen, []) == []
+
+
+def test_higher_cohomology_witnesses_match_the_single_class_answer():
+    # seeded classes on every bundled fan, screened-out and searched ones
+    ws = bundled_workspace()
+    rng = random.Random(2)
+    hits = set()
+    for label in sorted(ws.fans):
+        fan, pic = ws.fan(label), ws.pic(label)
+        classes = list(dict.fromkeys(tuple(rng.randint(-4, 4) for _ in range(pic.rank))
+                                     for _ in range(40)))
+        witnesses = higher_cohomology_witnesses(fan, pic, classes)
+        assert list(witnesses) == classes, label
+        for cls in classes:
+            bad, fs = has_higher_cohomology(fan, pic, cls)
+            assert witnesses[cls] == fs, (label, cls)
+            hits.add(bad)
+    assert hits == {False, True}
+
+
+def test_higher_cohomology_witnesses_check_the_classes_first(monkeypatch):
+    # an empty list asks nothing of the fan; a bad class is rejected
+    # before the screen, whatever it would decide
+    ws = load_workspace()
+    fan, pic = ws.fan("P1xP1"), ws.pic("P1xP1")
+    screens = spy(monkeypatch, cohomology, "_forbidden_refuters")
+    assert higher_cohomology_witnesses(fan, pic, []) == {}
+    with pytest.raises(ValueError, match="not an integer"):
+        higher_cohomology_witnesses(fan, pic, [(0, 0), (Fraction(1, 2), 0)])
+    with pytest.raises(PicRankError):
+        higher_cohomology_witnesses(fan, pic, [(0, 0), (0, 0, 0)])
+    assert screens == []
 
 
 def tower_pullback(pic, neg):

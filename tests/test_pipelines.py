@@ -169,11 +169,12 @@ def test_tilting_thresholds(ws):
 
 
 def test_tilting_check_asks_each_class_once(ws, monkeypatch):
-    # one batched refuter screen gets every distinct class, and on E1 it
+    # one batched question gets every distinct class, and on E1 the screen
     # refutes every forbidden set of each, so no class is searched
     node = ws.poset.nodes["E1"]
-    screened = spy(monkeypatch, pipelines, "refuted_masks")
-    ext = spy(monkeypatch, pipelines, "has_higher_cohomology")
+    asked = spy(monkeypatch, pipelines, "higher_cohomology_witnesses")
+    ext = spy(monkeypatch, cohomology, "has_higher_cohomology")
+    searched = spy(monkeypatch, cohomology, "_first_witness")
     # the threshold is read off nef_rows, so no nef test runs, by any name
     nef = []
     code = fans.nef_ample_test.__code__
@@ -189,9 +190,9 @@ def test_tilting_check_asks_each_class_once(ws, monkeypatch):
                       for t in range(3) for x in node.bundles for y in node.bundles
                       if x != y})
     assert len(classes) == 112      # of 330 questions
-    assert len(screened) == 1
-    assert sorted(screened[0][-1]) == classes
-    assert ext == []
+    assert len(asked) == 1
+    assert sorted(asked[0][-1]) == classes
+    assert ext == [] and searched == []
     assert nef == []
 
 
@@ -227,9 +228,18 @@ def test_tilting_check_searches_each_class_the_screen_leaves(monkeypatch):
     # on P2 with (0), (31) the class -31 + 3t keeps the set of H^2 for
     # t < 10 and is searched once; every other class is screened out
     fan = make_fan("P2")
-    ext = spy(monkeypatch, pipelines, "has_higher_cohomology")
+    searched = spy(monkeypatch, cohomology, "_first_witness")
     assert not tilting_total_space_check(fan, deg_and_pic(fan), [(0,), (31,)]).ok
-    assert [cls for _, _, cls in ext] == [(3 * t - 31,) for t in range(10)]
+    assert [cls for _, _, cls, _ in searched] == [(3 * t - 31,) for t in range(10)]
+
+
+@pytest.mark.parametrize("bundles", [[], [(2,)]], ids=["empty", "one"])
+def test_tilting_check_without_classes_asks_no_cohomology(monkeypatch, bundles):
+    # T = 0 leaves no class to ask, so no forbidden set or screen is built
+    fan = make_fan("P2")
+    screens = spy(monkeypatch, cohomology, "_forbidden_refuters")
+    assert tilting_total_space_check(fan, deg_and_pic(fan), bundles) == TiltingReport(True, 0, ())
+    assert screens == []
 
 
 @pytest.mark.parametrize("bundles", [[(0, 0, 0), (0, 1)], [(0, 0, 0), (1, 0, 0, 5)]],
@@ -351,6 +361,12 @@ def test_tilting_check_rejects_a_non_integer_bundle(ws, entry):
     bundles[1] = (entry,) + bundles[1][1:]
     with pytest.raises(ValueError, match="not an integer"):
         tilting_total_space_check(ws.fan("P1xP1"), ws.pic("P1xP1"), bundles)
+
+
+def test_tilting_check_rejects_a_non_integer_bundle_with_no_class_to_ask(ws):
+    # one bundle gives T = 0 and no class, so only the entry check sees it
+    with pytest.raises(ValueError, match="not an integer"):
+        tilting_total_space_check(ws.fan("P1xP1"), ws.pic("P1xP1"), [(Fraction(1, 2), 0)])
 
 
 def test_product_fan_and_collection():

@@ -15,7 +15,6 @@ from toricsec.quiver import (
     Arrow,
     QuiverError,
     QuiverOfSections,
-    StabilityReport,
     build_quiver_of_sections,
     check_theta_generic,
     covering_quiver_on_y,
@@ -380,82 +379,6 @@ def test_theta_closed_sets_match_closure():
                              if not closure(q, bits, v) & positives)
                 assert detail == sorted(closure(q, bits, first))
     assert closed > 20
-
-def scanned_theta_generic(q, fan, theta):
-    """The former check, kept as the reference: each breadth-first step
-    scans every arrow for the nonzero ones out of the vertex it pops."""
-    def path_to(bits, start, targets):
-        prev = {start: None}
-        queue = [start]
-        while queue:
-            v = queue.pop(0)
-            if v in targets:
-                path = []
-                while prev[v] is not None:
-                    path.append(prev[v])
-                    v = q.arrows[prev[v]].tail
-                return tuple(reversed(path)), prev.keys()
-            for idx, a in enumerate(q.arrows):
-                if bits[idx] and a.tail == v and a.head not in prev:
-                    prev[a.head] = idx
-                    queue.append(a.head)
-        return None, prev.keys()
-
-    positives = {i for i, t in enumerate(theta) if t > 0}
-    failures, certs = [], []
-    for cone in fan.max_cones:
-        bits = torus_fixed_bits(q, fan, cone)
-        cert = {"cone": cone, "from_source": {}, "to_positive": {}}
-        bad = None
-        for t in sorted(positives):
-            path, _ = path_to(bits, 0, {t})
-            if path is None:
-                bad = (cone, "source does not reach the positive vertex", t)
-                break
-            cert["from_source"][t] = path
-        for v in range(1, q.n_vertices):
-            if bad:
-                break
-            path, reached = path_to(bits, v, positives)
-            if path is None:
-                bad = (cone, "closed set with nonpositive weight", sorted(reached))
-                break
-            cert["to_positive"][v] = path
-        if bad:
-            failures.append(bad)
-        else:
-            certs.append(cert)
-    return StabilityReport(not failures, tuple(failures), tuple(certs))
-
-
-def test_theta_genericity_matches_the_arrow_scan():
-    # the stored rows with a theta, then random quivers with failures
-    ws = bundled_workspace()
-    for label in ("J1", "M1", "V4"):
-        node = ws.poset.nodes[label]
-        q = build_quiver_of_sections(node.fan, node.pic, node.bundles)
-        report = check_theta_generic(q, node.fan, node.theta)
-        assert report.generic and report == scanned_theta_generic(q, node.fan, node.theta)
-    rng = random.Random(5)
-    fan = make_fan("P1")
-    kinds = set()
-    for _ in range(300):
-        nv = rng.randint(2, 6)
-        arrows = tuple(Arrow(rng.randrange(nv), rng.randrange(nv),
-                             (rng.randint(0, 1), rng.randint(0, 1)))
-                       for _ in range(rng.randint(1, 2 * nv)))
-        q = QuiverOfSections(tuple((i,) for i in range(nv)), arrows, False, 2)
-        theta = [0] * nv
-        for _ in range(rng.randint(1, 3)):
-            theta[rng.randrange(1, nv)] += 1
-        theta[0] = -sum(theta)
-        report = check_theta_generic(q, fan, theta)
-        assert report == scanned_theta_generic(q, fan, theta), (arrows, theta)
-        kinds.update(kind for _, kind, _ in report.failures)
-        kinds.add(bool(report.certificates))
-    assert kinds == {"source does not reach the positive vertex",
-                     "closed set with nonpositive weight", True, False}
-
 
 def test_minkowski_p1():
     fan = make_fan("P1")
