@@ -238,8 +238,9 @@ def test_tilting_check_without_classes_asks_no_cohomology(monkeypatch, bundles):
     # T = 0 leaves no class to ask, so no forbidden set or screen is built
     fan = make_fan("P2")
     screens = spy(monkeypatch, cohomology, "_forbidden_refuters")
+    sets = spy(monkeypatch, cohomology, "forbidden_sets")
     assert tilting_total_space_check(fan, deg_and_pic(fan), bundles) == TiltingReport(True, 0, ())
-    assert screens == []
+    assert screens == [] and sets == []
 
 
 @pytest.mark.parametrize("bundles", [[(0, 0, 0), (0, 1)], [(0, 0, 0), (1, 0, 0, 5)]],
