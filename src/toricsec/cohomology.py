@@ -9,15 +9,15 @@ oracle over lattice characters cross-checks the cone method.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
-from operator import add, itemgetter, mul, or_
+from functools import cache, lru_cache, reduce
+from operator import add, mul, or_
 
 from .fans import Fan, FanError, PicBasis, ContractionStep, cartier_data
-from .intlin import identity, int_vector, mat_mul, mat_vec, rank, vec_gcd
-from .polyhedra import ParametricIntegerFeasibility, fourier_motzkin, level0_pullback
+from .intlin import (identity, int_vector, kernel_vector, mat_mul, mat_vec, sparse_rank,
+                     vec_gcd)
+from .polyhedra import ParametricIntegerFeasibility
 
 
 class BoxTooSmall(ValueError):
@@ -35,39 +35,59 @@ class ForbiddenSet:
 
 
 @lru_cache(maxsize=None)
-def _fan_faces(fan: Fan) -> frozenset[frozenset[int]]:
-    faces = set()
-    for c in fan.max_cones:
-        for k in range(1, len(c) + 1):
-            for s in itertools.combinations(c, k):
-                faces.add(frozenset(s))
-    return frozenset(faces)
+def _faces(fan: Fan) -> tuple[tuple[tuple[int, dict[int, int]], ...], ...]:
+    """The faces of the fan as ray bitmasks, by dimension, with their boundaries.
+
+    _faces(fan)[k] holds the k-simplices in increasing order as (mask,
+    boundary).  The boundary maps the index in _faces(fan)[k - 1] of each
+    facet to (-1)^j, j the place of the dropped ray in the face; on a
+    vertex it is the augmentation {0: 1} onto the empty face.
+    """
+    masks = {sum(s) for c in fan.max_cones for k in range(1, len(c) + 1)
+             for s in itertools.combinations([1 << ρ for ρ in c], k)}
+    bits = [1 << ρ for ρ in range(fan.n_rays)]
+    levels, index = [], {0: 0}
+    for k in range(1, max(map(len, fan.max_cones)) + 1):
+        level = sorted(f for f in masks if f.bit_count() == k)
+        levels.append(tuple((f, {index[f ^ b]: (-1) ** j
+                                 for j, b in enumerate(b for b in bits if f & b)})
+                            for f in level))
+        index = {f: i for i, f in enumerate(level)}
+    return tuple(levels)
+
+
+def _mask(rays) -> int:
+    """The bitmask of an iterable of ray indices."""
+    return reduce(or_, (1 << ρ for ρ in rays), 0)
+
+
+def _betti(fan: Fan, subset: int) -> tuple[int, ...]:
+    """Reduced Betti numbers over Q of the full subcomplex on the ray mask subset.
+
+    A face f is in it when f & ~subset == 0.  Its faces are closed under
+    taking subsets, so every dimension up to the top one has faces, and
+    betti_k = #k-faces - rank d_k - rank d_{k+1}.
+    """
+    outside = ~subset
+    counts, ranks = [], [1]  # d_0, the augmentation onto the empty face, has rank 1
+    for k, level in enumerate(_faces(fan)):
+        rows = [boundary for f, boundary in level if not f & outside]
+        if not rows:
+            break
+        counts.append(len(rows))
+        if k:
+            ranks.append(sparse_rank(rows))
+    ranks.append(0)
+    betti = [c - ranks[k] - ranks[k + 1] for k, c in enumerate(counts)]
+    while betti and betti[-1] == 0:
+        betti.pop()
+    return tuple(betti)
 
 
 @lru_cache(maxsize=None)
 def subcomplex_betti(fan: Fan, subset: frozenset[int]) -> tuple[int, ...]:
-    """Reduced Betti numbers over Q of the full subcomplex on `subset`.
-
-    Its faces are closed under taking subsets, so every dimension up to
-    the top one has faces.
-    """
-    by_dim: dict[int, list[tuple[int, ...]]] = {}
-    for f in _fan_faces(fan):
-        if f <= subset:
-            by_dim.setdefault(len(f) - 1, []).append(tuple(sorted(f)))
-    ranks = [1]  # the augmentation onto the empty face, on a nonempty complex
-    for k in range(1, len(by_dim)):
-        index = {f: i for i, f in enumerate(by_dim[k - 1])}
-        rows = [[0] * len(index) for _ in by_dim[k]]
-        for row, f in zip(rows, by_dim[k]):
-            for j in range(len(f)):
-                row[index[f[:j] + f[j + 1:]]] = (-1) ** j
-        ranks.append(rank(rows))
-    ranks.append(0)
-    betti = [len(by_dim[k]) - ranks[k] - ranks[k + 1] for k in range(len(by_dim))]
-    while betti and betti[-1] == 0:
-        betti.pop()
-    return tuple(betti)
+    """Reduced Betti numbers over Q of the full subcomplex on `subset`."""
+    return _betti(fan, _mask(subset))
 
 
 @lru_cache(maxsize=None)
@@ -82,18 +102,19 @@ def forbidden_sets(fan: Fan) -> tuple[ForbiddenSet, ...]:
     full set must feed exactly H^n, as S does, else FanNotComplete.
     """
     d, n = fan.n_rays, fan.dim
-    full = frozenset(range(d))
-    if subcomplex_betti(fan, full) != (0,) * (n - 1) + (1,):
+    full = (1 << d) - 1
+    if _betti(fan, full) != (0,) * (n - 1) + (1,):
         raise FanNotComplete(f"the fan is not complete: its faces are no {n - 1}-sphere")
     found = {full: (n,)}
-    small = {frozenset(c) for k in range(1, d // 2 + 1)
-             for c in itertools.combinations(range(d), k)}
-    for subset in small - _fan_faces(fan):
-        degrees = tuple(j + 1 for j, b in enumerate(subcomplex_betti(fan, subset)) if b)
-        if degrees:
-            found[subset] = degrees
-            found[full - subset] = tuple(n - q for q in reversed(degrees))
-    out = [ForbiddenSet(s, q) for s, q in found.items()]
+    faces = {f for level in _faces(fan) for f, _ in level}
+    for subset in range(1, full):
+        if subset.bit_count() <= d // 2 and subset not in faces:
+            degrees = tuple(j + 1 for j, b in enumerate(_betti(fan, subset)) if b)
+            if degrees:
+                found[subset] = degrees
+                found[full ^ subset] = tuple(n - q for q in reversed(degrees))
+    out = [ForbiddenSet(frozenset(ρ for ρ in range(d) if s >> ρ & 1), q)
+           for s, q in found.items()]
     out.sort(key=lambda f: (min(f.degrees), len(f.ray_indices), tuple(sorted(f.ray_indices))))
     return tuple(out)
 
@@ -101,15 +122,10 @@ def forbidden_sets(fan: Fan) -> tuple[ForbiddenSet, ...]:
 def _fiber_rows(pic: PicBasis, neg) -> list[tuple[int, ...]]:
     """fiber_tower's rows: each ray's exponent in the free ones, negated on neg."""
     free = pic.free_indices
-    rows = []
-    for ρ in range(pic.n_rays):
-        if ρ in free:
-            row = tuple(1 if f == ρ else 0 for f in free)
-        else:
-            deg_row = pic.deg[pic.basis_indices.index(ρ)]
-            row = tuple(-deg_row[f] for f in free)
-        rows.append(tuple(-x for x in row) if ρ in neg else row)
-    return rows
+    rows = [tuple(int(f == ρ) for f in free) for ρ in range(pic.n_rays)]
+    for b, deg_row in zip(pic.basis_indices, pic.deg):
+        rows[b] = tuple(-deg_row[f] for f in free)
+    return [tuple(-x for x in row) if ρ in neg else row for ρ, row in enumerate(rows)]
 
 
 @lru_cache(maxsize=None)
@@ -144,71 +160,102 @@ def fiber_rhs(pic: PicBasis, cls, neg) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _level0_multipliers(pic: PicBasis, neg: frozenset) -> tuple[tuple[int, ...], ...]:
-    """The level-0 Fourier-Motzkin multipliers of the fiber rows of neg.
+def _circuits(pic: PicBasis) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+    """The circuits of the ray relations, both signs, as (z, below, above).
 
-    The rows of the complement are the rows of neg negated, and
-    eliminating from negated rows swaps the lower and upper rows of each
-    step, so it yields the same multipliers: one elimination serves both
-    sets, and neg must be the one without ray 0.
+    The integer relations sum z_rho u_rho = 0 are the z = l . deg, l in
+    Z^r: deg is the identity on the basis rays, so z is l there, and z is
+    primitive with l.  A circuit, a relation of minimal support, vanishes
+    on r - 1 columns of deg of rank r - 1, and those columns fix it up to
+    sign: one kernel_vector per (r - 1)-subset Z of the columns, C(d, r -
+    1) in all, finds every circuit.  l is 0 on the basis rays in Z, so
+    only the rows of deg off them and the free columns in Z are solved, a
+    k x (k + 1) system with k <= min(n, r - 1).  below and above are the
+    ray masks of z < 0 and z > 0.
     """
-    levels = fourier_motzkin(_fiber_rows(pic, neg), len(pic.free_indices))
-    return tuple(mult for _, mult in levels[0])
+    found = {}
+    for zeros in itertools.combinations(range(pic.n_rays), pic.rank - 1):
+        rows = [row for row, b in zip(pic.deg, pic.basis_indices) if b not in zeros]
+        l = kernel_vector(tuple(tuple(row[ρ] for row in rows) for ρ in zeros
+                                if ρ not in pic.basis_indices))
+        if l is not None:
+            z = tuple(sum(map(mul, l, col)) for col in zip(*rows))
+            found.update(dict.fromkeys((z, tuple(-x for x in z))))
+    return tuple((z, _mask(ρ for ρ, x in enumerate(z) if x < 0),
+                  _mask(ρ for ρ, x in enumerate(z) if x > 0)) for z in found)
+
+
+def _refuter(pic: PicBasis, z) -> tuple[tuple[int, ...], int]:
+    """The row (L, c) of the circuit z: L = -z on the basis rays, c = -(sum of z_rho < 0)."""
+    return tuple(-z[b] for b in pic.basis_indices), -sum(x for x in z if x < 0)
+
+
+def fiber_refuters(pic: PicBasis, neg) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Level-0 emptiness tests of fiber_tower(pic, neg), as pairs (L, c) on Pic.
+
+    neg is any iterable of ray indices.  A level-0 Farkas multiplier y >=
+    0 of the tower (y . rows = 0) taken with the rows' signs, z_rho = y_rho
+    off neg and -y_rho on neg, is an integer relation among the rays with
+    z < 0 only on neg and z > 0 only off it.  The extreme such y are the
+    circuits of that sign pattern (Rockafellar, "The elementary vectors of
+    a subspace of R^N", 1969), one row each.  fiber_rhs is rhs_rho = 1 +
+    a_rho on neg and -a_rho off it, a = pic.lift(cls) (cls on the basis
+    rays, 0 on the free ones), so y . rhs = L . cls + c with L and c of
+    _refuter.  The fiber of an integer class cls is empty when some L .
+    cls + c > 0 (Farkas, Schrijver 1986, section 7), and some row fires
+    exactly when the level-0 test of query refutes cls: every level-0
+    multiplier is a non-negative sum of extreme ones.  A certificate of a
+    vanishing answer records y = |z| of the row that fired.
+    """
+    return _fiber_refuters(pic, _mask(neg))
 
 
 @lru_cache(maxsize=None)
-def fiber_refuters(pic: PicBasis, neg: frozenset) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Level-0 emptiness tests of fiber_tower(pic, neg), as pairs (L, c) on Pic.
-
-    fiber_rhs is affine in the class: rhs_rho = 1 + a_rho on neg and
-    -a_rho off neg, where a = pic.lift(cls) is cls on the basis rays and 0
-    on the free ones.  Each pair is a level-0 Farkas multiplier row of the
-    tower pulled back through that map (level0_pullback): the fiber of an
-    integer class cls is empty when some L . cls + c > 0, and these rows
-    are the whole level-0 test of query.  They are the multipliers a
-    certificate of a vanishing answer records.  The multipliers come from
-    one elimination per complementary pair {neg, V - neg}, and no tower
-    is built.
-    """
-    matrix = [[0] * pic.rank for _ in range(pic.n_rays)]
-    for j, b in enumerate(pic.basis_indices):
-        matrix[b][j] = 1 if b in neg else -1
-    offset = [1 if ρ in neg else 0 for ρ in range(pic.n_rays)]
-    pair = neg if 0 not in neg else frozenset(range(pic.n_rays)) - neg
-    return level0_pullback(_level0_multipliers(pic, pair), matrix, offset)
+def _fiber_refuters(pic: PicBasis, neg: int):
+    return tuple(_refuter(pic, z) for z, below, above in _circuits(pic)
+                 if not below & ~neg and not above & neg)
 
 
 @lru_cache(maxsize=None)
 def _forbidden_refuters(fan: Fan, pic: PicBasis):
     """The refuter screen of forbidden_sets(fan), and those sets.
 
-    A fiber_refuters row (L, c) of the k-th set refutes cls when L . cls
-    exceeds its firing threshold tau = -c.  Per distinct L the screen holds
-    (L, its rows' thresholds ascending, prefix masks): masks[i] has bit k
-    of each set among the first i rows, so the sets L refutes at cls are
-    masks[bisect_left(taus, L . cls)].
+    One entry (L, hi, fires_hi, lo, fires_lo) per circuit pair +-z
+    (_circuits) whose rows serve some set.  z's row (L, c) refutes cls when
+    L . cls > hi = -c, for the sets whose bits are in fires_hi; -z's row
+    (-L, c') refutes it when L . cls < lo = c', for those in fires_lo.  A
+    row's c is fixed by its z, so each side has one threshold for all sets.
     """
     sets = forbidden_sets(fan)
-    rows = sorted((L, -c, k) for k, fs in enumerate(sets)
-                  for L, c in fiber_refuters(pic, fs.ray_indices))
+    masks = [_mask(fs.ray_indices) for fs in sets]
+
+    def fires(below, above):
+        return sum(1 << k for k, neg in enumerate(masks) if not below & ~neg and not above & neg)
+
     screen = []
-    for L, group in itertools.groupby(rows, itemgetter(0)):
-        _, taus, ks = zip(*group)
-        masks = itertools.accumulate((1 << k for k in ks), or_, initial=0)
-        screen.append((L, taus, tuple(masks)))
+    for z, below, above in _circuits(pic):
+        if below < above:  # one entry per pair: -z swaps below and above
+            fires_hi, fires_lo = fires(below, above), fires(above, below)
+            if fires_hi or fires_lo:
+                L, c = _refuter(pic, z)
+                screen.append((L, -c, fires_hi, sum(x for x in z if x > 0), fires_lo))
     return tuple(screen), sets
 
 
 def _refuted_mask(screen, cls) -> int:
     """Bit k set when a level-0 row of the k-th forbidden set refutes cls."""
     refuted = 0
-    for L, taus, masks in screen:
-        refuted |= masks[bisect_left(taus, sum(map(mul, L, cls)))]
+    for L, hi, fires_hi, lo, fires_lo in screen:
+        value = sum(map(mul, L, cls))
+        if value > hi:
+            refuted |= fires_hi
+        if value < lo:
+            refuted |= fires_lo
     return refuted
 
 
 def _refuted_masks(screen, classes) -> list[int]:
-    """_refuted_mask of each class, one distinct L at a time.
+    """_refuted_mask of each class, one screen entry at a time.
 
     The values L . cls of all classes are built a coordinate column at a
     time.  That costs a few lists per L, so a single class goes through
@@ -217,14 +264,13 @@ def _refuted_masks(screen, classes) -> list[int]:
     """
     columns = tuple(zip(*classes))
     refuted = [0] * len(classes)
-    for L, taus, masks in screen:
-        values = None
+    for L, hi, fires_hi, lo, fires_lo in screen:
+        values = [0] * len(classes)
         for x, column in zip(L, columns):
             if x:
-                term = column if x == 1 else map(x.__mul__, column)
-                values = list(term) if values is None else list(map(add, values, term))
-        at = map(bisect_left, itertools.repeat(taus), values or [0] * len(classes))
-        refuted = list(map(or_, refuted, map(masks.__getitem__, at)))
+                values = list(map(add, values, column if x == 1 else map(x.__mul__, column)))
+        refuted = [r | (v > hi and fires_hi) | (v < lo and fires_lo)
+                   for r, v in zip(refuted, values)]
     return refuted
 
 
@@ -340,17 +386,11 @@ def cohomology_dims_oracle(fan: Fan, pic: PicBasis, cls, box=None) -> tuple[int,
         neg = frozenset(
             ρ for ρ in range(fan.n_rays)
             if sum(mi * ui for mi, ui in zip(m, fan.rays[ρ])) + a[ρ] < 0)
-        betti = subcomplex_betti(fan, neg) if neg else ()
-        contributes = False
-        if neg:
-            for j, b in enumerate(betti):
-                if b:
-                    dims[j + 1] += b
-                    contributes = True
-        else:
-            dims[0] += 1
-            contributes = True
-        if contributes and any(mi == lo or mi == hi for mi, (lo, hi) in zip(m, box)):
+        # the empty support feeds H^0 once, any other its reduced Betti numbers shifted by one
+        shift, betti = (1, subcomplex_betti(fan, neg)) if neg else (0, (1,))
+        for j, b in enumerate(betti):
+            dims[j + shift] += b
+        if any(betti) and any(mi == lo or mi == hi for mi, (lo, hi) in zip(m, box)):
             raise BoxTooSmall(f"contribution at box boundary {m}; enlarge the box")
     return tuple(dims)
 

@@ -93,18 +93,22 @@ def det(a: IntMatrix) -> int:
 
 
 def rank(a: IntMatrix) -> int:
-    """Rank over Q by sparse row reduction.
+    """Rank over Q by sparse row reduction (sparse_rank)."""
+    return sparse_rank({j: x for j, x in enumerate(entries) if x} for entries in a)
 
-    Rows are {column: entry} of their nonzero entries.  Each is reduced
-    against the pivot rows, keyed by their leading column, while its own
-    leading column has one: row <- f*row - h*pivot cancels that entry (f, h
-    the leading entries over their gcd), and the row is divided by its
-    content.  A row that stays nonzero becomes the pivot of its new
-    leading column; the rank is the number of pivots.
+
+def sparse_rank(rows) -> int:
+    """Rank over Q of rows given as {column: entry} of their nonzero entries.
+
+    The rows are read, never changed.  Each is reduced against the pivot
+    rows, keyed by their leading column, while its own leading column has
+    one: row <- f*row - h*pivot cancels that entry (f, h the leading
+    entries over their gcd), and the row is divided by its content.  A row
+    that stays nonzero becomes the pivot of its new leading column; the
+    rank is the number of pivots.
     """
     pivots: dict[int, dict[int, int]] = {}
-    for entries in a:
-        row = {j: x for j, x in enumerate(entries) if x}
+    for row in rows:
         while row and (lead := min(row)) in pivots:
             pivot = pivots[lead]
             g = gcd(row[lead], pivot[lead])

@@ -1,3 +1,5 @@
+from operator import mul
+
 import pytest
 
 from toricsec.fans import Fan, fan_from_rays
@@ -62,3 +64,31 @@ def spy(monkeypatch, module, name):
 @pytest.fixture(scope="session")
 def fans() -> dict[str, Fan]:
     return {label: make_fan(label) for label in RAYS}
+
+
+def level0_pullback(multipliers, matrix, offset) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Level-0 multipliers pulled back through rhs = matrix . theta + offset.
+
+    The reference for cohomology.fiber_refuters, which reads the same rows
+    off the circuits of the ray relations instead of an elimination.
+
+    A level-0 multiplier y >= 0 has y . rows = 0, so the system rows . x
+    >= rhs has no integer point once y . ceil(rhs) > 0 (the rows are
+    integral, so rounding rhs up keeps every integer point): a Farkas
+    certificate (Schrijver 1986, section 7).  For an integral matrix (one
+    row per base row) and offset and an integer theta, ceil(rhs) = rhs
+    and the row reads L . theta + c > 0 with L = y . matrix and c =
+    y . offset.  Returns the distinct pairs (L, c), the largest c per L
+    (it fires whenever a smaller one does), and without those that never
+    fire (L = 0, c <= 0).  For integer theta, some L . theta + c > 0
+    exactly when the level-0 test of ParametricIntegerFeasibility.query
+    refutes matrix . theta + offset, so query then returns False.
+    """
+    columns = tuple(zip(*matrix))
+    best = {}
+    for y in multipliers:
+        key = tuple(sum(map(mul, y, col)) for col in columns)
+        c = sum(map(mul, y, offset))
+        if (any(key) or c > 0) and (key not in best or c > best[key]):
+            best[key] = c
+    return tuple(best.items())

@@ -32,11 +32,11 @@ from toricsec.cohomology import (
 )
 from toricsec.cli import main
 from toricsec.fans import PicRankError, deg_and_pic, star_subdivision
-from toricsec.intlin import identity, vec_gcd
-from toricsec.polyhedra import eliminate_last, fourier_motzkin, level0_pullback
+from toricsec.intlin import identity, primitive, rank, vec_gcd
+from toricsec.polyhedra import eliminate_last, fourier_motzkin
 from toricsec.workspace import load_workspace
 
-from conftest import make_fan, spy, total_space_fan
+from conftest import level0_pullback, make_fan, spy, total_space_fan
 
 E1_FORBIDDEN = {
     1: [{0, 4}, {4, 5}, {0, 4, 5}, {0, 6}, {0, 4, 6}],
@@ -93,12 +93,48 @@ def blown_up_classes(draw):
     return fan, pic, cls
 
 
+@lru_cache(maxsize=None)
+def reference_faces(fan):
+    return frozenset(frozenset(s) for c in fan.max_cones
+                     for k in range(1, len(c) + 1) for s in itertools.combinations(c, k))
+
+
+@lru_cache(maxsize=None)
+def reference_betti(fan, subset):
+    """The former subcomplex_betti, kept as the reference: the faces as
+    frozensets, those inside subset by dimension, and dense boundary
+    matrices ranked over Q."""
+    by_dim = {}
+    for f in reference_faces(fan):
+        if f <= subset:
+            by_dim.setdefault(len(f) - 1, []).append(tuple(sorted(f)))
+    ranks = [1]  # the augmentation onto the empty face, on a nonempty complex
+    for k in range(1, len(by_dim)):
+        index = {f: i for i, f in enumerate(by_dim[k - 1])}
+        rows = [[0] * len(index) for _ in by_dim[k]]
+        for row, f in zip(rows, by_dim[k]):
+            for j in range(len(f)):
+                row[index[f[:j] + f[j + 1:]]] = (-1) ** j
+        ranks.append(rank(rows))
+    ranks.append(0)
+    betti = [len(by_dim[k]) - ranks[k] - ranks[k + 1] for k in range(len(by_dim))]
+    while betti and betti[-1] == 0:
+        betti.pop()
+    return tuple(betti)
+
+
+def ray_subsets(fan):
+    """Every ray subset, the empty one first."""
+    return [frozenset(i for i in range(fan.n_rays) if bits >> i & 1)
+            for bits in range(1 << fan.n_rays)]
+
+
 def full_scan_forbidden_sets(fan):
-    """Reference: the reduced Betti numbers of every nonempty ray subset."""
+    """Reference: the reduced Betti numbers of every nonempty ray subset,
+    by reference_betti."""
     out = []
-    for bits in range(1, 1 << fan.n_rays):
-        subset = frozenset(i for i in range(fan.n_rays) if bits >> i & 1)
-        degrees = tuple(j + 1 for j, b in enumerate(subcomplex_betti(fan, subset)) if b)
+    for subset in ray_subsets(fan)[1:]:
+        degrees = tuple(j + 1 for j, b in enumerate(reference_betti(fan, subset)) if b)
         if degrees:
             out.append(ForbiddenSet(subset, degrees))
     out.sort(key=lambda f: (min(f.degrees), len(f.ray_indices), tuple(sorted(f.ray_indices))))
@@ -115,6 +151,29 @@ def test_forbidden_sets_match_the_full_scan_on_every_bundled_fan(fans):
 def test_forbidden_sets_match_the_full_scan_on_random_blowups(case):
     fan = case[0]
     assert forbidden_sets(fan) == full_scan_forbidden_sets(fan), (fan.rays, fan.max_cones)
+
+
+def assert_betti_match_the_reference(fan):
+    kinds = set()
+    for subset in ray_subsets(fan):
+        betti = subcomplex_betti(fan, subset)
+        assert betti == reference_betti(fan, subset), (fan.rays, sorted(subset))
+        kinds.add(len(betti))
+    return kinds
+
+
+def test_subcomplex_betti_match_the_reference_on_every_bundled_fan(fans):
+    # every ray subset, the empty one and the full sphere among them
+    kinds = set()
+    for fan in fans.values():
+        kinds |= assert_betti_match_the_reference(fan)
+    assert kinds == {0, 1, 2, 3, 4}
+
+
+@settings(max_examples=15, deadline=None)
+@given(blown_up_classes())
+def test_subcomplex_betti_match_the_reference_on_random_blowups(case):
+    assert_betti_match_the_reference(case[0])
 
 
 def test_forbidden_sets_reject_an_incomplete_fan():
@@ -395,33 +454,129 @@ def tower_pullback(pic, neg):
     return dict(level0_pullback(multipliers, list(zip(*columns)), offset))
 
 
-def level0_multiplier_set(pic, neg):
-    tower = fiber_tower(pic, neg)
-    return {mult for _, mult in fourier_motzkin(tower.base_rows, tower.nvars)[0]}
-
-
-def assert_refuters_match_the_towers(fan, pic):
+def assert_refuters_match_the_towers(fan, pic, rng):
+    """Every circuit row is a row of the tower's own pullback, and the two
+    row sets refute the same classes: seeded ones and one on each tower
+    row's firing threshold.  Returns how many sets have tower rows that
+    no circuit gives (non-extreme multipliers)."""
     full = frozenset(range(fan.n_rays))
     sets = [frozenset()] + [fs.ray_indices for fs in forbidden_sets(fan)]
+    wider = 0
     for neg in sets:
         # forbidden sets come in complementary pairs, and the empty set
         # pairs with the full one
         assert full - neg in sets
-        assert dict(fiber_refuters(pic, neg)) == tower_pullback(pic, neg), sorted(neg)
-        assert level0_multiplier_set(pic, neg) == level0_multiplier_set(pic, full - neg)
+        rows = fiber_refuters(pic, neg)
+        tower = tower_pullback(pic, neg)
+        assert len(dict(rows)) == len(rows), sorted(neg)
+        assert set(rows) <= set(tower.items()), sorted(neg)
+        wider += len(tower) > len(rows)
+        classes = [tuple(rng.randint(-4, 4) for _ in range(pic.rank)) for _ in range(30)]
+        on_threshold = [class_on_threshold(L, -c, rng) for L, c in sorted(tower.items())]
+        classes += [cls for cls in on_threshold if cls is not None]
+        for cls in classes:
+            assert cohomology._refuted(rows, cls) == cohomology._refuted(tower.items(), cls), \
+                (sorted(neg), cls)
+    return wider
 
 
 def test_fiber_refuters_match_the_tower_pullback_on_every_bundled_fan():
     ws = bundled_workspace()
-    for label in sorted(ws.fans):
-        assert_refuters_match_the_towers(ws.fan(label), ws.pic(label))
+    rng = random.Random(3)
+    wider = {label: assert_refuters_match_the_towers(ws.fan(label), ws.pic(label), rng)
+             for label in sorted(ws.fans)}
+    # the towers also keep non-extreme multipliers, whose rows the circuits imply
+    assert {label for label, n in wider.items() if n} >= {"I1", "J1", "R3", "S3"}
 
 
 @settings(max_examples=10, deadline=None)
-@given(blown_up_classes())
-def test_fiber_refuters_match_the_tower_pullback_on_random_blowups(case):
+@given(blown_up_classes(), st.randoms(use_true_random=False))
+def test_fiber_refuters_match_the_tower_pullback_on_random_blowups(case, rng):
     fan, pic, _ = case
-    assert_refuters_match_the_towers(fan, pic)
+    assert_refuters_match_the_towers(fan, pic, rng)
+
+
+def test_fiber_refuters_take_any_iterable_of_rays():
+    pic = bundled_workspace().pic("E1")
+    for rays in ([0], [0, 4], [1, 2, 3, 5, 6]):
+        expected = fiber_refuters(pic, frozenset(rays))
+        assert expected, rays
+        for neg in (set(rays), list(reversed(rays)), tuple(rays + rays), iter(rays)):
+            assert fiber_refuters(pic, neg) == expected, (rays, neg)
+
+
+def rational_kernel(columns):
+    """A basis of {c : sum c_i columns[i] = 0} over Q, by row reduction."""
+    rows = [[Fraction(x) for x in row] for row in zip(*columns)]
+    pivots, r = [], 0
+    for j in range(len(columns)):
+        p = next((i for i in range(r, len(rows)) if rows[i][j]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [x / rows[r][j] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][j]:
+                rows[i] = [x - rows[i][j] * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(j)
+        r += 1
+    basis = []
+    for j in (j for j in range(len(columns)) if j not in pivots):
+        c = [Fraction(0)] * len(columns)
+        c[j] = Fraction(1)
+        for i, p in enumerate(pivots):
+            c[p] = -rows[i][j]
+        basis.append(c)
+    return basis
+
+
+def brute_force_circuits(fan):
+    """Reference: the integer relations sum z_rho u_rho = 0 of minimal
+    support, both signs.  A support S of at most n + 1 rays carries one
+    exactly when the rays of S have a one-dimensional kernel whose
+    generator is nonzero on all of S."""
+    found = set()
+    for k in range(1, fan.dim + 2):
+        for support in itertools.combinations(range(fan.n_rays), k):
+            kernel = rational_kernel([fan.rays[ρ] for ρ in support])
+            if len(kernel) == 1 and all(kernel[0]):
+                scale = math.lcm(*(x.denominator for x in kernel[0]))
+                z = [0] * fan.n_rays
+                for ρ, x in zip(support, kernel[0]):
+                    z[ρ] = int(x * scale)
+                z = primitive(z)
+                found |= {z, tuple(-x for x in z)}
+    return found
+
+
+def assert_circuits_match_the_brute_force(fan, pic):
+    circuits = cohomology._circuits(pic)
+    assert len({z for z, _, _ in circuits}) == len(circuits)
+    assert {z for z, _, _ in circuits} == brute_force_circuits(fan), fan.rays
+    for z, below, above in circuits:
+        assert below == sum(1 << ρ for ρ, x in enumerate(z) if x < 0)
+        assert above == sum(1 << ρ for ρ, x in enumerate(z) if x > 0)
+    # every L carries exactly one threshold, over all forbidden sets, and
+    # the screen holds one entry per pair +-L
+    rows = {row for fs in forbidden_sets(fan) for row in fiber_refuters(pic, fs.ray_indices)}
+    assert len({L for L, _ in rows}) == len(rows)
+    screen, _ = cohomology._forbidden_refuters(fan, pic)
+    signed = {L for L, *_ in screen} | {tuple(-x for x in L) for L, *_ in screen}
+    assert len(signed) == 2 * len(screen)
+    assert {L for L, _ in rows} <= signed
+
+
+def test_circuits_match_the_brute_force_on_every_bundled_fan():
+    ws = bundled_workspace()
+    for label in sorted(ws.fans):
+        assert_circuits_match_the_brute_force(ws.fan(label), ws.pic(label))
+
+
+@settings(max_examples=15, deadline=None)
+@given(blown_up_classes())
+def test_circuits_match_the_brute_force_on_random_blowups(case):
+    fan, pic, _ = case
+    assert_circuits_match_the_brute_force(fan, pic)
 
 
 def test_strong_exceptional_check_asks_each_class_once(monkeypatch):

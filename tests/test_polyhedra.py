@@ -13,13 +13,14 @@ from toricsec.polyhedra import (
     conjunction_forbid,
     eliminate_last,
     fourier_motzkin,
-    level0_pullback,
     polytope_lattice_points,
     simplex_feasible,
 )
 from toricsec.fans import vertex_divisors
 from toricsec.intlin import identity
 from toricsec.workspace import load_workspace
+
+from conftest import level0_pullback
 
 
 def satisfies(rows, rhs, p):
