@@ -61,12 +61,6 @@ class Report:
         click.echo(text, nl=False)
         sys.exit(code if code is not None else 0 if self.status == "pass" else 1)
 
-    def reject(self, error):
-        """Finish as status=fail naming bad input; exits 2, unlike a verdict."""
-        self.add("error", error)
-        self.set_status("fail")
-        self.finish(2)
-
 
 def _fmt_vec(v):
     return ",".join(str(x) for x in v)
@@ -87,18 +81,23 @@ def _class(text):
 
 
 class _Main(click.Group):
-    """Owns the invocation's one report and rejects bad input through it.
+    """Owns the invocation's one report and ends it once the command returns.
 
     Every library error class is a ValueError, so one handler names them
-    all: status=fail with an error= line after whatever the command wrote.
+    all: status=fail with an error= line after whatever the command wrote,
+    and exit status 2, unlike a verdict.
     """
 
     def invoke(self, ctx):
         rep = ctx.ensure_object(dict)["rep"] = Report(ctx.params.get("out"))
+        code = None
         try:
-            return super().invoke(ctx)
+            super().invoke(ctx)
         except ValueError as exc:
-            rep.reject(f"{type(exc).__name__}: {exc}")
+            rep.add("error", f"{type(exc).__name__}: {exc}")
+            rep.set_status("fail")
+            code = 2
+        rep.finish(code)
 
 
 @click.group(cls=_Main)
@@ -136,7 +135,6 @@ def validate(ctx, label):
         rep.set_status("fail")
         for e in r.errors:
             rep.add("error", e)
-    rep.finish()
 
 
 @main.command("forbidden-sets")
@@ -156,7 +154,6 @@ def forbidden_sets_cmd(ctx, label):
         for s in sorted(table[i]):
             rep.add(f"h{i}", _fmt_vec(s))
     rep.add("count", sum(len(v) for v in table.values()))
-    rep.finish()
 
 
 @main.command()
@@ -182,7 +179,6 @@ def cohomology(ctx, label, cls):
     if bad != any(d for d in dims[1:]):
         rep.set_status("fail")
         rep.add("error", "cone test disagrees with the character oracle")
-    rep.finish()
 
 
 @main.command("strong-exceptional")
@@ -206,7 +202,6 @@ def strong_exceptional(ctx, label):
             rep.add("witness_pair", _fmt_vec(v.witness_pair))
         if v.witness_set:
             rep.add("witness_set", _fmt_vec(sorted(v.witness_set)))
-    rep.finish()
 
 
 @main.command()
@@ -238,7 +233,6 @@ def frobenius(ctx, label, m, twist, gen):
             rep.add(f"size_twist_{i}", len(piece.support))
             union |= piece.support
         rep.add("size_gen", len(union))
-    rep.finish()
 
 
 @main.command()
@@ -267,7 +261,6 @@ def method1(ctx, label, m):
         rep.set_status("inconclusive")
         for t in res.unreached:
             rep.add("unreached", _fmt_vec(t))
-    rep.finish()
 
 
 @main.command()
@@ -288,7 +281,6 @@ def quiver(ctx, label, on_y):
     rep.add("arrows", len(q.arrows))
     for n, a in enumerate(q.arrows, start=1):
         rep.add("arrow", f"{n}|{a.tail}|{a.head}|{_fmt_vec(a.div)}")
-    rep.finish()
 
 
 @main.command()
@@ -317,7 +309,6 @@ def method2(ctx, label, dump_path):
     rep.add("verdict", verdict.status)
     if not verdict.full:
         rep.set_status("inconclusive")
-    rep.finish()
 
 
 @main.command()
@@ -344,7 +335,6 @@ def propagate(ctx, source, target, m):
     if not report.ok:
         rep.set_status("fail")
         rep.add("failure", report.detail)
-    rep.finish()
 
 
 @main.command("tilting-total-space")
@@ -364,7 +354,6 @@ def tilting_total_space(ctx, label):
         rep.set_status("fail")
         for f in report.failures[:10]:
             rep.add("failure", f)
-    rep.finish()
 
 
 @main.command()
@@ -381,7 +370,6 @@ def recipe(ctx, label, m):
     rep.add("recipe", verdict.recipe)
     rep.add("detail", verdict.detail)
     rep.set_status(verdict.status)
-    rep.finish()
 
 
 @main.command()
@@ -406,7 +394,6 @@ def helix(ctx, label, steps, twist_cls):
     if not result.ok:
         rep.set_status("fail")
         rep.add("failure", result.detail)
-    rep.finish()
 
 
 if __name__ == "__main__":

@@ -84,10 +84,13 @@ def _betti(fan: Fan, subset: int) -> tuple[int, ...]:
     return tuple(betti)
 
 
-@lru_cache(maxsize=None)
-def subcomplex_betti(fan: Fan, subset: frozenset[int]) -> tuple[int, ...]:
-    """Reduced Betti numbers over Q of the full subcomplex on `subset`."""
-    return _betti(fan, _mask(subset))
+_masked_betti = lru_cache(maxsize=None)(_betti)
+
+
+def subcomplex_betti(fan: Fan, subset) -> tuple[int, ...]:
+    """Reduced Betti numbers over Q of the full subcomplex on `subset`,
+    any iterable of ray indices; cached per ray mask."""
+    return _masked_betti(fan, _mask(subset))
 
 
 @lru_cache(maxsize=None)
@@ -119,19 +122,10 @@ def forbidden_sets(fan: Fan) -> tuple[ForbiddenSet, ...]:
     return tuple(out)
 
 
-def _fiber_rows(pic: PicBasis, neg) -> list[tuple[int, ...]]:
-    """fiber_tower's rows: each ray's exponent in the free ones, negated on neg."""
-    free = pic.free_indices
-    rows = [tuple(int(f == ρ) for f in free) for ρ in range(pic.n_rays)]
-    for b, deg_row in zip(pic.basis_indices, pic.deg):
-        rows[b] = tuple(-deg_row[f] for f in free)
-    return [tuple(-x for x in row) if ρ in neg else row for ρ, row in enumerate(rows)]
-
-
-@lru_cache(maxsize=None)
-def fiber_tower(pic: PicBasis, neg: frozenset) -> ParametricIntegerFeasibility:
+def fiber_tower(pic: PicBasis, neg) -> ParametricIntegerFeasibility:
     """The lattice-point engine of the deg-fibers with negative support neg.
 
+    neg is any iterable of ray indices; the tower is cached per ray mask.
     Its variables are the exponents of the free rays, pic.free_indices.
     A class fixes the basis exponents through them (PicBasis.lift), so
     the rows x_rho >= 0 off neg and -x_rho >= 1 on neg depend on the class
@@ -150,7 +144,18 @@ def fiber_tower(pic: PicBasis, neg: frozenset) -> ParametricIntegerFeasibility:
     bounds its coordinate from both sides.  Any other support may have
     an unbounded fiber, and its search raises UnboundedSearch.
     """
-    return ParametricIntegerFeasibility(_fiber_rows(pic, neg), len(pic.free_indices))
+    return _fiber_tower(pic, _mask(neg))
+
+
+@lru_cache(maxsize=None)
+def _fiber_tower(pic: PicBasis, neg: int) -> ParametricIntegerFeasibility:
+    """fiber_tower's engine: each ray's exponent in the free ones, negated on neg."""
+    free = pic.free_indices
+    rows = [tuple(int(f == ρ) for f in free) for ρ in range(pic.n_rays)]
+    for b, deg_row in zip(pic.basis_indices, pic.deg):
+        rows[b] = tuple(-deg_row[f] for f in free)
+    rows = [tuple(-x for x in row) if neg >> ρ & 1 else row for ρ, row in enumerate(rows)]
+    return ParametricIntegerFeasibility(rows, len(free))
 
 
 def fiber_rhs(pic: PicBasis, cls, neg) -> list[int]:
@@ -204,8 +209,10 @@ def fiber_refuters(pic: PicBasis, neg) -> tuple[tuple[tuple[int, ...], int], ...
     _refuter.  The fiber of an integer class cls is empty when some L .
     cls + c > 0 (Farkas, Schrijver 1986, section 7), and some row fires
     exactly when the level-0 test of query refutes cls: every level-0
-    multiplier is a non-negative sum of extreme ones.  A certificate of a
-    vanishing answer records y = |z| of the row that fired.
+    multiplier is a non-negative sum of extreme ones.  So fiber_feasible
+    leaves that test to query; these rows serve the forbidden-set screen
+    (_forbidden_refuters) and the chain cone preimages.  A certificate of
+    a vanishing answer records y = |z| of the row that fired.
     """
     return _fiber_refuters(pic, _mask(neg))
 
@@ -285,10 +292,6 @@ def _first_witness(pic: PicBasis, sets, cls, refuted: int):
     return None, None
 
 
-def _refuted(rows, cls) -> bool:
-    return any(sum(map(mul, L, cls)) + c > 0 for L, c in rows)
-
-
 def _integer_class(pic: PicBasis, cls) -> tuple[int, ...]:
     """cls as ints: the level-0 rows read the fiber only at integer classes."""
     pic.check_rank(cls)
@@ -298,14 +301,12 @@ def _integer_class(pic: PicBasis, cls) -> tuple[int, ...]:
 def fiber_feasible(pic: PicBasis, cls, neg) -> bool:
     """Integer point in the deg-fiber with the given negative-support set.
 
-    The class must be integral, else ValueError.  The rows of
-    fiber_refuters decide most empty fibers; the rest are searched.
+    The class must be integral, else ValueError.  The tower's level-0
+    test refutes exactly the classes the rows of fiber_refuters do, so
+    query decides every fiber on its own.
     """
     neg = frozenset(neg)
-    cls = _integer_class(pic, cls)
-    if _refuted(fiber_refuters(pic, neg), cls):
-        return False
-    return fiber_tower(pic, neg).query(fiber_rhs(pic, cls, neg))
+    return fiber_tower(pic, neg).query(fiber_rhs(pic, _integer_class(pic, cls), neg))
 
 
 def has_higher_cohomology(fan: Fan, pic: PicBasis, cls) -> tuple[bool, ForbiddenSet | None]:
@@ -383,11 +384,10 @@ def cohomology_dims_oracle(fan: Fan, pic: PicBasis, cls, box=None) -> tuple[int,
     n = fan.dim
     dims = [0] * (n + 1)
     for m in itertools.product(*[range(lo, hi + 1) for lo, hi in box]):
-        neg = frozenset(
-            ρ for ρ in range(fan.n_rays)
-            if sum(mi * ui for mi, ui in zip(m, fan.rays[ρ])) + a[ρ] < 0)
+        neg = _mask(ρ for ρ in range(fan.n_rays)
+                    if sum(mi * ui for mi, ui in zip(m, fan.rays[ρ])) + a[ρ] < 0)
         # the empty support feeds H^0 once, any other its reduced Betti numbers shifted by one
-        shift, betti = (1, subcomplex_betti(fan, neg)) if neg else (0, (1,))
+        shift, betti = (1, _masked_betti(fan, neg)) if neg else (0, (1,))
         for j, b in enumerate(betti):
             dims[j + shift] += b
         if any(betti) and any(mi == lo or mi == hi for mi, (lo, hi) in zip(m, box)):

@@ -619,9 +619,7 @@ class ResolutionVerdict:
 
 
 def diagonal_resolution_verdict(fan: Fan, pic: PicBasis, bundles, theta=None,
-                                trials: int = FIBER_TRIALS,
-                                diagonal_trials: int = DIAGONAL_TRIALS,
-                                seed: int = FIBER_SEED,
+                                trials: int = FIBER_TRIALS, seed: int = FIBER_SEED,
                                 prime: int = FIBER_PRIME) -> ResolutionVerdict:
     """Assemble and certify the Method-2 chain for one collection.
 
@@ -631,10 +629,11 @@ def diagonal_resolution_verdict(fan: Fan, pic: PicBasis, bundles, theta=None,
     exactness profile, and an embedding certificate: the nef
     Minkowski route when every bundle is nef, otherwise the Y_theta route
     with the supplied weight.  Every verdict past sign solving carries the
-    signed complex.  Raises DiagonalError on the fiber test's parameters
-    as fiber_exactness_check does, before any work.
+    signed complex.  The fiber test draws DIAGONAL_TRIALS diagonal points.
+    Raises DiagonalError on the fiber test's parameters as
+    fiber_exactness_check does, before any work.
     """
-    _check_fiber_parameters(trials, diagonal_trials, prime)
+    _check_fiber_parameters(trials, DIAGONAL_TRIALS, prime)
     bundles = [tuple(b) for b in bundles]
     n = fan.dim
     try:
@@ -654,9 +653,7 @@ def diagonal_resolution_verdict(fan: Fan, pic: PicBasis, bundles, theta=None,
         return ResolutionVerdict(status, stage, cx.ranks, fiber, emb, signed)
 
     try:
-        fiber = fiber_exactness_check(signed, n, trials=trials,
-                                      diagonal_trials=diagonal_trials,
-                                      seed=seed, prime=prime)
+        fiber = fiber_exactness_check(signed, n, trials=trials, seed=seed, prime=prime)
     except DiagonalError as exc:  # d^2 != 0: the parameters were checked above
         return verdict(str(exc))
     if not fiber.ok:

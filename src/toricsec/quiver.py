@@ -52,7 +52,7 @@ def sections(pic: PicBasis, cls) -> list[IntVector]:
     """Exponent vectors of the torus-invariant sections of a class, lex order."""
     rhs = fiber_rhs(pic, cls, ())
     try:
-        free = polytope_lattice_points(fiber_tower(pic, frozenset()), rhs)
+        free = polytope_lattice_points(fiber_tower(pic, ()), rhs)
     except UnboundedSearch:
         raise QuiverError(f"section space of {cls} is infinite")
     return sorted(pic.lift(cls, t) for t in free)
@@ -78,7 +78,7 @@ def _pruned_fiber(pic: PicBasis, cls, staircase) -> list[IntVector]:
     monomial; the full fiber may be huge, the survivors never are.
     """
     free = pic.free_indices
-    tower = fiber_tower(pic, frozenset())
+    tower = fiber_tower(pic, ())
     a = pic.lift(cls)
     fixed_at = {f: k for k, f in enumerate(free)}
     for row, b in zip(pic.deg, pic.basis_indices):

@@ -92,3 +92,12 @@ def level0_pullback(multipliers, matrix, offset) -> tuple[tuple[tuple[int, ...],
         if (any(key) or c > 0) and (key not in best or c > best[key]):
             best[key] = c
     return tuple(best.items())
+
+
+def refuted(rows, cls) -> bool:
+    """Some level-0 row (L, c) fires at the integer class cls: L . cls + c > 0.
+
+    The reference for a row set's refutations, kept apart from the
+    refuter screens of cohomology.
+    """
+    return any(sum(map(mul, L, cls)) + c > 0 for L, c in rows)

@@ -33,10 +33,10 @@ from toricsec.cohomology import (
 from toricsec.cli import main
 from toricsec.fans import PicRankError, deg_and_pic, star_subdivision
 from toricsec.intlin import identity, primitive, rank, vec_gcd
-from toricsec.polyhedra import eliminate_last, fourier_motzkin
+from toricsec.polyhedra import ParametricIntegerFeasibility, eliminate_last, fourier_motzkin
 from toricsec.workspace import load_workspace
 
-from conftest import level0_pullback, make_fan, spy, total_space_fan
+from conftest import level0_pullback, make_fan, refuted, spy, total_space_fan
 
 E1_FORBIDDEN = {
     1: [{0, 4}, {4, 5}, {0, 4, 5}, {0, 6}, {0, 4, 6}],
@@ -317,19 +317,28 @@ def test_refuted_fibers_match_the_searched_ones(query):
 
 
 def test_higher_cohomology_refutes_each_forbidden_fiber_once(monkeypatch):
-    # _refuted_mask has read the level-0 rows; the fibers it leaves are searched
-    # straight away, with no second refuter test through fiber_feasible
+    # _refuted_mask has read the level-0 rows; each fiber it leaves is searched
+    # once, straight away, with no second test through fiber_feasible
     ws = load_workspace()
     fan, pic = ws.fan("D1_3"), ws.pic("D1_3")
 
     def refuted_again(*args):
         raise AssertionError("a fiber was refuted twice")
 
+    searches = []
+    points = ParametricIntegerFeasibility.points
+
+    def counting(self, *args, **kwargs):
+        searches.append(args)
+        return points(self, *args, **kwargs)
+
     monkeypatch.setattr(cohomology, "fiber_feasible", refuted_again)
-    monkeypatch.setattr(cohomology, "_refuted", refuted_again)
+    monkeypatch.setattr(ParametricIntegerFeasibility, "points", counting)
     bad, fs = has_higher_cohomology(fan, pic, (2, 1, -3))
     assert bad and fs == forbidden_sets(fan)[6]
+    assert len(searches) == 1
     assert has_higher_cohomology(fan, pic, (0, 0, 0)) == (False, None)
+    assert len(searches) == 1 + len(scanned_unrefuted(fan, pic, (0, 0, 0)))
 
 
 def scanned_unrefuted(fan, pic, cls):
@@ -475,7 +484,7 @@ def assert_refuters_match_the_towers(fan, pic, rng):
         on_threshold = [class_on_threshold(L, -c, rng) for L, c in sorted(tower.items())]
         classes += [cls for cls in on_threshold if cls is not None]
         for cls in classes:
-            assert cohomology._refuted(rows, cls) == cohomology._refuted(tower.items(), cls), \
+            assert refuted(rows, cls) == refuted(tower.items(), cls), \
                 (sorted(neg), cls)
     return wider
 
@@ -503,6 +512,20 @@ def test_fiber_refuters_take_any_iterable_of_rays():
         assert expected, rays
         for neg in (set(rays), list(reversed(rays)), tuple(rays + rays), iter(rays)):
             assert fiber_refuters(pic, neg) == expected, (rays, neg)
+
+
+def test_fiber_tower_and_betti_take_any_iterable_of_rays():
+    ws = bundled_workspace()
+    fan, pic = ws.fan("E1"), ws.pic("E1")
+    forms = (set, list, tuple, frozenset, lambda rays: (ρ for ρ in reversed(rays)))
+    for rays in ([0], [0, 4], [1, 2, 3, 5, 6]):
+        tower = fiber_tower(pic, frozenset(rays))
+        betti = subcomplex_betti(fan, frozenset(rays))
+        for form in forms:
+            assert fiber_tower(pic, form(rays)).base_rows == tower.base_rows, (rays, form)
+            assert subcomplex_betti(fan, form(rays)) == betti, (rays, form)
+    assert subcomplex_betti(fan, {0, 4}) == (1,)
+    assert fiber_tower(pic, ()).base_rows != fiber_tower(pic, {0}).base_rows
 
 
 def rational_kernel(columns):

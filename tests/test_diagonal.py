@@ -178,16 +178,14 @@ def test_dropped_bundle_collection_inconclusive():
     """Removing one bundle breaks exactness; the verdict stays inconclusive."""
     fan = make_fan("P2")
     pic = deg_and_pic(fan)
-    verdict = diagonal_resolution_verdict(fan, pic, [(0,), (1,)], trials=4,
-                                          diagonal_trials=2, seed=0)
+    verdict = diagonal_resolution_verdict(fan, pic, [(0,), (1,)], trials=4, seed=0)
     assert verdict.status == "inconclusive"
 
 
 def test_p2_full_verdict():
     fan = make_fan("P2")
     pic = deg_and_pic(fan)
-    verdict = diagonal_resolution_verdict(fan, pic, [(0,), (1,), (2,)],
-                                          trials=6, diagonal_trials=3, seed=0)
+    verdict = diagonal_resolution_verdict(fan, pic, [(0,), (1,), (2,)], trials=6, seed=0)
     assert verdict.full
     assert verdict.ranks == (3, 6, 3)
 
@@ -197,8 +195,7 @@ def test_threefold_verdict():
     pic = deg_and_pic(fan, (3, 4, 5))
     bundles = [(0, 0, 0), (0, 1, 1), (0, 2, 2), (1, 0, 0), (1, 0, 1),
                (1, 1, 1), (1, 1, 2), (1, 2, 2)]
-    verdict = diagonal_resolution_verdict(fan, pic, bundles, trials=6,
-                                          diagonal_trials=3, seed=0)
+    verdict = diagonal_resolution_verdict(fan, pic, bundles, trials=6, seed=0)
     assert verdict.full
     assert verdict.fiber.diagonal_homology == (1, 3, 3, 1)
 
@@ -468,8 +465,7 @@ def test_verdict_reports_a_nonzero_square_before_any_fiber(monkeypatch):
     pic = deg_and_pic(fan)
     real = diagonal.sign_solve
     monkeypatch.setattr(diagonal, "sign_solve", lambda cx: doctored_first_matrix(real(cx))[0])
-    verdict = diagonal_resolution_verdict(fan, pic, [(0,), (1,), (2,)], trials=2,
-                                          diagonal_trials=1, seed=0)
+    verdict = diagonal_resolution_verdict(fan, pic, [(0,), (1,), (2,)], trials=2, seed=0)
     assert (verdict.status, verdict.stage, verdict.fiber) == \
         ("inconclusive", "squared differential nonzero", None)
 
@@ -487,8 +483,7 @@ def test_verdict_rejects_a_term_off_the_generator_bidegrees(monkeypatch):
         return cx
 
     monkeypatch.setattr(diagonal, "derivative_complex", shifted)
-    verdict = diagonal_resolution_verdict(fan, pic, [(0,), (1,), (2,)], trials=2,
-                                          diagonal_trials=1, seed=0)
+    verdict = diagonal_resolution_verdict(fan, pic, [(0,), (1,), (2,)], trials=2, seed=0)
     assert (verdict.status, verdict.stage, verdict.fiber) == \
         ("inconclusive", "term bidegrees off the generators", None)
 
@@ -577,15 +572,18 @@ def test_fiber_parameters_rejected(e1_signed, monkeypatch, kwargs, message):
         raise AssertionError("parameters must be checked before any work")
 
     monkeypatch.setattr(diagonal, "covering_quiver_on_y", no_quiver)
-    with pytest.raises(DiagonalError, match=message):
+    error = DiagonalError
+    if "diagonal_trials" in kwargs:
+        # the verdict has no such knob: it always draws DIAGONAL_TRIALS diagonal points
+        error, message = TypeError, "unexpected keyword argument 'diagonal_trials'"
+    with pytest.raises(error, match=message):
         diagonal_resolution_verdict(fan, pic, E1_BUNDLES, **kwargs)
 
 
 def test_fiber_report_carries_the_checked_profiles():
     fan = make_fan("P2")
     pic = deg_and_pic(fan)
-    verdict = diagonal_resolution_verdict(fan, pic, [(0,), (1,), (2,)],
-                                          trials=1, diagonal_trials=1, seed=0)
+    verdict = diagonal_resolution_verdict(fan, pic, [(0,), (1,), (2,)], trials=1, seed=0)
     assert verdict.full
     assert verdict.fiber.off_diagonal_ranks == (3, 3)
     assert verdict.fiber.diagonal_homology == (1, 2, 1)

@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from toricsec.cli import main
-from toricsec.cohomology import _refuted, fiber_feasible, fiber_refuters, forbidden_sets
+from toricsec.cohomology import fiber_feasible, fiber_refuters, forbidden_sets
 from toricsec.files import (
     CollectionFile,
     ParseError,
@@ -18,6 +18,8 @@ from toricsec.files import (
 )
 from toricsec.polyhedra import ParametricIntegerFeasibility
 from toricsec.workspace import WorkspaceError, bundled_data_dir, load_workspace
+
+from conftest import refuted
 
 
 def test_bundled_workspace_loads_expected_labels():
@@ -161,7 +163,7 @@ def test_cli_cohomology_searches_each_forbidden_fiber_once(monkeypatch):
     sets = forbidden_sets(fan)
     hit = next(n for n, fs in enumerate(sets) if fiber_feasible(pic, cls, fs.ray_indices))
     assert hit == 6 and sorted(sets[hit].ray_indices) == [1, 2, 5]
-    tried = sum(not _refuted(fiber_refuters(pic, fs.ray_indices), cls) for fs in sets[:hit + 1])
+    tried = sum(not refuted(fiber_refuters(pic, fs.ray_indices), cls) for fs in sets[:hit + 1])
     assert tried == 1
     searches = []
     points = ParametricIntegerFeasibility.points
@@ -452,6 +454,53 @@ def test_cli_exit_status_tracks_report():
     assert ok.exit_code == 0 and "status=pass" in ok.output
     bad = runner.invoke(main, ["recipe", "K3"])
     assert bad.exit_code == 1
+
+
+# Every subcommand on valid input, then a rejected input for each one.
+REPORT_LIFECYCLE = [
+    (["validate", "P2"], "pass"),
+    (["forbidden-sets", "P2"], "pass"),
+    (["cohomology", "P2", "--", "-3"], "pass"),
+    (["strong-exceptional", "P1xP1"], "pass"),
+    (["frobenius", "P2", "--m", "2", "--gen"], "pass"),
+    (["method1", "P1xP1"], "pass"),
+    (["quiver", "P1xP1", "--total-space"], "pass"),
+    (["method2", "P1xP1"], "pass"),
+    (["propagate", "S3", "S2"], "pass"),
+    (["tilting-total-space", "P1xP1"], "pass"),
+    (["recipe", "P2"], "pass"),
+    (["helix", "P1xP1", "--steps", "1"], "pass"),
+    (["recipe", "K3"], "fail"),
+    (["validate", "NOPE"], "rejected"),
+    (["forbidden-sets", "NOPE"], "rejected"),
+    (["cohomology", "NOPE", "--", "-3"], "rejected"),
+    (["cohomology", "P2", "--", "1,2"], "rejected"),
+    (["strong-exceptional", "P2"], "rejected"),
+    (["frobenius", "NOPE"], "rejected"),
+    (["method1", "NOPE"], "rejected"),
+    (["quiver", "NOPE"], "rejected"),
+    (["method2", "NOPE"], "rejected"),
+    (["propagate", "S3", "NOPE"], "rejected"),
+    (["tilting-total-space", "NOPE"], "rejected"),
+    (["recipe", "P2", "--m", "0"], "rejected"),
+    (["helix", "NOPE"], "rejected"),
+    (["helix", "P1xP1", "--twist-class", "0"], "rejected"),
+]
+
+
+@pytest.mark.parametrize("args, status", REPORT_LIFECYCLE,
+                         ids=[" ".join(args) for args, _ in REPORT_LIFECYCLE])
+def test_cli_group_ends_every_report_once(tmp_path, args, status):
+    out = tmp_path / "report.txt"
+    result = CliRunner().invoke(main, ["--out", str(out)] + args)
+    lines = result.output.splitlines()
+    assert len(lines) > 1 and [x for x in lines if x.startswith("status=")] == lines[-1:]
+    if status == "rejected":
+        assert lines[-2].startswith("error=") and lines[-1] == "status=fail"
+    else:
+        assert lines[-1] == f"status={status}"
+    assert result.exit_code == {"pass": 0, "fail": 1, "rejected": 2}[status]
+    assert out.read_text() == result.output
 
 
 @pytest.mark.parametrize("command", ["method2", "recipe"])
