@@ -219,8 +219,7 @@ def frobenius(ctx, label, m, twist, gen):
     rep.add("label", label)
     rep.add("m", m)
     rep.add("twist", twist)
-    split = frobenius_split_classes(fan, pic, m, (twist,) * fan.n_rays,
-                                    check_charts=True)
+    split = frobenius_split_classes(fan, pic, m, (twist,) * fan.n_rays)
     rep.add("support", len(split.support))
     for cls in sorted(split.support):
         rep.add("class", _fmt_vec(cls))

@@ -19,6 +19,7 @@ from .intlin import (
     IntVector,
     det,
     identity,
+    int_vector,
     invert_unimodular,
     kernel_vector,
     mat,
@@ -46,10 +47,13 @@ class Fan:
     label: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "rays", tuple(tuple(int(x) for x in r) for r in self.rays))
-        object.__setattr__(
-            self, "max_cones",
-            tuple(tuple(sorted(int(i) for i in c)) for c in self.max_cones))
+        try:
+            rays = tuple(int_vector(r, "ray entry") for r in self.rays)
+            cones = tuple(tuple(sorted(int_vector(c, "cone entry"))) for c in self.max_cones)
+        except ValueError as exc:
+            raise FanError(str(exc)) from None
+        object.__setattr__(self, "rays", rays)
+        object.__setattr__(self, "max_cones", cones)
         for r in self.rays:
             if len(r) != self.dim:
                 raise FanError(f"ray {r} has wrong dimension")

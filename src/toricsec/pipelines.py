@@ -254,7 +254,7 @@ def verify_variety_recipe(workspace, label: str, m: int | None = None,
         raise PipelineError(f"m must be at least 1, got {m}")
     poset = workspace.poset
     if label not in poset.nodes:
-        return RecipeVerdict(label, "", "fail", "label missing from the database")
+        raise PipelineError(f"no poset node {label!r}")
     node = poset.nodes[label]
     recipe = node.recipe
     if not recipe.strip():

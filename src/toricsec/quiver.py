@@ -8,12 +8,11 @@ quiver whose anticanonical cycles feed the diagonal-resolution cells.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .cohomology import fiber_rhs, fiber_tower
 from .fans import Fan, PicBasis, nef_ample_test, vertex_divisors
-from .intlin import IntVector
+from .intlin import IntVector, int_vector
 from .polyhedra import (
     UnboundedSearch,
     conjunction_forbid,
@@ -170,35 +169,6 @@ def covering_quiver_on_y(fan: Fan, pic: PicBasis, bundles) -> QuiverOfSections:
                             cyclic=True, n_variables=pic.n_rays + 1)
 
 
-def parallel_path_relations(quiver: QuiverOfSections):
-    """Generators p_i - p_j: parallel paths with equal divisor of zeroes.
-
-    Only meaningful for the acyclic quiver on X; path enumeration is finite.
-    """
-    if quiver.cyclic:
-        raise QuiverError("parallel-path enumeration needs an acyclic quiver")
-    paths: dict[tuple[int, int, IntVector], list[tuple[int, ...]]] = {}
-
-    def extend(v, arrows_so_far, div):
-        for idx, a in enumerate(quiver.arrows):
-            if a.tail != v:
-                continue
-            nd = tuple(x + y for x, y in zip(div, a.div))
-            np_ = arrows_so_far + (idx,)
-            tail = quiver.arrows[np_[0]].tail
-            paths.setdefault((tail, a.head, nd), []).append(np_)
-            extend(a.head, np_, nd)
-
-    zero = (0,) * quiver.n_variables
-    for v in range(quiver.n_vertices):
-        extend(v, (), zero)
-    out = []
-    for key, plist in sorted(paths.items()):
-        for p, q in itertools.combinations(sorted(plist), 2):
-            out.append((key, p, q))
-    return out
-
-
 # ---------------------------------------------------------------- stability
 
 @dataclass(frozen=True)
@@ -243,9 +213,13 @@ def _path_to(quiver, bits, start, targets):
 
 def _checked_theta(quiver: QuiverOfSections, theta) -> tuple[int, ...]:
     """theta as ints, else QuiverError unless it is a weight of the closed
-    chamber of the special parameter: one entry per vertex, sum zero, a
-    negative weight at the source and nonnegative weights elsewhere."""
-    theta = tuple(int(t) for t in theta)
+    chamber of the special parameter: one entry per vertex, each of an
+    integer type, sum zero, a negative weight at the source and
+    nonnegative weights elsewhere."""
+    try:
+        theta = int_vector(theta, "theta entry")
+    except ValueError as exc:
+        raise QuiverError(str(exc)) from None
     if len(theta) != quiver.n_vertices:
         raise QuiverError(f"theta has {len(theta)} entries, the quiver "
                           f"{quiver.n_vertices} vertices")
@@ -378,20 +352,26 @@ def theta_fiber_surjectivity_check(quiver: QuiverOfSections, fan: Fan,
     source-to-sink unit paths, so the check reduces to a sumset of per-target
     path-divisor sets.
 
-    The sumset and the membership lookup run on packed integers (Kronecker
-    substitution): a divisor e becomes sum_rho e_rho << (B rho), so a
-    divisor sum is one int addition and a lookup hashes one int.  Packing
-    is additive, and it is injective on divisors whose entries all lie in
-    [0, 2^B); B is the bit length of the largest coordinate M over the
-    vertices of P_{pic(theta)}, so no carry ever crosses a field.  Every
-    target has a path (checked first, in target order), so every partial
-    sum plus one path divisor per remaining target is a final sum, and all
-    of these are >= 0: each partial sum is dominated by a final sum.  A
-    final sum has class sum_t theta_t (L_t - L_0) = pic(theta), so it is a
-    section monomial, a lattice point of P_{pic(theta)}, and each of its
-    coordinates is at most M, its largest value at a vertex.  So every
-    entry of every sum, partial or final, and of every section monomial
-    lies in [0, M], and an int lookup answers exactly the tuple lookup.
+    It is a count on the free coordinates of the Pic basis
+    (pic.free_indices), the variables of fiber_tower: a divisor of known
+    class is fixed by them (PicBasis.lift).  A path from the source to v
+    has class L_v - L_0, so a sum of one path divisor per target has class
+    sum_t theta_t (L_t - L_0) = pic(theta): it is a section monomial.  The
+    sumset lies in the fiber, and every monomial is reached exactly when
+    the two have the same size.  Only a failure looks up which are missing.
+
+    The sumset runs on packed integers (Kronecker substitution): free
+    coordinates t become sum_k t_k << (B k), so a sum is one int addition.
+    Packing is additive, and it is injective on vectors whose entries all
+    lie in [0, 2^B); B is the bit length of the largest free coordinate M
+    over the vertices of P_{pic(theta)}.  Every target has a path (checked
+    first, in target order), so every partial sum plus one path divisor
+    per remaining target is a final sum, and all of these are >= 0: each
+    partial sum is dominated by a final sum.  A final sum is a lattice
+    point of P_{pic(theta)}, so each of its coordinates is at most its
+    largest value at a vertex.  So every entry of every sum, partial or
+    final, and of every fiber point lies in [0, M], no carry crosses a
+    field, and distinct sums stay distinct.
 
     A theta off the chamber (_checked_theta) raises QuiverError before
     any work, as in check_theta_generic.
@@ -406,7 +386,7 @@ def theta_fiber_surjectivity_check(quiver: QuiverOfSections, fan: Fan,
                                 product_class=cls)
     if any(a.tail >= a.head for a in quiver.arrows):
         raise QuiverError("arrows must run up the vertex order")
-    path_divs = _path_divisors(quiver, pic.n_rays)
+    path_divs = _path_divisors(quiver, pic.free_indices)
     targets = []
     for i, t in enumerate(theta):
         if i and t > 0:
@@ -417,9 +397,9 @@ def theta_fiber_surjectivity_check(quiver: QuiverOfSections, fan: Fan,
                                     detail=f"no path from the source to vertex {tgt}")
     width = _field_width(fan, pic, cls)
     sums = _packed_sumset([path_divs[tgt] for tgt in targets], width)
-    fiber = sections(pic, cls)
-    missing = [e for e in fiber if _pack(e, width) not in sums]
-    if missing:
+    fiber = polytope_lattice_points(fiber_tower(pic, ()), fiber_rhs(pic, cls, ()))
+    if len(sums) < len(fiber):
+        missing = sorted(pic.lift(cls, t) for t in fiber if _pack(t, width) not in sums)
         return EmbeddingVerdict(False, "theta",
                                 detail=f"{len(missing)} section monomials unreachable, "
                                        f"first {missing[0]}",
@@ -428,29 +408,34 @@ def theta_fiber_surjectivity_check(quiver: QuiverOfSections, fan: Fan,
                             detail=f"{len(fiber)} section monomials realized")
 
 
-def _path_divisors(quiver: QuiverOfSections, n_rays: int) -> list[set[IntVector]]:
-    """Per vertex, the divisors of the paths from the source; arrows run up."""
+def _path_divisors(quiver: QuiverOfSections, free) -> list[set[IntVector]]:
+    """Per vertex, the free coordinates of the path divisors from the source.
+
+    Arrows run up; only the coordinates of the rays in `free` are summed.
+    """
     path_divs: list[set[IntVector]] = [set() for _ in range(quiver.n_vertices)]
-    path_divs[0] = {(0,) * n_rays}
+    path_divs[0] = {(0,) * len(free)}
     for v in range(quiver.n_vertices):
         for a in quiver.arrows_from(v):
+            step = [a.div[f] for f in free]
             for s in path_divs[v]:
-                path_divs[a.head].add(tuple(x + y for x, y in zip(s, a.div)))
+                path_divs[a.head].add(tuple(x + y for x, y in zip(s, step)))
     return path_divs
 
 
 def _field_width(fan: Fan, pic: PicBasis, cls) -> int:
-    """Bits per ray that hold every coordinate of a section monomial of cls."""
-    return max(max(v) for v in vertex_divisors(fan, pic, cls)).bit_length()
+    """Bits per free ray that hold every free coordinate of a section monomial of cls."""
+    return max(v[f] for v in vertex_divisors(fan, pic, cls)
+               for f in pic.free_indices).bit_length()
 
 
 def _pack(e, width: int) -> int:
-    """The divisor e as one int, `width` bits per ray (Kronecker substitution)."""
-    return sum(c << (width * ρ) for ρ, c in enumerate(e))
+    """The vector e as one int, `width` bits per entry (Kronecker substitution)."""
+    return sum(c << (width * k) for k, c in enumerate(e))
 
 
 def _packed_sumset(summands, width: int) -> set[int]:
-    """The packed sums s_1 + ... + s_k, one s_j from each divisor set summands[j]."""
+    """The packed sums s_1 + ... + s_k, one s_j from each vector set summands[j]."""
     sums = {0}
     for divs in summands:
         packed = {_pack(e, width) for e in divs}

@@ -135,8 +135,8 @@ def test_criterion_4_frobenius_i1(ws):
     # yields 33 distinct classes for w = (+1,...,+1).
     with Budget(4, 10.0):
         fan, pic = ws.fan("I1"), ws.pic("I1")
-        d0 = frobenius_split_classes(fan, pic, 10, (0,) * 8, check_charts=True)
-        d_omega = frobenius_split_classes(fan, pic, 10, (-1,) * 8, check_charts=True)
+        d0 = frobenius_split_classes(fan, pic, 10, (0,) * 8)
+        d_omega = frobenius_split_classes(fan, pic, 10, (-1,) * 8)
         assert len(d0.support) == 18
         assert len(d_omega.support) == 18
         assert len(frobenius_gen_support(fan, pic, 10)) == 46

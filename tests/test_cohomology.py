@@ -32,7 +32,7 @@ from toricsec.cohomology import (
 )
 from toricsec.cli import main
 from toricsec.fans import PicRankError, deg_and_pic, star_subdivision
-from toricsec.intlin import identity, primitive, rank, vec_gcd
+from toricsec.intlin import det, identity, primitive, rank, vec_gcd
 from toricsec.polyhedra import ParametricIntegerFeasibility, eliminate_last, fourier_motzkin
 from toricsec.workspace import load_workspace
 
@@ -281,10 +281,76 @@ def bundled_workspace():
     return load_workspace()
 
 
-def searched_feasible(pic, cls, neg):
-    """Reference: the tower's own query, with no pulled-back rows first."""
-    neg = frozenset(neg)
-    return fiber_tower(pic, neg).query(fiber_rhs(pic, cls, neg))
+@lru_cache(maxsize=None)
+def ray_adjugates(fan):
+    """(S, adj A_S, det A_S) for each n-subset S of linearly independent rays,
+    A_S the matrix of their rows: A_S m = b solves to m = adj A_S b / det A_S."""
+    n = fan.dim
+    out = []
+    for S in itertools.combinations(range(fan.n_rays), n):
+        A = [fan.rays[ρ] for ρ in S]
+        d = det(A)
+        if d:
+            adj = [[(-1) ** (i + j) * det([row[:i] + row[i + 1:]
+                                           for k, row in enumerate(A) if k != j])
+                    for j in range(n)] for i in range(n)]
+            out.append((S, adj, d))
+    return tuple(out)
+
+
+def fiber_box(fan, pic, cls):
+    """A box of characters m that holds every bounded fiber of cls.
+
+    The fiber of neg is cut out by <m, u_rho> <= -1 - a_rho on neg and >=
+    -a_rho off it.  A bounded one lies in the hull of the vertices of its
+    real relaxation, and each vertex is where n independent hyperplanes
+    <m, u_rho> = -a_rho or -1 - a_rho meet; the box holds all of those.
+    """
+    a = pic.lift(cls)
+    lo, hi = [0] * fan.dim, [0] * fan.dim
+    for S, adj, d in ray_adjugates(fan):
+        for shifts in itertools.product((0, -1), repeat=fan.dim):
+            b = [t - a[ρ] for ρ, t in zip(S, shifts)]
+            for i, row in enumerate(adj):
+                num = sum(map(mul, row, b))
+                lo[i] = min(lo[i], num // d)
+                hi[i] = max(hi[i], -(-num // d))
+    return list(zip(lo, hi))
+
+
+def scanned_supports(fan, pic, cls):
+    """Brute force: the ray masks {rho : <m, u_rho> + a_rho < 0} over the
+    characters m of fiber_box, with no elimination and no search tower.
+
+    The box is scanned one line of its longest side at a time.  Along a
+    line each ray's value is monotone, so its sign flips at most once: the
+    mask is read at the line's first point and updated at each flip.
+    """
+    a = pic.lift(cls)
+    box = fiber_box(fan, pic, cls)
+    line = max(range(fan.dim), key=lambda i: box[i][1] - box[i][0])
+    (lo, hi), head = box[line], box[:line] + box[line + 1:]
+    rest = [u[:line] + u[line + 1:] for u in fan.rays]
+    slopes = [u[line] for u in fan.rays]
+    seen = set()
+    for m in itertools.product(*(range(l, h + 1) for l, h in head)):
+        start = [sum(map(mul, m, u)) + a_ρ + c * lo for u, a_ρ, c in zip(rest, a, slopes)]
+        mask = sum(1 << ρ for ρ, x in enumerate(start) if x < 0)
+        seen.add(mask)
+        flips = {}  # steps k along the line -> rays whose sign flips there
+        for ρ, (x, c) in enumerate(zip(start, slopes)):
+            if x < 0 < c:
+                k = -(x // c)  # the first k with x + c k >= 0
+            elif c < 0 <= x:
+                k = x // -c + 1  # the first k with x + c k < 0
+            else:
+                continue
+            if k <= hi - lo:
+                flips[k] = flips.get(k, 0) | 1 << ρ
+        for k in sorted(flips):
+            mask ^= flips[k]
+            seen.add(mask)
+    return seen
 
 
 @st.composite
@@ -295,18 +361,19 @@ def classes_on_every_fan(draw):
     return label, tuple(draw(st.lists(st.integers(-6, 6), min_size=rank, max_size=rank)))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(classes_on_every_fan())
 def test_refuted_fibers_match_the_searched_ones(query):
     label, cls = query
     ws = bundled_workspace()
     fan, pic = ws.fan(label), ws.pic(label)
+    supports = scanned_supports(fan, pic, cls)
     expected_hit = None
     for neg in [frozenset()] + [fs.ray_indices for fs in forbidden_sets(fan)]:
-        expected = searched_feasible(pic, cls, neg)
+        expected = sum(1 << ρ for ρ in neg) in supports
         assert fiber_feasible(pic, cls, neg) == expected, (label, cls, sorted(neg))
         if expected:
-            # no pulled-back row fires on a fiber the search finds nonempty
+            # no pulled-back row fires on a fiber the scan finds nonempty
             assert all(sum(a * b for a, b in zip(L, cls)) + c <= 0
                        for L, c in fiber_refuters(pic, neg))
             if neg and expected_hit is None:

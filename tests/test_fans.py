@@ -471,3 +471,14 @@ def test_hull_of_a_lower_dimensional_point_set_is_rejected(points):
         hull_facets(points, dim)
     with pytest.raises(FanError):
         LatticePolytope.from_vertices(points)
+
+
+@pytest.mark.parametrize("rays, cones, entry", [
+    (((1.7,), (-1,)), ((0,), (1,)), "ray entry 1.7"),
+    (((1,), ("-1",)), ((0,), (1,)), "ray entry '-1'"),
+    (((1,), (-1,)), ((0,), (1.0,)), "cone entry 1.0"),
+])
+def test_a_non_integer_fan_entry_is_rejected(rays, cones, entry):
+    # truncating (1.7,) would store the ray (1,), and the fan would be P1
+    with pytest.raises(FanError, match=f"{entry} is not an integer"):
+        Fan(1, rays, cones)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -13,6 +14,7 @@ from toricsec.frobenius import (
     pushforward_gamma_agreement,
 )
 from toricsec.intlin import mat_mul, mat_vec
+from toricsec.workspace import load_workspace
 
 from conftest import RAYS, make_fan
 
@@ -43,7 +45,7 @@ def test_m1_returns_the_class_itself():
 def test_p1_m2_splits_o_into_o_and_o_minus_1():
     fan = make_fan("P1")
     pic = deg_and_pic(fan)
-    split = frobenius_split_classes(fan, pic, 2, (0, 0), check_charts=True)
+    split = frobenius_split_classes(fan, pic, 2, (0, 0))
     assert split.support == {(0,), (-1,)}
     assert split.total() == 2  # m^n with n = 1
 
@@ -74,10 +76,32 @@ def test_multiplicity_conservation(fans):
             assert split.total() == m ** fan.dim
 
 
+def assert_chart_independent(fan, pic, m, w):
+    """Every maximal cone's chart gives the support of the split classes."""
+    first = frobenius_split_classes(fan, pic, m, w).support
+    for sigma in fan.max_cones:
+        assert frobenius_summands(fan, pic, m, w, sigma).support == first, sigma
+
+
 def test_chart_independence_i1_m10():
     fan = make_fan("I1")
     pic = deg_and_pic(fan, (4, 5, 6, 7))
-    frobenius_split_classes(fan, pic, 10, (0,) * 8, check_charts=True)
+    for twist in (0, -1):
+        assert_chart_independent(fan, pic, 10, (twist,) * 8)
+
+
+@lru_cache(maxsize=None)
+def bundled_workspace():
+    return load_workspace()
+
+
+@pytest.mark.parametrize("label", sorted(bundled_workspace().fans))
+def test_chart_independence_on_every_bundled_fan(label):
+    # Thomsen's splitting does not depend on the chart
+    ws = bundled_workspace()
+    fan, pic = ws.fan(label), ws.pic(label)
+    for twist in (0, -1):
+        assert_chart_independent(fan, pic, 3, (twist,) * fan.n_rays)
 
 
 def test_i1_counts_match_worked_example():

@@ -411,8 +411,9 @@ def test_recipe_rejects_a_collection_that_is_not_full(tmp_path, label, col_label
 
 
 def test_recipe_missing_label(ws):
-    verdict = verify_variety_recipe(ws, "NOPE")
-    assert verdict.status == "fail"
+    # a label the database lacks is rejected input, not a verdict
+    with pytest.raises(PipelineError, match="no poset node 'NOPE'"):
+        verify_variety_recipe(ws, "NOPE")
 
 
 def test_poset_flags_corrected_contraction(ws):

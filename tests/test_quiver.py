@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 from functools import lru_cache
+from operator import add
 
 import pytest
 from click.testing import CliRunner
@@ -19,7 +20,6 @@ from toricsec.quiver import (
     check_theta_generic,
     covering_quiver_on_y,
     minkowski_embedding_check,
-    parallel_path_relations,
     pic_of_theta,
     sections,
     theta_fiber_surjectivity_check,
@@ -65,9 +65,6 @@ def test_beilinson_p2_quiver():
     q = build_quiver_of_sections(fan, pic, [(0,), (1,), (2,)])
     assert len(q.arrows) == 6
     assert all(a.head == a.tail + 1 for a in q.arrows)
-    rels = parallel_path_relations(q)
-    # commuting squares x_i x_j = x_j x_i through the middle vertex
-    assert len(rels) == 3
 
 
 def test_e1_quiver_counts():
@@ -269,16 +266,6 @@ def test_quiver_report_is_pinned(label):
         QUIVER_REPORT_SHA256[label]
 
 
-def test_parallel_relations_share_endpoints_and_div():
-    fan = make_fan("P2")
-    pic = deg_and_pic(fan)
-    q = build_quiver_of_sections(fan, pic, [(0,), (1,), (2,)])
-    for (tail, head, div), p, q_ in parallel_path_relations(q):
-        for path in (p, q_):
-            assert q.arrows[path[0]].tail == tail
-            assert q.arrows[path[-1]].head == head
-
-
 def test_torus_fixed_bits_match_example_cone():
     fan, pic, q = j1_quiver()
     bits = torus_fixed_bits(q, fan, (0, 1, 3, 4))
@@ -450,6 +437,20 @@ def test_a_theta_off_the_chamber_is_rejected_by_both_checks(check, weight):
             theta_fiber_surjectivity_check(q, node.fan, node.pic, theta)
 
 
+@pytest.mark.parametrize("check", ["generic", "embedding"])
+def test_a_non_integer_theta_is_rejected(check):
+    # (-1.5, 0, ..., 0, 1, 0.5) sums to zero, and truncating its entries
+    # gives (-1, 0, ..., 0, 1, 0), a weight of the chamber
+    node = bundled_workspace().poset.nodes["M1"]
+    q = build_quiver_of_sections(node.fan, node.pic, node.bundles)
+    theta = (-1.5,) + (0,) * 14 + (1, 0.5)
+    with pytest.raises(QuiverError, match="theta entry -1.5 is not an integer"):
+        if check == "generic":
+            check_theta_generic(q, node.fan, theta)
+        else:
+            theta_fiber_surjectivity_check(q, node.fan, node.pic, theta)
+
+
 def full_block_feasible(pic, bundles, v):
     """The reference: the block LP {x_i >= 0, deg x_i = L_i, sum_i x_i = v}
     over every ray, d columns per bundle."""
@@ -500,7 +501,7 @@ def tuple_sumset(summands, n_rays):
     """The reference: sums s_1 + ... + s_k of divisor tuples."""
     sums = {(0,) * n_rays}
     for divs in summands:
-        sums = {tuple(x + y for x, y in zip(s, p)) for s in sums for p in divs}
+        sums = {tuple(map(add, s, p)) for s in sums for p in divs}
     return sums
 
 
@@ -510,16 +511,63 @@ def test_packed_sumset_matches_the_tuple_sumset(label):
     fan, pic = node.fan, node.pic
     q = build_quiver_of_sections(fan, pic, node.bundles)
     cls = pic_of_theta(q.bundles, node.theta)
-    path_divs = quiver._path_divisors(q, pic.n_rays)
+    free = pic.free_indices
+    path_divs = quiver._path_divisors(q, free)
     summands = [path_divs[i] for i, t in enumerate(node.theta) if i for _ in range(t)]
     width = quiver._field_width(fan, pic, cls)
     packed = quiver._packed_sumset(summands, width)
     mask = (1 << width) - 1
-    decoded = {tuple((s >> (width * ρ)) & mask for ρ in range(pic.n_rays)) for s in packed}
-    expected = tuple_sumset(summands, pic.n_rays)
+    decoded = {tuple((s >> (width * k)) & mask for k in range(len(free))) for s in packed}
+    expected = tuple_sumset(summands, len(free))
     assert len(packed) == len(expected)
     assert decoded == expected
-    assert expected == set(sections(pic, cls))
+    assert {pic.lift(cls, t) for t in expected} == set(sections(pic, cls))
+
+
+def full_path_divisors(q, n_rays):
+    """The reference path divisors: every ray's exponent summed along each path."""
+    path_divs = [set() for _ in range(q.n_vertices)]
+    path_divs[0] = {(0,) * n_rays}
+    for v in range(q.n_vertices):
+        for a in q.arrows_from(v):
+            for s in path_divs[v]:
+                path_divs[a.head].add(tuple(map(add, s, a.div)))
+    return path_divs
+
+
+def lookup_theta_detail(q, pic, theta):
+    """The former certificate, kept as the reference: the tuple sumset of
+    the full path divisors and a lookup of every lifted section monomial.
+    Returns the verdict's ok flag and detail."""
+    path_divs = full_path_divisors(q, pic.n_rays)
+    targets = [i for i, t in enumerate(theta) if i for _ in range(t)]
+    for tgt in targets:
+        if not path_divs[tgt]:
+            return False, f"no path from the source to vertex {tgt}"
+    sums = tuple_sumset([path_divs[tgt] for tgt in targets], pic.n_rays)
+    fiber = sections(pic, pic_of_theta(q.bundles, theta))
+    missing = [e for e in fiber if e not in sums]
+    if missing:
+        return False, f"{len(missing)} section monomials unreachable, first {missing[0]}"
+    return True, f"{len(fiber)} section monomials realized"
+
+
+# M1 with each arrow removed in turn; J1, whose reference costs more, with
+# every eighteenth removed
+@pytest.mark.parametrize("label, step", [("M1", 1), ("J1", 18)])
+def test_theta_count_matches_the_lookup(label, step):
+    node = bundled_workspace().poset.nodes[label]
+    fan, pic = node.fan, node.pic
+    q = build_quiver_of_sections(fan, pic, node.bundles)
+    doctored = [QuiverOfSections(q.bundles, q.arrows[:k] + q.arrows[k + 1:])
+                for k in range(0, len(q.arrows), step)]
+    outcomes = set()
+    for qq in [q] + doctored:
+        v = theta_fiber_surjectivity_check(qq, fan, pic, node.theta)
+        assert (v.ok, v.detail) == lookup_theta_detail(qq, pic, node.theta)
+        outcomes.add(v.detail.split()[3])
+    # the doctored quivers reach every monomial, or fall short of some
+    assert {"realized", "unreachable,"} <= outcomes
 
 
 def test_stability_dichotomy_small_quivers():

@@ -483,6 +483,7 @@ REPORT_LIFECYCLE = [
     (["propagate", "S3", "NOPE"], "rejected"),
     (["tilting-total-space", "NOPE"], "rejected"),
     (["recipe", "P2", "--m", "0"], "rejected"),
+    (["recipe", "NOPE"], "rejected"),
     (["helix", "NOPE"], "rejected"),
     (["helix", "P1xP1", "--twist-class", "0"], "rejected"),
 ]
