@@ -85,7 +85,7 @@ def frobenius_split_classes(fan: Fan, pic: PicBasis, m: int, w) -> SplitSet:
     The summand classes do not depend on the chart (Thomsen, J. Algebra
     226, 2000), so one cone serves.
     """
-    return frobenius_summands(fan, pic, m, w, fan.max_cones[0])
+    return frobenius_summands(fan, pic, m, w)
 
 
 def gen_twists(fan: Fan) -> range:

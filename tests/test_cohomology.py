@@ -361,7 +361,7 @@ def classes_on_every_fan(draw):
     return label, tuple(draw(st.lists(st.integers(-6, 6), min_size=rank, max_size=rank)))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(classes_on_every_fan())
 def test_refuted_fibers_match_the_searched_ones(query):
     label, cls = query
