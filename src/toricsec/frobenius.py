@@ -7,7 +7,6 @@ classes come from an exact floor-division formula on the ray data.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -37,8 +36,9 @@ def frobenius_summands(fan: Fan, pic: PicBasis, m: int, w, sigma=None) -> SplitS
     On the chart, t = B v + c with B = A A_sigma^{-1} and c = w - B w_sigma,
     and the summand of the residue vector v (0 <= v_i < m) is the class of
     floor(t / m).  The rows of sigma in B are unit vectors and c vanishes
-    there, so those floors are 0; only the d - n other rows are floored.
-    Each distinct floor vector is counted, then mapped to its class once.
+    there, so those floors are 0; only the d - n other rows are floored,
+    each as one column of values over all m^n residues.  Each distinct
+    floor vector is counted, then mapped to its class once.
     Classes appear in the order in which the residues, taken in
     lexicographic order, first reach them.
     """
@@ -56,19 +56,16 @@ def frobenius_summands(fan: Fan, pic: PicBasis, m: int, w, sigma=None) -> SplitS
     b = mat_mul(fan.rays, chart)
     b_w = mat_vec(b, tuple(w[i] for i in sigma))
     outside = [r for r in range(fan.n_rays) if r not in sigma]
-    heads = [b[r][:-1] for r in outside]
-    lasts = [b[r][-1] for r in outside]
-    c = [w[r] - b_w[r] for r in outside]
-    residues = range(m)
-    floors: Counter[IntVector] = Counter()
-    for head in itertools.product(residues, repeat=fan.dim - 1):
-        # per row outside sigma, the partial sum over the first n - 1
-        # residues, then its floors as the last residue runs through 0..m-1
-        columns = []
-        for row, last, cr in zip(heads, lasts, c):
-            t = sum(x * y for x, y in zip(row, head)) + cr
-            columns.append([(t + last * k) // m for k in residues])
-        floors.update(zip(*columns))  # a complete fan has a ray outside sigma
+    columns = []
+    for r in outside:
+        # t_r(v) over every residue vector v in lexicographic order, one
+        # coordinate at a time, then floored
+        values = [w[r] - b_w[r]]
+        for coeff in b[r]:
+            steps = [coeff * k for k in range(m)]
+            values = [t + s for t in values for s in steps]
+        columns.append([t // m for t in values])
+    floors = Counter(zip(*columns))  # a complete fan has a ray outside sigma
     mult: dict[IntVector, int] = {}
     divisor = [0] * fan.n_rays
     for q, count in floors.items():

@@ -9,6 +9,7 @@ quiver whose anticanonical cycles feed the diagonal-resolution cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .cohomology import fiber_rhs, fiber_tower
 from .fans import Fan, PicBasis, nef_ample_test, vertex_divisors
@@ -47,23 +48,6 @@ class QuiverError(ValueError):
     pass
 
 
-def sections(pic: PicBasis, cls) -> list[IntVector]:
-    """Exponent vectors of the torus-invariant sections of a class, lex order."""
-    rhs = fiber_rhs(pic, cls, ())
-    try:
-        free = polytope_lattice_points(fiber_tower(pic, ()), rhs)
-    except UnboundedSearch:
-        raise QuiverError(f"section space of {cls} is infinite")
-    return sorted(pic.lift(cls, t) for t in free)
-
-
-def _dominates_some(e, staircase) -> bool:
-    for f in staircase:
-        if all(x >= y for x, y in zip(e, f)):
-            return True
-    return False
-
-
 def _pruned_fiber(pic: PicBasis, cls, staircase) -> list[IntVector]:
     """Fiber lattice points of {x >= 0, deg x = cls} under the staircase.
 
@@ -76,73 +60,81 @@ def _pruned_fiber(pic: PicBasis, cls, staircase) -> list[IntVector]:
     So a branch dies as soon as its fixed exponents dominate a staircase
     monomial; the full fiber may be huge, the survivors never are.
     """
-    free = pic.free_indices
     tower = fiber_tower(pic, ())
+    depth = _search_depths(pic)
     a = pic.lift(cls)
-    fixed_at = {f: k for k, f in enumerate(free)}
-    for row, b in zip(pic.deg, pic.basis_indices):
-        fixed_at[b] = max((k for k, f in enumerate(free) if row[f]), default=0)
     # the exponent x_rho is base_rows[rho] . t + a_rho, so x_rho >= v
-    # reads base_rows[rho] . t >= v - a_rho
-    checks = [[] for _ in free]
+    # reads base_rows[rho] . t >= v - a_rho; at v = 0 these are the fiber
+    # rows, with right-hand sides -a
+    checks = [[] for _ in pic.free_indices]
     for f in staircase:
         support = [ρ for ρ, v in enumerate(f) if v]
-        checks[max((fixed_at[ρ] for ρ in support), default=0)].append(
+        checks[max(depth[ρ] for ρ in support)].append(
             tuple((ρ, f[ρ] - a[ρ]) for ρ in support))
-    rhs = fiber_rhs(pic, cls, ())
-    try:
-        found = tower.points(rhs, conjunction_forbid(tower.base_rows, checks))
-    except UnboundedSearch:
-        raise QuiverError("unbounded section fiber")
+    found = tower.points([-x for x in a], conjunction_forbid(tower.base_rows, checks))
     return [pic.lift(cls, t) for t in found]
+
+
+@lru_cache(maxsize=None)
+def _search_depths(pic: PicBasis) -> tuple[int, ...]:
+    """Per ray, the depth of the fiber search at which its exponent is fixed."""
+    free = pic.free_indices
+    depth = [0] * pic.n_rays
+    for k, f in enumerate(free):
+        depth[f] = k
+    for row, b in zip(pic.deg, pic.basis_indices):
+        depth[b] = max((k for k, f in enumerate(free) if row[f]), default=0)
+    return tuple(depth)
 
 
 def _level_arrows(pic: PicBasis, bundles, top: int) -> list[tuple]:
     """Irreducible sections (tail, head, div, level) of levels 0..top.
 
     A level-p section from bundle i to bundle j is a section of
-    L_j - L_i - p K_X.  Taken out of each tail in order of degree, a
-    section is an arrow unless it dominates an arrow found before it: if
-    e dominates an arrow a to k, then e - a is a section from k to j, and
-    k != j since a nonzero effective divisor on a complete variety never
-    has class 0; if e = f + g factors, e dominates f, which is or
-    dominates an earlier arrow.  Level 0 has no loops and must run up the
-    vertex order; above it, the search skips every monomial dominating a
-    lower-level arrow out of its tail.  While top <= 1 that staircase is
-    already minimal: the arrows of one level out of a tail form an
-    antichain, since a survivor dominating an earlier one is rejected and
-    an earlier one, of no larger degree, dominates a later one only if
-    they are equal.  The list is in the order found.
+    L_j - L_i - p K_X; it is irreducible unless it is f + g with f a
+    nonzero section from i to some k and g a nonzero section from k to j.
+    Level by level, each tail i visits its heads j in vertex order, and
+    one search of the fiber of (i, j) skips every monomial that dominates
+    a staircase monomial: the arrows out of i of the lower levels and
+    those of this level to heads k < j.  Every survivor is an arrow:
+
+    - if e = f + g factors through k and f has a lower level, e dominates
+      f, which by induction dominates a lower-level arrow out of i;
+    - otherwise g is a nonzero level-0 section from k to j, so k < j in
+      the Hom order, and f, or an arrow that f dominates, is already in
+      the staircase;
+    - conversely, if e != a dominates an arrow a from i to k, then e - a
+      is a nonzero section from k to j, so e is not irreducible;
+    - two survivors of one class never dominate each other, as their
+      difference would be a nonzero effective divisor of class 0.
+
+    Level 0 has no loops and must run up the vertex order: for j < i one
+    feasibility query of the fiber raises QuiverError at the first such
+    pair with a section.  The list is in the order found.
     """
     bundles = [tuple(b) for b in bundles]
     r = len(bundles)
     minus_omega = tuple(-w for w in pic.canonical_class())
+    tower = fiber_tower(pic, ())
     out_divs = [[] for _ in range(r)]
     found = []
-    for p in range(top + 1):
-        survivors = []
-        for i in range(r):
-            for j in range(r):
-                cls = tuple(bj - bi + p * w
-                            for bi, bj, w in zip(bundles[i], bundles[j], minus_omega))
-                if p > 0:
-                    fiber = _pruned_fiber(pic, cls, out_divs[i])
-                elif i == j:
-                    continue
-                else:
-                    fiber = sections(pic, cls)
-                    if fiber and j < i:
-                        raise QuiverError(
-                            f"collection is not Hom-ordered: sections from {i} to {j}")
-                survivors.extend((sum(e), i, j, e) for e in fiber)
-        survivors.sort()
-        level_divs = [[] for _ in range(r)]
-        for _, i, j, e in survivors:
-            if not _dominates_some(e, level_divs[i]):
-                level_divs[i].append(e)
-                found.append((i, j, e, p))
-        for i in range(r):
-            out_divs[i].extend(level_divs[i])
+    try:
+        for p in range(top + 1):
+            for i in range(r):
+                staircase = out_divs[i]
+                for j in range(r):
+                    cls = tuple(bj - bi + p * w
+                                for bi, bj, w in zip(bundles[i], bundles[j], minus_omega))
+                    if p == 0 and j <= i:
+                        if j < i and tower.query(fiber_rhs(pic, cls, ())):
+                            raise QuiverError(
+                                f"collection is not Hom-ordered: sections from {i} to {j}")
+                        continue
+                    arrows = _pruned_fiber(pic, cls, staircase)
+                    found.extend((i, j, e, p) for e in arrows)
+                    staircase.extend(arrows)
+    except UnboundedSearch:
+        raise QuiverError("unbounded section fiber") from None
     return found
 
 
@@ -159,9 +151,9 @@ def covering_quiver_on_y(fan: Fan, pic: PicBasis, bundles) -> QuiverOfSections:
     The degree is an arrow's final exponent, that of rho_tot, and its
     level in _level_arrows.  Method 2 reads no other: every anticanonical
     cycle has divisor (1, ..., 1), so it holds exactly one degree-1 arrow
-    and none of degree >= 2.  The degree-0 arrows out of a tail form an
-    antichain, so they are already the minimal staircase that the
-    degree-1 search prunes with.
+    and none of degree >= 2.  Each degree-1 search, one per (tail, head),
+    is pruned by the degree-0 arrows out of the tail and by the degree-1
+    arrows found before it out of the same tail, so it returns arrows only.
     """
     found = _level_arrows(pic, bundles, 1)
     arrows = (Arrow(i, j, tuple(e) + (p,)) for i, j, e, p in sorted(found))
@@ -187,16 +179,16 @@ def torus_fixed_bits(quiver: QuiverOfSections, fan: Fan, cone) -> tuple[int, ...
     return tuple(bits)
 
 
-def _path_to(quiver, bits, start, targets):
+def _path_to(quiver, adjacency, start, targets):
     """A nonzero-arrow path from start into `targets` and the vertices seen.
 
-    The path is a tuple of arrow indices, or None; then the vertices seen
-    are every vertex that start reaches.
+    adjacency[v] lists the nonzero arrows out of v as (arrow index, head),
+    in arrow order.  The path is a tuple of arrow indices, or None; then
+    the vertices seen are every vertex that start reaches.
     """
     prev = {start: None}
     queue = [start]
-    while queue:
-        v = queue.pop(0)
+    for v in queue:
         if v in targets:
             path = []
             while prev[v] is not None:
@@ -204,10 +196,10 @@ def _path_to(quiver, bits, start, targets):
                 path.append(idx)
                 v = quiver.arrows[idx].tail
             return tuple(reversed(path)), prev.keys()
-        for idx, a in enumerate(quiver.arrows):
-            if bits[idx] and a.tail == v and a.head not in prev:
-                prev[a.head] = idx
-                queue.append(a.head)
+        for idx, head in adjacency[v]:
+            if head not in prev:
+                prev[head] = idx
+                queue.append(head)
     return None, prev.keys()
 
 
@@ -240,7 +232,9 @@ def check_theta_generic(quiver: QuiverOfSections, fan: Fan, theta) -> StabilityR
     positively-weighted vertex, and from every other vertex a nonzero-arrow
     path to some positively-weighted vertex.  theta must assign a negative
     weight to the source and nonnegative weights elsewhere (the closed
-    chamber of the special parameter).
+    chamber of the special parameter).  Each cone lists the nonzero arrows
+    out of every vertex once, in arrow order, and every breadth-first
+    search reads those lists.
     """
     theta = _checked_theta(quiver, theta)
     positives = {i for i, t in enumerate(theta) if t > 0}
@@ -248,10 +242,14 @@ def check_theta_generic(quiver: QuiverOfSections, fan: Fan, theta) -> StabilityR
     certs = []
     for cone in fan.max_cones:
         bits = torus_fixed_bits(quiver, fan, cone)
+        adjacency = [[] for _ in range(quiver.n_vertices)]
+        for idx, a in enumerate(quiver.arrows):
+            if bits[idx]:
+                adjacency[a.tail].append((idx, a.head))
         cone_cert = {"cone": cone, "from_source": {}, "to_positive": {}}
         bad = None
         for t in sorted(positives):
-            path, _ = _path_to(quiver, bits, 0, {t})
+            path, _ = _path_to(quiver, adjacency, 0, {t})
             if path is None:
                 bad = (cone, "source does not reach the positive vertex", t)
                 break
@@ -259,7 +257,7 @@ def check_theta_generic(quiver: QuiverOfSections, fan: Fan, theta) -> StabilityR
         for v in range(1, quiver.n_vertices):
             if bad:
                 break
-            path, reached = _path_to(quiver, bits, v, positives)
+            path, reached = _path_to(quiver, adjacency, v, positives)
             if path is None:
                 bad = (cone, "closed set with nonpositive weight", sorted(reached))
                 break

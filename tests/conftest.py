@@ -2,7 +2,9 @@ from operator import mul
 
 import pytest
 
+from toricsec.cohomology import fiber_rhs, fiber_tower
 from toricsec.fans import Fan, fan_from_rays
+from toricsec.polyhedra import polytope_lattice_points
 
 RAYS = {
     "P1": [(1,), (-1,)],
@@ -101,3 +103,13 @@ def refuted(rows, cls) -> bool:
     refuter screens of cohomology.
     """
     return any(sum(map(mul, L, cls)) + c > 0 for L, c in rows)
+
+
+def sections(pic, cls) -> list[tuple[int, ...]]:
+    """Exponent vectors of the torus-invariant sections of a class, lex order.
+
+    The full fiber, kept as the reference for the pruned searches of
+    quiver._level_arrows and for the theta embedding count.
+    """
+    free = polytope_lattice_points(fiber_tower(pic, ()), fiber_rhs(pic, cls, ()))
+    return sorted(pic.lift(cls, t) for t in free)

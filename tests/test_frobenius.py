@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -10,6 +11,7 @@ from toricsec.frobenius import (
     frobenius_gen_support,
     frobenius_split_classes,
     frobenius_summands,
+    gen_twists,
     nef_frobenius_collection,
     pushforward_gamma_agreement,
 )
@@ -170,6 +172,44 @@ def test_floor_vector_counting_matches_product_loop(label):
                 want = product_loop_summands(fan, pic, m, w, sigma)
                 # same classes, same counts, same order of first occurrence
                 assert list(got.multiplicity.items()) == list(want.items()), (sigma, m, w)
+
+
+def head_loop_summands(fan, pic, m, w):
+    """The former floor-vector count on the first chart, kept as the
+    reference: a loop over the first n - 1 residues, each row's floors
+    listed as the last residue runs through 0..m-1."""
+    sigma = tuple(sorted(fan.max_cones[0]))
+    b = mat_mul(fan.rays, cone_charts(fan)[sigma])
+    b_w = mat_vec(b, tuple(w[i] for i in sigma))
+    outside = [r for r in range(fan.n_rays) if r not in sigma]
+    floors = Counter()
+    for head in itertools.product(range(m), repeat=fan.dim - 1):
+        columns = []
+        for r in outside:
+            t = sum(x * y for x, y in zip(b[r], head)) + w[r] - b_w[r]
+            columns.append([(t + b[r][-1] * k) // m for k in range(m)])
+        floors.update(zip(*columns))
+    mult = {}
+    divisor = [0] * fan.n_rays
+    for q, count in floors.items():
+        for r, x in zip(outside, q):
+            divisor[r] = x
+        cls = pic.deg_of(divisor)
+        mult[cls] = mult.get(cls, 0) + count
+    return mult
+
+
+@pytest.mark.parametrize("label", sorted(bundled_workspace().fans))
+def test_column_sweep_matches_the_head_loop(label):
+    ws = bundled_workspace()
+    fan, pic = ws.fan(label), ws.pic(label)
+    twists = [(-1,) * fan.n_rays] + [(i,) * fan.n_rays for i in gen_twists(fan)]
+    for m in (1, 2, 3, 8):
+        for w in twists:
+            got = frobenius_split_classes(fan, pic, m, w)
+            # same classes, same counts, same order of first occurrence
+            assert list(got.multiplicity.items()) == \
+                list(head_loop_summands(fan, pic, m, w).items()), (m, w)
 
 
 @pytest.mark.parametrize("w", [(0.9, 0, 0), (0, 0, 1.0), ("1", 0, 0)])

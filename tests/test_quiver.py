@@ -2,7 +2,7 @@ import hashlib
 import itertools
 import random
 from functools import lru_cache
-from operator import add
+from operator import add, sub
 
 import pytest
 from click.testing import CliRunner
@@ -21,13 +21,12 @@ from toricsec.quiver import (
     covering_quiver_on_y,
     minkowski_embedding_check,
     pic_of_theta,
-    sections,
     theta_fiber_surjectivity_check,
     torus_fixed_bits,
 )
 from toricsec.workspace import load_workspace
 
-from conftest import make_fan
+from conftest import make_fan, sections
 
 E1_BUNDLES = [(0, 0, 0), (0, 1, 1), (0, 2, 2), (0, 3, 3), (1, 0, 0), (1, 0, 1),
               (1, 1, 1), (1, 1, 2), (1, 2, 2), (1, 2, 3), (1, 3, 3)]
@@ -139,10 +138,22 @@ def test_covering_quiver_e1_counts():
     assert len(q.arrows) == 46
 
 
+def searched_classes(pic, bundles, top):
+    """(level, tail, head, class) of every pruned search of _level_arrows,
+    in its order: level 0 above the diagonal, every pair at each level above."""
+    minus_omega = tuple(-w for w in pic.canonical_class())
+    r = len(bundles)
+    return [(p, i, j, tuple(bj - bi + p * w
+                            for bi, bj, w in zip(bundles[i], bundles[j], minus_omega)))
+            for p in range(top + 1) for i in range(r) for j in range(r)
+            if p or j > i]
+
+
 @pytest.mark.parametrize("label", ["S3", "D1_3", "E1"])
 def test_pruned_fiber_is_the_fiber_minus_the_staircase_upset(label, monkeypatch):
-    # every level-1 class (i, j) the covering quiver visits, against the
-    # full fiber and the level-0 arrows out of i
+    # every search of the covering quiver, at level 0 (j > i) and level 1:
+    # its staircase is the arrows out of i found so far, and it returns
+    # the fiber minus the upset of that staircase
     ws = bundled_workspace()
     fan, pic = ws.fan(label), ws.pic(label)
     bundles = [tuple(b) for b in ws.collection_for(label).bundles]
@@ -151,22 +162,21 @@ def test_pruned_fiber_is_the_fiber_minus_the_staircase_upset(label, monkeypatch)
 
     def recording(pic_, cls, staircase):
         found = pruned_fiber(pic_, cls, staircase)
-        calls.append((cls, found))
+        calls.append((cls, list(staircase), found))
         return found
 
     monkeypatch.setattr(quiver, "_pruned_fiber", recording)
     q = covering_quiver_on_y(fan, pic, bundles)
-    r = len(bundles)
-    minus_omega = tuple(-w for w in pic.canonical_class())
-    visits = [(i, j) for i in range(r) for j in range(r)]
-    assert len(calls) == len(visits)
-    for (i, j), (cls, found) in zip(visits, calls):
-        assert cls == tuple(bj - bi + w for bi, bj, w
-                            in zip(bundles[i], bundles[j], minus_omega))
-        below = [a.div[:-1] for a in q.arrows if a.tail == i and a.div[-1] == 0]
+    visits = searched_classes(pic, bundles, 1)
+    assert len(calls) == len(visits) == len(bundles) * (3 * len(bundles) - 1) // 2
+    for (p, i, j, cls), (called_cls, staircase, found) in zip(visits, calls):
+        assert called_cls == cls
+        before = sorted(a.div[:-1] for a in q.arrows if a.tail == i
+                        and (a.div[-1], a.head) < (p, j))
+        assert sorted(staircase) == before, (p, i, j)
         expected = [e for e in sections(pic, cls)
-                    if not any(all(x >= y for x, y in zip(e, f)) for f in below)]
-        assert sorted(found) == expected and len(set(found)) == len(found), (i, j)
+                    if not any(all(x >= y for x, y in zip(e, f)) for f in staircase)]
+        assert sorted(found) == expected and len(set(found)) == len(found), (p, i, j)
 
 
 @pytest.mark.parametrize("label", ["S3", "D1_3", "E1"])
@@ -185,7 +195,8 @@ def test_no_arrow_above_level_one(label, monkeypatch):
 
     monkeypatch.setattr(quiver, "_pruned_fiber", counting)
     three = quiver._level_arrows(pic, bundles, 3)
-    assert len(searched) == 3 * len(bundles) ** 2
+    r = len(bundles)
+    assert len(searched) == r * (r - 1) // 2 + 3 * r ** 2
     assert three == quiver._level_arrows(pic, bundles, 1)
     cover = covering_quiver_on_y(ws.fan(label), pic, bundles)
     assert {a.div[-1] for a in cover.arrows} == {0, 1}
@@ -231,6 +242,67 @@ def test_quiver_of_sections_matches_the_factorization_definition(label):
     arrows = [(a.tail, a.head, a.div) for a in q.arrows]
     assert len(set(arrows)) == len(arrows)
     assert set(arrows) == arrows_by_factorization(pic, bundles)
+
+
+def cover_arrows_by_factorization(pic, bundles):
+    """The definition at level 1: e : i -> j, a section of L_j - L_i - K,
+    is an arrow unless e = f + g with f a nonzero level-0 section from i to
+    k and g a level-1 section from k to j, or with f a level-1 section from
+    i to k and g a nonzero level-0 section from k to j."""
+    r = len(bundles)
+    minus_omega = tuple(-w for w in pic.canonical_class())
+
+    def fiber(i, j, p):
+        return set(sections(pic, tuple(bj - bi + p * w for bi, bj, w
+                                       in zip(bundles[i], bundles[j], minus_omega))))
+
+    zero = {(i, k): fiber(i, k, 0) for i in range(r) for k in range(r) if k != i}
+    one = {(i, j): fiber(i, j, 1) for i in range(r) for j in range(r)}
+
+    def factors(e, i, j):
+        for k in range(r):
+            if k != i and any(tuple(map(sub, e, f)) in one[k, j] for f in zero[i, k]):
+                return True
+            if k != j and any(tuple(map(sub, e, g)) in one[i, k] for g in zero[k, j]):
+                return True
+        return False
+
+    return {(i, j, e) for (i, j), s in one.items() for e in s if not factors(e, i, j)}
+
+
+def assert_quivers_match_the_definitions(fan, pic, bundles):
+    base = build_quiver_of_sections(fan, pic, bundles)
+    arrows = [(a.tail, a.head, a.div) for a in base.arrows]
+    assert arrows == sorted(set(arrows))
+    assert set(arrows) == arrows_by_factorization(pic, bundles)
+    cover = covering_quiver_on_y(fan, pic, bundles)
+    level = {p: [(a.tail, a.head, a.div[:-1]) for a in cover.arrows if a.div[-1] == p]
+             for p in (0, 1)}
+    assert len(level[0]) + len(level[1]) == len(cover.arrows)
+    assert level[0] == arrows
+    assert len(set(level[1])) == len(level[1])
+    assert set(level[1]) == cover_arrows_by_factorization(pic, bundles)
+
+
+@pytest.mark.parametrize("label", ["S3", "D1_3", "E1"])
+def test_covering_quiver_matches_the_factorization_definition(label):
+    ws = bundled_workspace()
+    fan, pic = ws.fan(label), ws.pic(label)
+    assert_quivers_match_the_definitions(
+        fan, pic, [tuple(b) for b in ws.collection_for(label).bundles])
+
+
+def test_quivers_of_sub_collections_match_the_definitions():
+    # an order-preserving sub-collection of a Hom-ordered one is Hom-ordered;
+    # its arrows may factor only through the vertices it keeps
+    ws = bundled_workspace()
+    rng = random.Random(27)
+    for label in HOM_ORDERED:
+        fan, pic = ws.fan(label), ws.pic(label)
+        bundles = [tuple(b) for b in ws.collection_for(label).bundles]
+        for _ in range(2):
+            keep = sorted(rng.sample(range(len(bundles)), rng.randint(2, min(6, len(bundles)))))
+            assert_quivers_match_the_definitions(fan, pic, [bundles[k] for k in keep])
 
 
 @pytest.mark.parametrize("label", ["P1xP1", "S3", "D1_3", "E1"])
@@ -366,6 +438,70 @@ def test_theta_closed_sets_match_closure():
                              if not closure(q, bits, v) & positives)
                 assert detail == sorted(closure(q, bits, first))
     assert closed > 20
+
+def scan_path_to(q, bits, start, targets):
+    """The former breadth-first search, kept as the reference: each popped
+    vertex scans every arrow for the nonzero ones out of it."""
+    prev = {start: None}
+    queue = [start]
+    while queue:
+        v = queue.pop(0)
+        if v in targets:
+            path = []
+            while prev[v] is not None:
+                path.append(prev[v])
+                v = q.arrows[prev[v]].tail
+            return tuple(reversed(path)), prev.keys()
+        for idx, a in enumerate(q.arrows):
+            if bits[idx] and a.tail == v and a.head not in prev:
+                prev[a.head] = idx
+                queue.append(a.head)
+    return None, prev.keys()
+
+
+def scan_theta_report(q, fan, theta):
+    """check_theta_generic on the arrow scan."""
+    positives = {i for i, t in enumerate(theta) if t > 0}
+    failures, certs = [], []
+    for cone in fan.max_cones:
+        bits = torus_fixed_bits(q, fan, cone)
+        cert = {"cone": cone, "from_source": {}, "to_positive": {}}
+        bad = None
+        for t in sorted(positives):
+            path, _ = scan_path_to(q, bits, 0, {t})
+            if path is None:
+                bad = (cone, "source does not reach the positive vertex", t)
+                break
+            cert["from_source"][t] = path
+        for v in range(1, q.n_vertices):
+            if bad:
+                break
+            path, reached = scan_path_to(q, bits, v, positives)
+            if path is None:
+                bad = (cone, "closed set with nonpositive weight", sorted(reached))
+                break
+            cert["to_positive"][v] = path
+        if bad:
+            failures.append(bad)
+        else:
+            certs.append(cert)
+    return quiver.StabilityReport(not failures, tuple(failures), tuple(certs))
+
+
+@pytest.mark.parametrize("label", ["M1", "J1"])
+def test_theta_report_matches_the_arrow_scan(label):
+    # the row's quiver, and the same with every third arrow removed, so
+    # that failures are compared as well as certificates
+    node = bundled_workspace().poset.nodes[label]
+    q = build_quiver_of_sections(node.fan, node.pic, node.bundles)
+    thinned = QuiverOfSections(q.bundles, tuple(a for k, a in enumerate(q.arrows) if k % 3 != 2))
+    reports = []
+    for qq in (q, thinned):
+        report = check_theta_generic(qq, node.fan, node.theta)
+        assert report == scan_theta_report(qq, node.fan, node.theta)
+        reports.append(report)
+    assert reports[0].generic and reports[1].failures
+
 
 def test_minkowski_p1():
     fan = make_fan("P1")
