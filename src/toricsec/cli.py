@@ -53,12 +53,27 @@ class Report:
     def set_status(self, status):
         self.status = status
 
+    def fail(self, exc):
+        """Record a rejected input: an error= line and status=fail."""
+        self.add("error", f"{type(exc).__name__}: {exc}")
+        self.set_status("fail")
+
+    def text(self):
+        return "\n".join(self.lines + [f"status={self.status}"]) + "\n"
+
     def finish(self, code=None):
-        self.lines.append(f"status={self.status}")
-        text = "\n".join(self.lines) + "\n"
+        """Write the report to --out, echo it and exit.
+
+        An --out path that cannot be written fails the report, which still
+        reaches stdout, with exit status 2.
+        """
         if self.out:
-            Path(self.out).write_text(text)
-        click.echo(text, nl=False)
+            try:
+                Path(self.out).write_text(self.text())
+            except OSError as exc:
+                self.fail(exc)
+                code = 2
+        click.echo(self.text(), nl=False)
         sys.exit(code if code is not None else 0 if self.status == "pass" else 1)
 
 
@@ -94,8 +109,7 @@ class _Main(click.Group):
         try:
             super().invoke(ctx)
         except ValueError as exc:
-            rep.add("error", f"{type(exc).__name__}: {exc}")
-            rep.set_status("fail")
+            rep.fail(exc)
             code = 2
         rep.finish(code)
 

@@ -9,10 +9,10 @@ oracle over lattice characters cross-checks the cone method.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache, reduce
 from operator import add, mul, or_
+from typing import NamedTuple
 
 from .fans import Fan, FanError, PicBasis, ContractionStep, cartier_data
 from .intlin import (identity, int_vector, kernel_vector, mat_mul, mat_vec, sparse_rank,
@@ -28,8 +28,7 @@ class FanNotComplete(FanError):
     """forbidden_sets needs the faces of a complete fan, an (n-1)-sphere."""
 
 
-@dataclass(frozen=True)
-class ForbiddenSet:
+class ForbiddenSet(NamedTuple):
     ray_indices: frozenset[int]
     degrees: tuple[int, ...]  # the H^i(X, -) the set feeds, i = betti degree + 1
 
@@ -406,8 +405,7 @@ def cohomology_dims(fan: Fan, pic: PicBasis, cls) -> tuple[int, ...]:
     raise BoxTooSmall("character box did not stabilize")
 
 
-@dataclass(frozen=True)
-class StrongExceptionalVerdict:
+class StrongExceptionalVerdict(NamedTuple):
     ok: bool
     ordering: tuple[int, ...] = ()
     failure: str = ""
@@ -453,8 +451,7 @@ def strong_exceptional_check(fan: Fan, pic: PicBasis, bundles) -> StrongExceptio
     return StrongExceptionalVerdict(True, ordering=tuple(order))
 
 
-@dataclass
-class ChainConeSystem:
+class ChainConeSystem(NamedTuple):
     """Pulled-back non-vanishing cone families along a contraction chain."""
 
     chain: tuple[ContractionStep, ...]
@@ -513,8 +510,7 @@ class ChainConeSystem:
         return [(key, rhs) for key, rhs in best.items() if any(key) or rhs > 0]
 
 
-@dataclass(frozen=True)
-class ChainVerdict:
+class ChainVerdict(NamedTuple):
     ok: bool
     per_level: tuple  # (level, image collection, verdict bool)
     failure: str = ""

@@ -10,10 +10,10 @@ exactness is certified fiberwise over a large prime field.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import accumulate
 from math import comb, prod
 from operator import add
+from typing import NamedTuple
 
 from .fans import Fan, PicBasis, nef_ample_test
 from .intlin import IntVector
@@ -33,8 +33,7 @@ class DiagonalError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     key: tuple
     paths: tuple[Path, ...]
     tail: int
@@ -42,8 +41,7 @@ class Cell:
     div: IntVector
 
 
-@dataclass
-class CellComplexData:
+class CellComplexData(NamedTuple):
     levels: tuple[tuple[Cell, ...], ...]   # Gamma'_0 .. Gamma'_{n+1}
 
 
@@ -148,8 +146,7 @@ def restrict_cells(data: CellComplexData, rho_tot: int) -> tuple[tuple[Cell, ...
 
 # ------------------------------------------------------ derivative complex
 
-@dataclass
-class GradedChainComplex:
+class GradedChainComplex(NamedTuple):
     """Free bigraded modules with signed monomial-pair matrices.
 
     matrices[k] maps level k+1 to level k; an entry is a list of
@@ -342,8 +339,7 @@ def check_bidegrees(complex_: GradedChainComplex, pic: PicBasis) -> bool:
 
 # --------------------------------------------------------- fiber exactness
 
-@dataclass(frozen=True)
-class FiberReport:
+class FiberReport(NamedTuple):
     ok: bool
     off_diagonal_ranks: tuple[int, ...]
     diagonal_homology: tuple[int, ...]
@@ -604,8 +600,7 @@ def fiber_exactness_check(complex_: GradedChainComplex, n: int,
     return FiberReport(True, tuple(expected), tuple(want_diag))
 
 
-@dataclass(frozen=True)
-class ResolutionVerdict:
+class ResolutionVerdict(NamedTuple):
     status: str                 # "full" or "inconclusive"
     stage: str                  # last stage reached / failing stage
     ranks: tuple[int, ...] = ()

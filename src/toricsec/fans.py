@@ -9,10 +9,10 @@ smooth but not complete.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import mul
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .intlin import (
     IntMatrix,
@@ -39,31 +39,39 @@ class PicRankError(ValueError):
     """A divisor class whose length is not the rank of Pic."""
 
 
-@dataclass(frozen=True)
-class Fan:
+class _FanFields(NamedTuple):
     dim: int
     rays: tuple[IntVector, ...]
     max_cones: tuple[tuple[int, ...], ...]
     label: str = ""
 
-    def __post_init__(self):
+
+class Fan(_FanFields):
+    """Rays as integer tuples and maximal cones as sorted ray-index tuples.
+
+    Every construction, pickle and copy included, checks the input and
+    raises FanError on a malformed fan.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, dim, rays, max_cones, label=""):
         try:
-            rays = tuple(int_vector(r, "ray entry") for r in self.rays)
-            cones = tuple(tuple(sorted(int_vector(c, "cone entry"))) for c in self.max_cones)
+            rays = tuple(int_vector(r, "ray entry") for r in rays)
+            max_cones = tuple(tuple(sorted(int_vector(c, "cone entry"))) for c in max_cones)
         except ValueError as exc:
             raise FanError(str(exc)) from None
-        object.__setattr__(self, "rays", rays)
-        object.__setattr__(self, "max_cones", cones)
-        for r in self.rays:
-            if len(r) != self.dim:
+        for r in rays:
+            if len(r) != dim:
                 raise FanError(f"ray {r} has wrong dimension")
             if vec_gcd(r) != 1:
                 raise FanError(f"ray {r} is not primitive")
-        for c in self.max_cones:
-            if any(i < 0 or i >= len(self.rays) for i in c):
+        for c in max_cones:
+            if any(i < 0 or i >= len(rays) for i in c):
                 raise FanError(f"cone {c} references a missing ray")
             if len(set(c)) != len(c):
                 raise FanError(f"cone {c} repeats a ray")
+        return super().__new__(cls, dim, rays, max_cones, label)
 
     @property
     def n_rays(self) -> int:
@@ -77,8 +85,7 @@ class Fan:
         return mat([self.rays[i] for i in cone])
 
 
-@dataclass(frozen=True)
-class FanReport:
+class FanReport(NamedTuple):
     smooth: bool
     complete: bool
     fano: bool
@@ -196,16 +203,18 @@ def fan_from_rays(dim: int, rays, label: str = "") -> Fan:
     return Fan(dim, tuple(tuple(r) for r in rays), cones, label=label)
 
 
-@dataclass(frozen=True)
-class PicBasis:
+class _PicFields(NamedTuple):
+    basis_indices: tuple[int, ...]
+    deg: IntMatrix  # r x d
+
+
+class PicBasis(_PicFields):
     """A choice of ray classes forming a Z-basis of Pic.
 
     deg is the matrix of the quotient map Z^{Sigma(1)} -> Pic; lifting a
-    class places its coordinates on the basis rays.
+    class places its coordinates on the basis rays.  Instances keep a
+    __dict__ for the cached free_indices.
     """
-
-    basis_indices: tuple[int, ...]
-    deg: IntMatrix  # r x d
 
     @property
     def rank(self) -> int:
@@ -297,8 +306,7 @@ def deg_and_pic(fan: Fan, basis_indices=None) -> PicBasis:
     return PicBasis(basis_indices, mat(deg_rows))
 
 
-@dataclass(frozen=True)
-class PrimitiveCollection:
+class PrimitiveCollection(NamedTuple):
     ray_indices: tuple[int, ...]
     relation: IntVector  # full-length vector over Z^{Sigma(1)}
 
@@ -339,8 +347,7 @@ def _cone_coordinates(fan: Fan, v):
     return None
 
 
-@dataclass(frozen=True)
-class ContractionStep:
+class ContractionStep(NamedTuple):
     """A torus-invariant divisorial contraction source -> target."""
 
     source: Fan
@@ -486,8 +493,7 @@ def nef_ample_test(fan: Fan, pic: PicBasis, cls) -> tuple[bool, bool]:
     return True, ample
 
 
-@dataclass(frozen=True)
-class LatticePolytope:
+class LatticePolytope(NamedTuple):
     vertices: tuple[IntVector, ...]
     facets: tuple[tuple[IntVector, int], ...]  # (u_F, a_F): <m, u_F> >= -a_F
 

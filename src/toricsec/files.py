@@ -7,8 +7,8 @@ anywhere.  Parse errors carry the file and line they came from.
 from __future__ import annotations
 
 import shlex
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .fans import Fan
 from .pipelines import PosetEdge
@@ -18,15 +18,13 @@ class ParseError(ValueError):
     pass
 
 
-@dataclass
-class FanFile:
+class FanFile(NamedTuple):
     label: str
     fan: Fan
     pic_basis: tuple[int, ...] | None = None
 
 
-@dataclass
-class CollectionFile:
+class CollectionFile(NamedTuple):
     label: str
     fan_label: str
     basis: tuple[int, ...] | None

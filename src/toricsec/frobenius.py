@@ -8,14 +8,13 @@ classes come from an exact floor-division formula on the ray data.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fans import Fan, PicBasis, ContractionStep, cone_charts, nef_ample_test
 from .intlin import IntVector, int_vector, mat_mul, mat_vec
 
 
-@dataclass(frozen=True)
-class SplitSet:
+class SplitSet(NamedTuple):
     """Summand classes with multiplicities; multiplicities sum to m^n."""
 
     m: int
@@ -36,9 +35,11 @@ def frobenius_summands(fan: Fan, pic: PicBasis, m: int, w, sigma=None) -> SplitS
     On the chart, t = B v + c with B = A A_sigma^{-1} and c = w - B w_sigma,
     and the summand of the residue vector v (0 <= v_i < m) is the class of
     floor(t / m).  The rows of sigma in B are unit vectors and c vanishes
-    there, so those floors are 0; only the d - n other rows are floored,
-    each as one column of values over all m^n residues.  Each distinct
-    floor vector is counted, then mapped to its class once.
+    there, so those floors are 0; only the d - n other rows are floored.
+    The first residue v_0 is swept from 0 to m - 1; at each step every
+    other row is one column of values over the m^(n-1) residues of the
+    remaining coordinates, so memory stays at m^(n-1) values per row.
+    Each distinct floor vector is counted, then mapped to its class once.
     Classes appear in the order in which the residues, taken in
     lexicographic order, first reach them.
     """
@@ -56,16 +57,19 @@ def frobenius_summands(fan: Fan, pic: PicBasis, m: int, w, sigma=None) -> SplitS
     b = mat_mul(fan.rays, chart)
     b_w = mat_vec(b, tuple(w[i] for i in sigma))
     outside = [r for r in range(fan.n_rays) if r not in sigma]
-    columns = []
+    inner = []
     for r in outside:
-        # t_r(v) over every residue vector v in lexicographic order, one
-        # coordinate at a time, then floored
+        # t_r(v) less its v_0 term over the residues (v_1, ..., v_{n-1}) in
+        # lexicographic order, one coordinate at a time
         values = [w[r] - b_w[r]]
-        for coeff in b[r]:
+        for coeff in b[r][1:]:
             steps = [coeff * k for k in range(m)]
             values = [t + s for t in values for s in steps]
-        columns.append([t // m for t in values])
-    floors = Counter(zip(*columns))  # a complete fan has a ray outside sigma
+        inner.append((b[r][0], values))
+    floors = Counter()  # a complete fan has a ray outside sigma
+    for v0 in range(m):
+        floors.update(zip(*[[(t + s) // m for t in values]
+                            for c, values in inner for s in (c * v0,)]))
     mult: dict[IntVector, int] = {}
     divisor = [0] * fan.n_rays
     for q, count in floors.items():

@@ -10,14 +10,13 @@ missing one.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .fans import Fan, PicBasis, primitive_collections
 from .intlin import IntVector
 
 
-@dataclass(frozen=True)
-class KoszulTemplate:
+class KoszulTemplate(NamedTuple):
     """Term classes of the Koszul sequence of one primitive collection.
 
     terms[k] lists the classes -sum_{rho in S} [D_rho] over |S| = k; the
@@ -52,19 +51,17 @@ def koszul_sequences(fan: Fan, pic: PicBasis) -> list[KoszulTemplate]:
     return out
 
 
-@dataclass(frozen=True)
-class GenerationStep:
+class GenerationStep(NamedTuple):
     ray_set: tuple[int, ...]
     twist: IntVector
     produced: IntVector
     term_classes: tuple[IntVector, ...]
 
 
-@dataclass
-class GenerationCertificate:
+class GenerationCertificate(NamedTuple):
     seed: tuple[IntVector, ...]
-    steps: list[GenerationStep] = field(default_factory=list)
-    generated: set = field(default_factory=set)
+    steps: list[GenerationStep]
+    generated: frozenset[IntVector] = frozenset()
 
     def replay(self, templates_by_rays) -> set:
         """Re-run the recorded steps from the seed; returns the final set."""
@@ -82,8 +79,7 @@ class GenerationCertificate:
         return got
 
 
-@dataclass(frozen=True)
-class GenerationFailure:
+class GenerationFailure(NamedTuple):
     unreached: tuple[IntVector, ...]
     generated: tuple[IntVector, ...]
 
@@ -108,13 +104,12 @@ def generation_closure(fan: Fan, pic: PicBasis, seed, targets,
     by_rays = {t.ray_set: t for t in templates}
     seed = tuple(tuple(b) for b in seed)
     targets = set(tuple(t) for t in targets)
-    cert = GenerationCertificate(seed=seed, generated=set(seed))
-    got = cert.generated
+    steps, got = [], set(seed)
     box = _twist_box(set(seed) | targets, pad)
     twists = list(itertools.product(*box))
     for _ in range(max_rounds):
         if targets <= got:
-            return cert
+            break
         progress = False
         for template in templates:
             all_classes = list(template.classes_with_multiplicity())
@@ -124,12 +119,12 @@ def generation_closure(fan: Fan, pic: PicBasis, seed, targets,
                 if len(missing) != 1:
                     continue
                 produced = missing.pop()
-                cert.steps.append(GenerationStep(
+                steps.append(GenerationStep(
                     template.ray_set, tuple(twist), produced, tuple(shifted)))
                 got.add(produced)
                 progress = True
         if not progress:
             break
     if targets <= got:
-        return cert
+        return GenerationCertificate(seed, steps, frozenset(got))
     return GenerationFailure(tuple(sorted(targets - got)), tuple(sorted(got)))

@@ -3,8 +3,8 @@ tilting, and per-variety verification dispatch."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import add, mul, sub
+from typing import NamedTuple
 
 from .cohomology import (
     ChainVerdict,
@@ -24,8 +24,7 @@ class PipelineError(ValueError):
     pass
 
 
-@dataclass
-class PosetNode:
+class PosetNode(NamedTuple):
     label: str
     fan: Fan | None = None
     pic: PicBasis | None = None
@@ -35,18 +34,16 @@ class PosetNode:
     frobenius_m: int | None = None
 
 
-@dataclass
-class PosetEdge:
+class PosetEdge(NamedTuple):
     source: str
     target: str
     collapsed_ray: int | None = None
     note: str = ""
 
 
-@dataclass
-class ContractionPoset:
-    nodes: dict[str, PosetNode] = field(default_factory=dict)
-    edges: list[PosetEdge] = field(default_factory=list)
+class ContractionPoset(NamedTuple):
+    nodes: dict[str, PosetNode]
+    edges: list[PosetEdge]
 
     def add_node(self, node: PosetNode):
         if node.label in self.nodes:
@@ -93,8 +90,7 @@ class ContractionPoset:
         return [self.step(e) for e in reversed(edges)]
 
 
-@dataclass(frozen=True)
-class PropagationReport:
+class PropagationReport(NamedTuple):
     ok: bool
     membership_m: int | None
     chain_verdict: ChainVerdict | None
@@ -140,8 +136,7 @@ def propagate_collection(chain, bundles, m: int) -> PropagationReport:
                              "" if verdict.ok else verdict.failure)
 
 
-@dataclass(frozen=True)
-class HelixResult:
+class HelixResult(NamedTuple):
     ok: bool
     collection: tuple
     ordering: tuple = ()
@@ -172,8 +167,7 @@ def helix_twist(fan: Fan, pic: PicBasis, ordered_bundles, steps: int,
     return HelixResult(True, tuple(twisted), verdict.ordering)
 
 
-@dataclass(frozen=True)
-class TiltingReport:
+class TiltingReport(NamedTuple):
     ok: bool
     threshold: int
     failures: tuple = ()
@@ -213,8 +207,7 @@ def tilting_total_space_check(fan: Fan, pic: PicBasis, bundles) -> TiltingReport
 
 # ----------------------------------------------------------------- recipes
 
-@dataclass(frozen=True)
-class RecipeVerdict:
+class RecipeVerdict(NamedTuple):
     label: str
     recipe: str
     status: str          # pass / fail / inconclusive

@@ -8,8 +8,8 @@ quiver whose anticanonical cycles feed the diagonal-resolution cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .cohomology import fiber_rhs, fiber_tower
 from .fans import Fan, PicBasis, nef_ample_test, vertex_divisors
@@ -22,15 +22,13 @@ from .polyhedra import (
 )
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     tail: int
     head: int
     div: IntVector
 
 
-@dataclass(frozen=True)
-class QuiverOfSections:
+class QuiverOfSections(NamedTuple):
     bundles: tuple[IntVector, ...]
     arrows: tuple[Arrow, ...]
     cyclic: bool = False
@@ -163,8 +161,7 @@ def covering_quiver_on_y(fan: Fan, pic: PicBasis, bundles) -> QuiverOfSections:
 
 # ---------------------------------------------------------------- stability
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     generic: bool
     failures: tuple = ()
     certificates: tuple = ()
@@ -271,8 +268,7 @@ def check_theta_generic(quiver: QuiverOfSections, fan: Fan, theta) -> StabilityR
 
 # ------------------------------------------------------------- embeddings
 
-@dataclass(frozen=True)
-class EmbeddingVerdict:
+class EmbeddingVerdict(NamedTuple):
     ok: bool
     route: str
     detail: str = ""

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import importlib.resources
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .fans import Fan, FanError, PicBasis, deg_and_pic, validate_fan
 from .files import (
@@ -20,13 +20,12 @@ class WorkspaceError(ValueError):
     pass
 
 
-@dataclass
-class Workspace:
-    fans: dict[str, Fan] = field(default_factory=dict)
-    pics: dict[str, PicBasis] = field(default_factory=dict)
-    collections: dict[str, CollectionFile] = field(default_factory=dict)
-    poset: ContractionPoset = field(default_factory=ContractionPoset)
-    warnings: list[str] = field(default_factory=list)
+class Workspace(NamedTuple):
+    fans: dict[str, Fan]
+    pics: dict[str, PicBasis]
+    collections: dict[str, CollectionFile]
+    poset: ContractionPoset
+    warnings: list[str]
 
     def fan(self, label: str) -> Fan:
         if label not in self.fans:
@@ -53,17 +52,20 @@ def load_workspace(paths=None) -> Workspace:
     """Parse fans, collections and the poset; abort on any invalid fan.
 
     `paths` may be a directory or an iterable of files; defaults to the
-    bundled data.  Every registered fan must pass the smooth/complete
-    validation or the load fails naming the label.
+    bundled data.  A path that does not exist fails the load naming it.
+    Every registered fan must pass the smooth/complete validation or the
+    load fails naming the label.
     """
     if paths is None:
         paths = bundled_data_dir()
     if isinstance(paths, (str, Path)):
-        root = Path(paths)
-        files = sorted(root.glob("*")) if root.is_dir() else [root]
-    else:
-        files = [Path(p) for p in paths]
-    ws = Workspace()
+        paths = [paths]
+    files = []
+    for p in map(Path, paths):
+        if not p.exists():
+            raise WorkspaceError(f"no such data path: {str(p)!r}")
+        files.extend(sorted(p.glob("*")) if p.is_dir() else [p])
+    ws = Workspace({}, {}, {}, ContractionPoset({}, []), [])
     poset_specs = []
     for f in files:
         if f.suffix == ".fan":
@@ -105,10 +107,9 @@ def load_workspace(paths=None) -> Workspace:
         for label, fields in nodes:
             fan_label = fields.get("fan")
             col_label = fields.get("collection")
-            node = PosetNode(label=label, recipe=fields.get("recipe", ""))
+            fan = pic = bundles = theta = frobenius_m = None
             if fan_label:
-                node.fan = ws.fan(fan_label)
-                node.pic = ws.pic(fan_label)
+                fan, pic = ws.fan(fan_label), ws.pic(fan_label)
             if col_label:
                 col = ws.collections.get(col_label)
                 if col is None:
@@ -117,9 +118,9 @@ def load_workspace(paths=None) -> Workspace:
                     raise WorkspaceError(
                         f"poset node {label}: collection {col_label!r} is for fan "
                         f"{col.fan_label!r}, not {fan_label!r}")
-                node.bundles = [tuple(b) for b in col.bundles]
-                node.theta = col.theta
-                node.frobenius_m = col.frobenius_m
-            ws.poset.add_node(node)
+                bundles = [tuple(b) for b in col.bundles]
+                theta, frobenius_m = col.theta, col.frobenius_m
+            ws.poset.add_node(PosetNode(label, fan, pic, bundles, theta,
+                                        fields.get("recipe", ""), frobenius_m))
         ws.poset.edges.extend(edges)
     return ws

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 from functools import lru_cache
 
@@ -210,6 +211,57 @@ def test_column_sweep_matches_the_head_loop(label):
             # same classes, same counts, same order of first occurrence
             assert list(got.multiplicity.items()) == \
                 list(head_loop_summands(fan, pic, m, w).items()), (m, w)
+
+
+def column_sweep_summands(fan, pic, m, w):
+    """The former count on the first chart, kept as the reference: each
+    outside row's values over all m^n residues at once, then floored."""
+    sigma = tuple(sorted(fan.max_cones[0]))
+    b = mat_mul(fan.rays, cone_charts(fan)[sigma])
+    b_w = mat_vec(b, tuple(w[i] for i in sigma))
+    outside = [r for r in range(fan.n_rays) if r not in sigma]
+    columns = []
+    for r in outside:
+        values = [w[r] - b_w[r]]
+        for coeff in b[r]:
+            steps = [coeff * k for k in range(m)]
+            values = [t + s for t in values for s in steps]
+        columns.append([t // m for t in values])
+    mult = {}
+    divisor = [0] * fan.n_rays
+    for q, count in Counter(zip(*columns)).items():
+        for r, x in zip(outside, q):
+            divisor[r] = x
+        cls = pic.deg_of(divisor)
+        mult[cls] = mult.get(cls, 0) + count
+    return mult
+
+
+@pytest.mark.parametrize("label", sorted(bundled_workspace().fans))
+def test_first_residue_sweep_matches_the_column_sweep(label):
+    ws = bundled_workspace()
+    fan, pic = ws.fan(label), ws.pic(label)
+    for m in (1, 2, 3, 6, 8):
+        for i in range(-1, 3):
+            w = (i,) * fan.n_rays
+            got = frobenius_summands(fan, pic, m, w)
+            # same classes, same counts, same order of first occurrence
+            assert list(got.multiplicity.items()) == \
+                list(column_sweep_summands(fan, pic, m, w).items()), (m, w)
+
+
+def test_summands_hold_one_residue_slice_at_a_time():
+    # I1 at m = 30 has 30^4 residues; all at once traced about 45 MB
+    ws = bundled_workspace()
+    fan, pic = ws.fan("I1"), ws.pic("I1")
+    tracemalloc.start()
+    try:
+        split = frobenius_summands(fan, pic, 30, (0,) * fan.n_rays)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert split.total() == 30 ** 4
+    assert peak < 10 * 2 ** 20, peak
 
 
 @pytest.mark.parametrize("w", [(0.9, 0, 0), (0, 0, 1.0), ("1", 0, 0)])

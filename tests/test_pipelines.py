@@ -399,9 +399,9 @@ def test_recipe_rejects_a_collection_that_is_not_full(tmp_path, label, col_label
     for f in bundled_data_dir().iterdir():
         shutil.copy(f, tmp_path / f.name)
     col = load_workspace().collections[col_label]
-    col.bundles = col.bundles[:2]
+    col = col._replace(bundles=col.bundles[:2])
     if col.theta is not None:
-        col.theta = col.theta[:2]
+        col = col._replace(theta=col.theta[:2])
     write_collection_file(tmp_path / f"{col_label}.col", col)
     ws = load_workspace(tmp_path)
     verdict = verify_variety_recipe(ws, label)

@@ -1,4 +1,4 @@
-import dataclasses
+import re
 import shutil
 from pathlib import Path
 
@@ -59,6 +59,20 @@ def test_collection_width_must_match_pic_rank(tmp_path):
     assert "narrow" in str(err.value)
 
 
+def test_missing_data_directory_is_a_workspace_error(tmp_path):
+    missing = tmp_path / "nowhere"
+    error = re.escape(f"no such data path: {str(missing)!r}")
+    with pytest.raises(WorkspaceError, match=error):
+        load_workspace(missing)
+
+
+def test_missing_file_among_data_files_is_a_workspace_error(tmp_path):
+    missing = tmp_path / "gone.fan"
+    error = re.escape(f"no such data path: {str(missing)!r}")
+    with pytest.raises(WorkspaceError, match=error):
+        load_workspace([bundled_data_dir() / "P2.fan", missing])
+
+
 def test_pic_of_unknown_label_is_a_workspace_error():
     with pytest.raises(WorkspaceError, match="no fan registered under 'NOPE'"):
         load_workspace().pic("NOPE")
@@ -78,7 +92,7 @@ def test_cli_collection_not_in_its_fans_pic_reports_fail(tmp_path, poset, change
     # without the poset node the collection is read by its fan label
     shutil.copy(bundled_data_dir() / "E1.fan", tmp_path)
     col = parse_collection_file(bundled_data_dir() / "e1.col")
-    write_collection_file(tmp_path / "e1.col", dataclasses.replace(col, **changes))
+    write_collection_file(tmp_path / "e1.col", col._replace(**changes))
     if poset:
         (tmp_path / "v.poset").write_text(poset)
     result = CliRunner().invoke(main, ["--data", str(tmp_path), "strong-exceptional", "E1"])
@@ -308,6 +322,28 @@ def test_cli_rejection_keeps_the_lines_already_written(tmp_path):
                              "error=PipelineError: steps must lie between 0 and the "
                              "collection size\nstatus=fail\n")
     assert out.read_text() == result.output
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_cli_unwritable_out_still_reports_on_stdout(tmp_path, where):
+    out = tmp_path / "no" / "report.txt" if where == "missing-dir" else tmp_path
+    error = "FileNotFoundError" if where == "missing-dir" else "IsADirectoryError"
+    result = CliRunner().invoke(main, ["--out", str(out), "recipe", "P2"])
+    assert result.exit_code == 2
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.output.startswith("label=P2\nrecipe=beilinson\n")
+    *_, error_line, status = result.output.splitlines()
+    assert error_line.startswith(f"error={error}: ") and str(out) in error_line
+    assert status == "status=fail"
+    assert not (tmp_path / "no").exists()
+
+
+def test_cli_missing_data_path_names_it(tmp_path):
+    missing = tmp_path / "nowhere"
+    result = CliRunner().invoke(main, ["--data", str(missing), "recipe", "P2"])
+    assert result.exit_code == 2
+    assert result.output == (f"error=WorkspaceError: no such data path: {str(missing)!r}\n"
+                             "status=fail\n")
 
 
 @pytest.mark.parametrize("basis", [(0, 1), (0, 0), (5,)],
