@@ -98,9 +98,10 @@ def _class(text):
 class _Main(click.Group):
     """Owns the invocation's one report and ends it once the command returns.
 
-    Every library error class is a ValueError, so one handler names them
-    all: status=fail with an error= line after whatever the command wrote,
-    and exit status 2, unlike a verdict.
+    Every library error class is a ValueError, and a path that cannot be
+    read or written raises an OSError, so one handler names them all:
+    status=fail with an error= line after whatever the command wrote, and
+    exit status 2, unlike a verdict.
     """
 
     def invoke(self, ctx):
@@ -108,7 +109,7 @@ class _Main(click.Group):
         code = None
         try:
             super().invoke(ctx)
-        except ValueError as exc:
+        except (ValueError, OSError) as exc:
             rep.fail(exc)
             code = 2
         rep.finish(code)

@@ -135,13 +135,13 @@ def cell_sets(quiver: QuiverOfSections, n: int) -> CellComplexData:
     return CellComplexData((verts, arrow_cells, j_cells) + tuple(build() for build in derived))
 
 
-def restrict_cells(data: CellComplexData, rho_tot: int) -> tuple[tuple[Cell, ...], ...]:
-    """Cells whose divisor avoids the extra total-space coordinate.
+def restrict_cells(data: CellComplexData) -> tuple[tuple[Cell, ...], ...]:
+    """Cells whose divisor avoids the total-space coordinate, the last one.
 
     The top level is dropped whole: it holds the cycles, whose divisor is
     all ones.
     """
-    return tuple(tuple(c for c in lv if c.div[rho_tot] == 0) for lv in data.levels[:-1])
+    return tuple(tuple(c for c in lv if c.div[-1] == 0) for lv in data.levels[:-1])
 
 
 # ------------------------------------------------------ derivative complex
@@ -188,12 +188,23 @@ def _entry_terms(quiver, small: Cell, big: Cell):
 
 
 def derivative_complex(levels: tuple[tuple[Cell, ...], ...],
-                       quiver: QuiverOfSections, rho_tot: int,
-                       bundles) -> GradedChainComplex:
+                       quiver: QuiverOfSections) -> GradedChainComplex:
     """Unsigned complex; d1 terms carry their fixed signs, the rest +1.
 
-    Restricted cells have divisor 0 at rho_tot and divisors are >= 0, so
-    dropping that coordinate from the flanks loses nothing.
+    Restricted cells have divisor 0 at the total-space coordinate, the
+    last one, and divisors are >= 0, so dropping it from the flanks loses
+    nothing.  Every term has the bidegree of its generators: alpha has
+    degree L_{small.tail} - L_{big.tail} and beta L_{big.head} -
+    L_{small.head}, so no check of it can fail.
+
+    - A flank is part of a path of a restricted cell, so each of its
+      arrows has total-space exponent 0, that is degree 0: an arrow
+      i -> j with divisor pic.lift(L_j - L_i, t), and deg o lift is the
+      identity.  A path's degree is then L_end - L_start.
+    - All paths of a cell share their ends (cell_sets), and the
+      occurrence rule of _entry_terms puts small's tail where p starts
+      in q.  So alpha runs from big.tail to small.tail and beta from
+      small.head to big.head.
     """
     matrices = []
     for k in range(1, len(levels)):
@@ -204,13 +215,10 @@ def derivative_complex(levels: tuple[tuple[Cell, ...], ...],
                 if terms is None:
                     continue
                 # d1: +x^div on the head vertex, -w^div on the tail
-                mat[(row, col)] = [
-                    (-1 if k == 1 and any(beta) else 1,
-                     alpha[:rho_tot] + alpha[rho_tot + 1:], beta[:rho_tot] + beta[rho_tot + 1:])
-                    for alpha, beta in terms]
+                mat[(row, col)] = [(-1 if k == 1 and any(beta) else 1, alpha[:-1], beta[:-1])
+                                   for alpha, beta in terms]
         matrices.append(mat)
-    return GradedChainComplex(tuple(tuple(b) for b in bundles), levels, matrices,
-                              quiver.n_variables - 1)
+    return GradedChainComplex(quiver.bundles, levels, matrices, quiver.n_variables - 1)
 
 
 def _first_terms(complex_: GradedChainComplex) -> list[dict]:
@@ -315,26 +323,6 @@ def check_dd_zero(complex_: GradedChainComplex) -> bool:
     """Symbolic verification that consecutive matrices compose to zero."""
     return all(sum(sign for _, _, sign in group) == 0
                for group in _product_groups(complex_))
-
-
-def check_bidegrees(complex_: GradedChainComplex, pic: PicBasis) -> bool:
-    """Every term's flank degrees must match the generator bidegrees."""
-    flanks = {flank for mat in complex_.matrices for terms in mat.values()
-              for _, alpha, beta in terms for flank in (alpha, beta)}
-    deg = {flank: pic.deg_of(flank) for flank in flanks}  # few distinct flanks
-    for k, mat in enumerate(complex_.matrices):
-        small_cells = complex_.levels[k]
-        big_cells = complex_.levels[k + 1]
-        for (row, col), terms in mat.items():
-            small, big = small_cells[row], big_cells[col]
-            want_alpha = tuple(a - b for a, b in zip(
-                complex_.bundles[small.tail], complex_.bundles[big.tail]))
-            want_beta = tuple(a - b for a, b in zip(
-                complex_.bundles[big.head], complex_.bundles[small.head]))
-            for _, alpha, beta in terms:
-                if deg[alpha] != want_alpha or deg[beta] != want_beta:
-                    return False
-    return True
 
 
 # --------------------------------------------------------- fiber exactness
@@ -536,19 +524,21 @@ def _check_fiber_parameters(trials: int, diagonal_trials: int, prime: int) -> No
         raise DiagonalError("prime 2 is too small: over F_2 no point lies off the diagonal")
 
 
-def fiber_exactness_check(complex_: GradedChainComplex, n: int,
+def fiber_exactness_check(complex_: GradedChainComplex,
                           trials: int = FIBER_TRIALS, diagonal_trials: int = DIAGONAL_TRIALS,
                           seed: int = FIBER_SEED, prime: int = FIBER_PRIME) -> FiberReport:
     """Random-point exactness over F_prime.
 
     Off the diagonal the complex must be exact with zero cokernel in the
     last position; on the diagonal the homology must be the rank-n Koszul
-    profile.  Any rank deviation rejects with the offending point, and no
-    later point is evaluated; the diagonal points are evaluated only once
-    every off-diagonal point has passed.  All trial points are drawn up
-    front from the seed.  Raises DiagonalError unless both trial counts
-    are at least 1 and prime is an odd prime, and unless the squared
-    differential is zero (check_dd_zero), before any point is evaluated.
+    profile, n = len(ranks) - 1: cell_sets builds n + 2 levels and
+    restrict_cells drops the top one.  Any rank deviation rejects with the
+    offending point, and no later point is evaluated; the diagonal points
+    are evaluated only once every off-diagonal point has passed.  All
+    trial points are drawn up front from the seed.  Raises DiagonalError
+    unless both trial counts are at least 1 and prime is an odd prime,
+    and unless the squared differential is zero (check_dd_zero), before
+    any point is evaluated.
 
     Only the first off-diagonal point with the expected profile e pays
     for full ranks; it records, per matrix d_k, the pivot rows and
@@ -590,6 +580,7 @@ def fiber_exactness_check(complex_: GradedChainComplex, n: int,
         if pivots is not None:
             minors = [_minor(entries, rows, cols)
                       for (_, entries), (rows, cols) in zip(compiled[1], pivots)]
+    n = len(ranks) - 1
     want_diag = [comb(n, k) for k in range(n + 1)]
     for t, point in enumerate(diag_points):
         padded = [0] + _point_profile(compiled, point, point, prime)[0] + [0]
@@ -618,28 +609,21 @@ def diagonal_resolution_verdict(fan: Fan, pic: PicBasis, bundles, theta=None,
                                 prime: int = FIBER_PRIME) -> ResolutionVerdict:
     """Assemble and certify the Method-2 chain for one collection.
 
-    "full" needs every term's flank degrees to match its generators'
-    bidegrees (check_bidegrees), the signed complex with squared
-    differential zero (checked by fiber_exactness_check), the fiberwise
-    exactness profile, and an embedding certificate: the nef
-    Minkowski route when every bundle is nef, otherwise the Y_theta route
-    with the supplied weight.  Every verdict past sign solving carries the
+    "full" needs the signed complex with squared differential zero
+    (checked by fiber_exactness_check), the fiberwise exactness profile,
+    and an embedding certificate: the nef Minkowski route when every
+    bundle is nef, otherwise the Y_theta route with the supplied weight.  Every verdict past sign solving carries the
     signed complex.  The fiber test draws DIAGONAL_TRIALS diagonal points.
     Raises DiagonalError on the fiber test's parameters as
     fiber_exactness_check does, before any work.
     """
     _check_fiber_parameters(trials, DIAGONAL_TRIALS, prime)
     bundles = [tuple(b) for b in bundles]
-    n = fan.dim
     try:
         qy = covering_quiver_on_y(fan, pic, bundles)
-        data = cell_sets(qy, n)
-        rest = restrict_cells(data, rho_tot=pic.n_rays)
-        cx = derivative_complex(rest, qy, pic.n_rays, bundles)
+        cx = derivative_complex(restrict_cells(cell_sets(qy, fan.dim)), qy)
     except DiagonalError as exc:
         return ResolutionVerdict("inconclusive", f"cell assembly: {exc}")
-    if not check_bidegrees(cx, pic):
-        return ResolutionVerdict("inconclusive", "term bidegrees off the generators", cx.ranks)
     signed = sign_solve(cx)
     if signed is None:
         return ResolutionVerdict("inconclusive", "no sign assignment", cx.ranks)
@@ -648,7 +632,7 @@ def diagonal_resolution_verdict(fan: Fan, pic: PicBasis, bundles, theta=None,
         return ResolutionVerdict(status, stage, cx.ranks, fiber, emb, signed)
 
     try:
-        fiber = fiber_exactness_check(signed, n, trials=trials, seed=seed, prime=prime)
+        fiber = fiber_exactness_check(signed, trials=trials, seed=seed, prime=prime)
     except DiagonalError as exc:  # d^2 != 0: the parameters were checked above
         return verdict(str(exc))
     if not fiber.ok:

@@ -93,8 +93,13 @@ def _twist_box(points, pad: int):
     return [range(lo, hi + 1) for lo, hi in zip(los, his)]
 
 
-def generation_closure(fan: Fan, pic: PicBasis, seed, targets,
-                       pad: int = 2, max_rounds: int = 64):
+# The closure's search box: twists within BOX_PAD of the seed and targets
+# in every coordinate, swept at most MAX_ROUNDS times.
+BOX_PAD = 2
+MAX_ROUNDS = 64
+
+
+def generation_closure(fan: Fan, pic: PicBasis, seed, targets):
     """Fixed-point closure; returns a GenerationCertificate or a failure.
 
     Failure is inconclusive: the search box is finite and nothing here can
@@ -105,9 +110,9 @@ def generation_closure(fan: Fan, pic: PicBasis, seed, targets,
     seed = tuple(tuple(b) for b in seed)
     targets = set(tuple(t) for t in targets)
     steps, got = [], set(seed)
-    box = _twist_box(set(seed) | targets, pad)
+    box = _twist_box(set(seed) | targets, BOX_PAD)
     twists = list(itertools.product(*box))
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         if targets <= got:
             break
         progress = False

@@ -167,7 +167,7 @@ class StabilityReport(NamedTuple):
     certificates: tuple = ()
 
 
-def torus_fixed_bits(quiver: QuiverOfSections, fan: Fan, cone) -> tuple[int, ...]:
+def torus_fixed_bits(quiver: QuiverOfSections, cone) -> tuple[int, ...]:
     """Arrow bits of the torus-fixed representation at a maximal cone."""
     bits = []
     for a in quiver.arrows:
@@ -238,7 +238,7 @@ def check_theta_generic(quiver: QuiverOfSections, fan: Fan, theta) -> StabilityR
     failures = []
     certs = []
     for cone in fan.max_cones:
-        bits = torus_fixed_bits(quiver, fan, cone)
+        bits = torus_fixed_bits(quiver, cone)
         adjacency = [[] for _ in range(quiver.n_vertices)]
         for idx, a in enumerate(quiver.arrows):
             if bits[idx]:

@@ -195,14 +195,14 @@ def test_criterion_7_method2_complexes(ws, label):
         fan, pic = ws.fan(label), ws.pic(label)
         bundles = ws.collections[col_label].bundles
         qy = covering_quiver_on_y(fan, pic, bundles)
-        rest = restrict_cells(cell_sets(qy, 4), rho_tot=pic.n_rays)
-        cx = derivative_complex(rest, qy, pic.n_rays, bundles)
+        rest = restrict_cells(cell_sets(qy, 4))
+        cx = derivative_complex(rest, qy)
         assert cx.ranks == expect
         assert sum((-1) ** i * r for i, r in enumerate(cx.ranks)) == 0
         signed = sign_solve(cx)
         assert signed is not None
         assert check_dd_zero(signed)
-        rep = fiber_exactness_check(signed, 4, trials=32, diagonal_trials=8, seed=0)
+        rep = fiber_exactness_check(signed, trials=32, diagonal_trials=8, seed=0)
         assert rep.ok, rep.detail
         assert rep.diagonal_homology == (1, 4, 6, 4, 1)
 

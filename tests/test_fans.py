@@ -117,6 +117,12 @@ def test_primitive_collections_p1xp1_brute():
         assert sum(abs(x) for x in c.relation) == 2
 
 
+def square_commutes(step):
+    """gamma . deg_source == deg_target . beta, which contraction_step
+    proves in its docstring rather than checks."""
+    return mat_mul(step.gamma, step.source_pic.deg) == mat_mul(step.target_pic.deg, step.beta)
+
+
 def test_star_subdivision_of_p2_gives_s1():
     fan = make_fan("P2")
     sub, step = star_subdivision(fan, (0, 1))
@@ -124,6 +130,7 @@ def test_star_subdivision_of_p2_gives_s1():
     rep = validate_fan(sub)
     assert rep.smooth and rep.complete and rep.fano
     assert set(sub.max_cones) == set(make_fan("S1").max_cones)
+    assert square_commutes(step)
 
 
 def test_star_subdivision_b1_at_u4_u5_gives_e1():
@@ -131,8 +138,7 @@ def test_star_subdivision_b1_at_u4_u5_gives_e1():
     sub, step = star_subdivision(b1, (4, 5))
     assert sub.rays[-1] == (2, -1, -1, -1)
     assert set(sub.max_cones) == set(make_fan("E1").max_cones)
-    # gamma . deg_source == deg_target . beta by construction
-    assert mat_mul(step.gamma, step.source_pic.deg) == mat_mul(step.target_pic.deg, step.beta)
+    assert square_commutes(step)
 
 
 def test_star_subdivision_at_ray_is_identity():
@@ -140,6 +146,7 @@ def test_star_subdivision_at_ray_is_identity():
     sub, step = star_subdivision(fan, (1,))
     assert sub is fan
     assert step.source is step.target
+    assert square_commutes(step)
 
 
 def test_subdivision_preserves_smoothness_random():
@@ -151,8 +158,17 @@ def test_subdivision_preserves_smoothness_random():
             cone = rng.choice(fan.max_cones)
             size = rng.randint(2, len(cone))
             σ = tuple(sorted(rng.sample(cone, size)))
-            sub, _ = star_subdivision(fan, σ)
+            sub, step = star_subdivision(fan, σ)
             assert validate_fan(sub).smooth
+            assert square_commutes(step)
+
+
+def test_contraction_square_commutes_on_every_poset_edge():
+    poset = bundled_workspace().poset
+    edges = list(poset.runnable_edges())
+    assert len(edges) == 5  # E1-B1, S3-S2, S2-S1, S1-P2 and D1_3-B1_3
+    for edge in edges:
+        assert square_commutes(poset.step(edge)), edge
 
 
 def test_deg_and_pic_p1():

@@ -85,7 +85,7 @@ def test_generation_monotone_and_replayable():
 def test_failure_is_reported_not_fatal():
     fan = make_fan("P1")
     pic = deg_and_pic(fan)
-    res = generation_closure(fan, pic, [(0,)], [(5,)], pad=0, max_rounds=2)
+    res = generation_closure(fan, pic, [(0,)], [(5,)])
     assert isinstance(res, GenerationFailure)
     assert (5,) in res.unreached
 

@@ -340,7 +340,7 @@ def test_quiver_report_is_pinned(label):
 
 def test_torus_fixed_bits_match_example_cone():
     fan, pic, q = j1_quiver()
-    bits = torus_fixed_bits(q, fan, (0, 1, 3, 4))
+    bits = torus_fixed_bits(q, (0, 1, 3, 4))
     dead = {i + 1 for i, b in enumerate(bits) if not b}
     # paper's zero set for this cone, renumbered to our (tail, head, label) order
     def by_label(t, h, s):
@@ -432,7 +432,7 @@ def test_theta_closed_sets_match_closure():
         for cone, kind, detail in check_theta_generic(q, fan, theta).failures:
             if kind == "closed set with nonpositive weight":
                 closed += 1
-                bits = torus_fixed_bits(q, fan, cone)
+                bits = torus_fixed_bits(q, cone)
                 positives = {v for v, t in enumerate(theta) if t > 0}
                 first = next(v for v in range(1, nv)
                              if not closure(q, bits, v) & positives)
@@ -464,7 +464,7 @@ def scan_theta_report(q, fan, theta):
     positives = {i for i, t in enumerate(theta) if t > 0}
     failures, certs = [], []
     for cone in fan.max_cones:
-        bits = torus_fixed_bits(q, fan, cone)
+        bits = torus_fixed_bits(q, cone)
         cert = {"cone": cone, "from_source": {}, "to_positive": {}}
         bad = None
         for t in sorted(positives):

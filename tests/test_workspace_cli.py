@@ -522,6 +522,11 @@ REPORT_LIFECYCLE = [
     (["recipe", "NOPE"], "rejected"),
     (["helix", "NOPE"], "rejected"),
     (["helix", "P1xP1", "--twist-class", "0"], "rejected"),
+    # paths that cannot be written or read: {tmp} is the test's directory,
+    # and {tmp}/data holds a directory named x.fan
+    (["method2", "S3", "--dump-complex", "{tmp}/missing/x"], "rejected"),
+    (["method2", "S3", "--dump-complex", "{tmp}"], "rejected"),
+    (["--data", "{tmp}/data", "validate", "P2"], "rejected"),
 ]
 
 
@@ -529,6 +534,8 @@ REPORT_LIFECYCLE = [
                          ids=[" ".join(args) for args, _ in REPORT_LIFECYCLE])
 def test_cli_group_ends_every_report_once(tmp_path, args, status):
     out = tmp_path / "report.txt"
+    (tmp_path / "data" / "x.fan").mkdir(parents=True)
+    args = [a.replace("{tmp}", str(tmp_path)) for a in args]
     result = CliRunner().invoke(main, ["--out", str(out)] + args)
     lines = result.output.splitlines()
     assert len(lines) > 1 and [x for x in lines if x.startswith("status=")] == lines[-1:]
